@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import hermite, oracle
 from .kernels import (
     MAX_TOTAL_ORDER,
@@ -41,6 +39,8 @@ from .kernels import (
     contract,
     ito_symmetrize,
     norm,
+    orbit_sums,
+    orbit_table,
     reversed_conjugate,
 )
 
@@ -174,10 +174,18 @@ class ChaosPolynomial:
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
         keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys),
-            default=0.0,
+        return worst_of(
+            0.0, *(abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys)
         )
+
+
+def worst_of(*values: float, pick=max) -> float:
+    """``pick`` (max by default) of the values, or NaN if any of them is NaN
+    or infinite, so that a fold over residuals cannot drop a non-finite one:
+    plain ``max(0.0, nan)`` is ``0.0`` and would let the report pass."""
+    if all(math.isfinite(v) for v in values):
+        return pick(values)
+    return math.nan
 
 
 def relative_residual(lhs: ChaosPolynomial, rhs: ChaosPolynomial) -> float:
@@ -238,55 +246,23 @@ class VerificationReport:
 
 # -- expansion into Gaussian coordinates --------------------------------------
 
-# Orbit tables: positions of each (sorted first block, sorted second block)
-# class in the flattened coefficient array, per (n, p, q).  Module-level
-# caches; inserts are idempotent so concurrent use is safe.
-_ORBIT_TABLES: dict[tuple[int, int, int], tuple[np.ndarray, list]] = {}
+# Hermite products per orbit representative.  Module-level cache; inserts are
+# idempotent so concurrent use is safe.
 _ORBIT_POLYS: dict[tuple, dict[ExponentKey, int]] = {}
 
 
-def _orbit_table(n: int, p: int, q: int):
-    key = (n, p, q)
-    hit = _ORBIT_TABLES.get(key)
-    if hit is not None:
-        return hit
-    total = p + q
-    if total == 0:
-        ids = np.zeros(1, dtype=np.intp)
-        reps = [((), ())]
-    else:
-        shape = (n,) * total
-        idx = np.indices(shape).reshape(total, -1)
-        canonical = np.concatenate(
-            [np.sort(idx[:p], axis=0), np.sort(idx[p:], axis=0)], axis=0
-        )
-        flat = np.ravel_multi_index(tuple(canonical), shape)
-        uniq, ids = np.unique(flat, return_inverse=True)
-        coords = np.unravel_index(uniq, shape)
-        reps = [
-            (tuple(int(c[k]) for c in coords[:p]), tuple(int(c[k]) for c in coords[p:]))
-            for k in range(len(uniq))
-        ]
-    _ORBIT_TABLES[key] = (ids, reps)
-    return ids, reps
-
-
-def _orbit_poly(n: int, left: tuple[int, ...], right: tuple[int, ...]):
-    """Product over distinct cells of Hermite polynomials (rho = 1) whose
-    degrees are the cell multiplicities in the two blocks."""
-    key = (n, left, right)
+def _orbit_poly(left: tuple[int, ...], right: tuple[int, ...]):
+    """Product over the cells of Hermite polynomials (rho = 1) whose degrees
+    are the cell's slot counts ``left[cell]`` and ``right[cell]``."""
+    key = (left, right)
     hit = _ORBIT_POLYS.get(key)
     if hit is not None:
         return hit
-    counts: dict[int, list[int]] = {}
-    for cell in left:
-        counts.setdefault(cell, [0, 0])[0] += 1
-    for cell in right:
-        counts.setdefault(cell, [0, 0])[1] += 1
-    zero = (0,) * n
+    zero = (0,) * len(left)
     poly: dict[ExponentKey, int] = {(zero, zero): 1}
-    for cell in sorted(counts):
-        mult_z, mult_conj = counts[cell]
+    for cell, (mult_z, mult_conj) in enumerate(zip(left, right)):
+        if mult_z + mult_conj == 0:
+            continue
         jterms = hermite.build(mult_z, mult_conj, 1).terms
         next_poly: dict[ExponentKey, int] = {}
         for (avec, bvec), c in poly.items():
@@ -309,17 +285,14 @@ def expand(f: Kernel) -> ChaosPolynomial:
     handled by the Hermite degrees, which is what makes the discretization
     match the diagonal-free continuum integral.
     """
-    ids, reps = _orbit_table(f.n, f.p, f.q)
-    flat = f.coeffs.ravel()
-    sums = np.bincount(ids, weights=flat.real, minlength=len(reps)).astype(
-        complex
-    ) + 1j * np.bincount(ids, weights=flat.imag, minlength=len(reps))
+    ids, _, reps = orbit_table(f.n, f.p, f.q)
+    sums = orbit_sums(ids, f.coeffs)
     terms: dict[ExponentKey, complex] = {}
     for oid, (left, right) in enumerate(reps):
         c = complex(sums[oid])
         if c == 0:
             continue
-        for key, w in _orbit_poly(f.n, left, right).items():
+        for key, w in _orbit_poly(left, right).items():
             acc = terms.get(key, 0j) + c * w
             if acc == 0:
                 terms.pop(key, None)
@@ -396,14 +369,7 @@ def _product_terms(f: Kernel, g: Kernel) -> list[ProductTerm]:
     terms = []
     for i in range(min(a, d) + 1):
         for j in range(min(b, c) + 1):
-            w = (
-                math.comb(a, i)
-                * math.comb(d, i)
-                * math.comb(b, j)
-                * math.comb(c, j)
-                * math.factorial(i)
-                * math.factorial(j)
-            )
+            w = hermite.pairing_weight(a, b, c, d, i, j)
             terms.append(ProductTerm(w, contract(f, g, ContractionSpec(i, j))))
     return terms
 
@@ -496,14 +462,7 @@ def _covariance_formula(f: Kernel, g: Kernel) -> float:
             j = s - i
             if j > min(b, d):
                 continue
-            w = (
-                math.comb(a, i)
-                * math.comb(c, i)
-                * math.comb(b, j)
-                * math.comb(d, j)
-                * math.factorial(i)
-                * math.factorial(j)
-            )
+            w = hermite.pairing_weight(a, b, d, c, i, j)
             piece = w * contract(f, h, ContractionSpec(i, j))
             group = piece if group is None else group + piece
         if group is None:
@@ -610,7 +569,7 @@ def independence_check(
     metadata.update(norms)
     return VerificationReport(
         name="independence-criterion",
-        residual=max(norms.values()),
+        residual=worst_of(*norms.values()),
         tolerance=tolerance,
         metadata=metadata,
     )
@@ -643,7 +602,7 @@ def moment_factorization_gap(f: Kernel, g: Kernel, max_degree: int = 6) -> float
                     right = mixed(pg, pg_c, pow_g, (l2, k2))
                     joint = oracle.pair_expectation(left, right)
                     gap = abs(joint - e_left * oracle.expectation(right))
-                    worst = max(worst, gap)
+                    worst = worst_of(worst, gap)
     return worst
 
 
@@ -677,12 +636,12 @@ def _max_cross_contraction(f: Kernel, g: Kernel) -> float:
         for s in range(min(b, c) + 1):
             if r + s == 0:
                 continue
-            worst = max(worst, norm(contract(f, g, ContractionSpec(r, s))))
+            worst = worst_of(worst, norm(contract(f, g, ContractionSpec(r, s))))
     for r in range(min(a, c) + 1):
         for s in range(min(b, d) + 1):
             if r + s == 0:
                 continue
-            worst = max(worst, norm(contract(f, h, ContractionSpec(r, s))))
+            worst = worst_of(worst, norm(contract(f, h, ContractionSpec(r, s))))
     return worst
 
 
@@ -761,7 +720,7 @@ def hypercontractivity_check(
     m4 = oracle.pair_expectation(sq, sq).real
     lhs = max(m4, 0.0) ** 0.25
     rhs = 3.0 ** ((f.p + f.q) / 2.0) * max(m2, 0.0) ** 0.5
-    residual = max(0.0, lhs - rhs)
+    residual = worst_of(0.0, lhs - rhs)
     return VerificationReport(
         name="hypercontractivity",
         residual=residual,

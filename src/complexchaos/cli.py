@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -54,6 +55,7 @@ from .chaos import (
     isometry_check,
     product_check,
     product_conjugated_check,
+    worst_of,
 )
 from .kernels import (
     MAX_CELLS,
@@ -112,14 +114,20 @@ def _parse_complex(obj: Any, where: str) -> complex:
         raise _fail("validation-error", f"{where}: {exc}") from None
 
 
+def _object_list(data: Mapping, key: str) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(i, Mapping) for i in items):
+        raise _fail("validation-error", f"{key} must be a list of objects")
+    return items
+
+
 def _load_kernel(spec: Mapping, measure: DiscreteMeasure, caps: tuple[int, int]):
     name = spec.get("name")
     if not isinstance(name, str) or not name:
         raise _fail("validation-error", "every kernel needs a non-empty name")
-    try:
-        p, q = int(spec["p"]), int(spec["q"])
-    except (KeyError, TypeError, ValueError):
-        raise _fail("validation-error", f"kernel {name}: p and q must be integers") from None
+    p, q = spec.get("p"), spec.get("q")
+    if type(p) is not int or type(q) is not int:
+        raise _fail("validation-error", f"kernel {name}: p and q must be integers")
     max_order, _ = caps
     if p < 0 or q < 0 or p + q > max_order:
         raise _fail("validation-error", f"kernel {name}: order ({p},{q}) outside caps")
@@ -138,8 +146,8 @@ def _load_kernel(spec: Mapping, measure: DiscreteMeasure, caps: tuple[int, int])
         idx = entry.get("idx", [])
         if not isinstance(idx, list) or len(idx) != p + q:
             raise _fail("validation-error", f"{where}: idx must have length {p + q}")
-        if not all(isinstance(i, int) and 0 <= i < n for i in idx):
-            raise _fail("validation-error", f"{where}: idx components outside 0..{n - 1}")
+        if not all(type(i) is int and 0 <= i < n for i in idx):
+            raise _fail("validation-error", f"{where}: idx must hold integers in 0..{n - 1}")
         arr[tuple(idx)] = _parse_complex(entry, where)
     raw = Kernel(p, q, n, arr)
     if coords == "indicator":
@@ -174,7 +182,7 @@ def load_scenario(path: str, caps: tuple[int, int] = (MAX_TOTAL_ORDER, MAX_CELLS
         raise _fail("validation-error", str(exc)) from None
     kernels: dict[str, Kernel] = {}
     kernel_norms: dict[str, dict[str, float]] = {}
-    for spec in data.get("kernels", []):
+    for spec in _object_list(data, "kernels"):
         try:
             name, kernel, norms = _load_kernel(spec, measure, caps)
         except ValueError as exc:
@@ -184,22 +192,24 @@ def load_scenario(path: str, caps: tuple[int, int] = (MAX_TOTAL_ORDER, MAX_CELLS
         kernels[name] = kernel
         kernel_norms[name] = norms
     sequences: dict[str, KernelSequence] = {}
-    for spec in data.get("sequences", []):
+    for spec in _object_list(data, "sequences"):
         name = spec.get("name")
         if not isinstance(name, str) or not name:
             raise _fail("validation-error", "every sequence needs a non-empty name")
         if name in sequences or name in kernels:
             raise _fail("validation-error", f"duplicate name {name!r}")
         members = spec.get("kernels", [])
-        missing = [m for m in members if m not in kernels]
+        if not isinstance(members, list):
+            raise _fail("validation-error", f"sequence {name}: kernels must be a list")
+        missing = [m for m in members if not isinstance(m, str) or m not in kernels]
         if missing:
             raise _fail("validation-error", f"sequence {name}: unknown kernels {missing}")
         try:
             sequences[name] = KernelSequence(name, tuple(kernels[m] for m in members))
         except ValueError as exc:
             raise _fail("validation-error", f"sequence {name}: {exc}") from None
-    checks = data.get("checks", [])
-    if not isinstance(checks, list) or not checks:
+    checks = _object_list(data, "checks")
+    if not checks:
         raise _fail("validation-error", "scenario needs a non-empty checks list")
     seen = set()
     for check in checks:
@@ -224,8 +234,13 @@ def _kernel_ref(scenario: Scenario, check: Mapping, key: str) -> Kernel:
 
 def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
     kind = check["kind"]
-    tol_value = check.get("tolerance")
-    tol = float(tol_value) if tol_value else None
+    tol = check.get("tolerance")
+    if tol is not None:
+        if type(tol) not in (int, float) or not 0 < tol < math.inf:
+            raise _fail(
+                "validation-error", f"check {check['name']}: tolerance must be finite and positive"
+            )
+        tol = float(tol)
     seed = int(check.get("seed", defaults["seed"]))
     record: dict[str, Any] = {"name": check["name"], "kind": kind}
 
@@ -233,6 +248,8 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
         conjugated = kind == "product-conjugated"
         if "grid" in check:
             grid = check["grid"]
+            if not isinstance(grid, Mapping):
+                raise _fail("validation-error", f"check {check['name']}: grid must be an object")
             report = suites.product_grid_report(
                 max_total=int(grid.get("max_total", 6)),
                 max_cells=int(grid.get("max_cells", 3)),
@@ -261,17 +278,18 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
         )
     elif kind == "asymptotic":
         names = check.get("sequences", [])
-        unknown = [s for s in names if s not in scenario.sequences]
-        if len(names) < 2 or unknown:
+        if not isinstance(names, list) or len(names) < 2 or not all(
+            isinstance(s, str) and s in scenario.sequences for s in names
+        ):
             raise _fail(
                 "validation-error",
                 f"check {check['name']}: needs >= 2 known sequences, got {names}",
             )
         rows = asymptotic_diagnostics([scenario.sequences[s] for s in names])
         last = rows[-1]
-        residual = max(
-            max(p.max_contraction_norm for p in last.pairs),
-            max(abs(p.covariance) for p in last.pairs),
+        residual = worst_of(
+            *(p.max_contraction_norm for p in last.pairs),
+            *(abs(p.covariance) for p in last.pairs),
         )
         report = VerificationReport(
             name=check["name"],

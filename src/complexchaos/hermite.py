@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 __all__ = [
     "HermitePolynomial",
@@ -30,6 +30,8 @@ __all__ = [
     "evaluate",
     "format_polynomial",
     "hermite_product",
+    "order_tuples",
+    "pairing_weight",
     "resolve_rho",
 ]
 
@@ -126,26 +128,38 @@ def evaluate(h: HermitePolynomial, z: complex) -> complex:
     return sum((complex(c) * z**a * zbar**b for (a, b), c in h.terms.items()), 0j)
 
 
+def pairing_weight(a: int, b: int, c: int, d: int, i: int, j: int) -> int:
+    """C(a,i) C(d,i) C(b,j) C(c,j) i! j!: the number of ways to pair i of the
+    a slots with i of the d slots and j of the b slots with j of the c slots."""
+    return (
+        math.comb(a, i) * math.comb(d, i) * math.factorial(i)
+        * math.comb(b, j) * math.comb(c, j) * math.factorial(j)
+    )
+
+
+def order_tuples(max_total: int, width: int = 4) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``width`` degrees, such as (a, b, c, d), whose sum is at
+    most max_total, in lexicographic order."""
+    if width == 0:
+        yield ()
+        return
+    for first in range(max_total + 1):
+        for rest in order_tuples(max_total - first, width - 1):
+            yield (first,) + rest
+
+
 def hermite_product(a: int, b: int, c: int, d: int) -> dict[tuple[int, int], int]:
     """Expansion weights of product(J_{a,b}, J_{c,d}) in the family basis.
 
     The (i, j) pairing term lands on degree (a+c-i-j, b+d-i-j) with weight
-    C(a,i) C(d,i) C(b,j) C(c,j) i! j!; pairings with the same target degree
+    ``pairing_weight(a, b, c, d, i, j)``; pairings with the same target degree
     accumulate.  Exact at the certified normalization rho = 1.
     """
     table: dict[tuple[int, int], int] = {}
     for i in range(min(a, d) + 1):
         for j in range(min(b, c) + 1):
-            w = (
-                math.comb(a, i)
-                * math.comb(d, i)
-                * math.comb(b, j)
-                * math.comb(c, j)
-                * math.factorial(i)
-                * math.factorial(j)
-            )
             key = (a + c - i - j, b + d - i - j)
-            table[key] = table.get(key, 0) + w
+            table[key] = table.get(key, 0) + pairing_weight(a, b, c, d, i, j)
     return table
 
 
@@ -183,15 +197,12 @@ def certify_product_formula(max_total: int = 8, rho: Scalar = 1) -> float:
     """Max absolute coefficient residual of the product expansion over all
     degree tuples with a + b + c + d <= max_total.  Exactly 0.0 at rho = 1."""
     worst = 0.0
-    for a in range(max_total + 1):
-        for b in range(max_total + 1 - a):
-            for c in range(max_total + 1 - a - b):
-                for d in range(max_total + 1 - a - b - c):
-                    lhs = _poly_mul(build(a, b, rho).terms, build(c, d, rho).terms)
-                    rhs: dict = {}
-                    for (m, n), w in hermite_product(a, b, c, d).items():
-                        _poly_axpy(rhs, w, build(m, n, rho).terms)
-                    worst = max(worst, float(_poly_max_abs_diff(lhs, rhs)))
+    for a, b, c, d in order_tuples(max_total):
+        lhs = _poly_mul(build(a, b, rho).terms, build(c, d, rho).terms)
+        rhs: dict = {}
+        for (m, n), w in hermite_product(a, b, c, d).items():
+            _poly_axpy(rhs, w, build(m, n, rho).terms)
+        worst = max(worst, float(_poly_max_abs_diff(lhs, rhs)))
     return worst
 
 

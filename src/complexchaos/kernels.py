@@ -5,9 +5,11 @@ discretized control measure, stored in the orthonormal cell basis
 e_i = 1_{E_i} / sqrt(mu(E_i)).  In this basis the Hilbert space norm, the
 inner product and all contractions reduce to plain index algebra, so no
 measure weights appear in any inner loop.  Storage is dense with hard caps
-on order and cell count (n**(p+q) entries), and symmetrizations enumerate
-permutations directly: at desk scale, brute force is cheap and obviously
-correct.
+on order and cell count (n**(p+q) entries).  Symmetrizations and the chaos
+expansion share one orbit table: every multi-index is labelled by the
+multisets of cells in its slot blocks, and symmetrizing replaces each entry
+by the mean over its orbit, which equals the average over all permutations
+within the blocks without enumerating them.
 
 All operations are pure functions of immutable values; kernels are safe to
 share between threads.
@@ -15,7 +17,6 @@ share between threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -183,33 +184,70 @@ class ContractionSpec:
             raise ValueError("contraction counts must be non-negative")
 
 
-def _block_symmetrized(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Average over all permutations of the given axes (others fixed)."""
-    k = len(axes)
-    if k <= 1:
-        return np.array(arr)
-    axset = list(axes)
-    total = np.zeros_like(arr)
-    for perm in itertools.permutations(axset):
-        order = list(range(arr.ndim))
-        for src, dst in zip(axset, perm):
-            order[dst] = src
-        total += arr.transpose(order)
-    return total / math.factorial(k)
+# Orbit tables per (n, p, q).  Module-level cache; inserts are idempotent so
+# concurrent use is safe.
+_ORBIT_TABLES: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, list]] = {}
+
+
+def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Orbits of the multi-indices of an (n,)*(p+q) tensor under permutations
+    within the first p slots and, separately, the last q slots.
+
+    Returns the orbit id of every flat (C-order) position, the size of every
+    orbit, and every orbit's representative as the pair of per-cell slot
+    counts of its two blocks.  Orbits are numbered in lexicographic order of
+    their sorted representatives (sorted first block, sorted second block).
+    """
+    key = (n, p, q)
+    if key not in _ORBIT_TABLES:
+        # Code each block's multiset of cells by its count vector in base
+        # (block size + 1), cell 0 most significant, first block high.  A
+        # larger code has a smaller sorted representative.
+        low = (q + 1) ** n
+        place = np.arange(n - 1, -1, -1, dtype=np.int64)
+        code = np.zeros((n,) * (p + q), dtype=np.int64)
+        for axis in range(p + q):
+            size, scale = (p, low) if axis < p else (q, 1)
+            code += (scale * (size + 1) ** place).reshape((n,) + (1,) * (p + q - 1 - axis))
+        uniq, inverse = np.unique(code.ravel(), return_inverse=True)
+        del code
+        ids = len(uniq) - 1 - inverse.ravel()
+        uniq = uniq[::-1, None]
+        left = (uniq // low // (p + 1) ** place % (p + 1)).tolist()
+        right = (uniq % low // (q + 1) ** place % (q + 1)).tolist()
+        reps = [(tuple(a), tuple(b)) for a, b in zip(left, right)]
+        _ORBIT_TABLES[key] = (ids, np.bincount(ids), reps)
+    return _ORBIT_TABLES[key]
+
+
+def orbit_sums(ids: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sum of the coefficients over each orbit; every orbit id occurs in ids."""
+    flat = coeffs.ravel()
+    return np.bincount(ids, weights=flat.real).astype(complex) + 1j * np.bincount(
+        ids, weights=flat.imag
+    )
+
+
+def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
+    """Replace every entry of f by the mean over its orbit under permutations
+    within blocks of p and q slots (the identity when no block has two)."""
+    if max(p, q) <= 1:
+        return f
+    ids, sizes, _ = orbit_table(f.n, p, q)
+    mean = orbit_sums(ids, f.coeffs) / sizes
+    return Kernel(f.p, f.q, f.n, mean[ids].reshape(f.coeffs.shape))
 
 
 def ito_symmetrize(f: Kernel) -> Kernel:
     """Average over permutations within the first p slots and, separately,
     the last q slots.  Idempotent; never increases the norm."""
-    arr = _block_symmetrized(f.coeffs, range(f.p))
-    arr = _block_symmetrized(arr, range(f.p, f.p + f.q))
-    return Kernel(f.p, f.q, f.n, arr)
+    return _orbit_mean(f, f.p, f.q)
 
 
 def ordinary_symmetrize(f: Kernel) -> Kernel:
     """Average over all permutations of the p + q slots; the (p, q) split is
     kept as a label on the result."""
-    return Kernel(f.p, f.q, f.n, _block_symmetrized(f.coeffs, range(f.p + f.q)))
+    return _orbit_mean(f, f.p + f.q, 0)
 
 
 def reversed_conjugate(f: Kernel) -> Kernel:

@@ -10,7 +10,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .chaos import (
     IDENTITY_TOL,
     STRUCTURAL_TOL,
     VerificationReport,
+    worst_of,
     coupled_decay_sequences,
     asymptotic_diagnostics,
     covariance_squares,
@@ -69,20 +69,6 @@ __all__ = [
 DEFAULT_SEED = 42
 
 
-def _order_tuples(max_total: int) -> Iterator[tuple[int, int, int, int]]:
-    for a in range(max_total + 1):
-        for b in range(max_total + 1 - a):
-            for c in range(max_total + 1 - a - b):
-                for d in range(max_total + 1 - a - b - c):
-                    yield a, b, c, d
-
-
-def _orders(max_total: int) -> Iterator[tuple[int, int]]:
-    for p in range(max_total + 1):
-        for q in range(max_total + 1 - p):
-            yield p, q
-
-
 # -- hermite layer -------------------------------------------------------------
 
 
@@ -114,7 +100,7 @@ def hermite_product_report(
         for (m, n), w in hermite.hermite_product(1, 1, 1, 1).items():
             rhs = rhs + hermite_to_chaos(hermite.build(m, n, 1), 0, 1).scaled(w)
         rhs = rhs + hermite_to_chaos(hermite.build(1, 1, 1), 0, 1).scaled(perturbation)
-        residual = max(residual, lhs.max_diff(rhs))
+        residual = worst_of(residual, lhs.max_diff(rhs))
     return VerificationReport(
         name="hermite-product",
         residual=residual,
@@ -135,7 +121,7 @@ def hermite_orthogonality_report(
     worst = 0.0
     members = [
         (m, n, hermite_to_chaos(hermite.build(m, n, 1), 0, 1))
-        for m, n in _orders(max_degree)
+        for m, n in hermite.order_tuples(max_degree, 2)
     ]
     for m, n, left in members:
         for mp, nq, right in members:
@@ -145,7 +131,7 @@ def hermite_orthogonality_report(
                 if (m, n) == (mp, nq)
                 else 0.0
             )
-            worst = max(worst, abs(value - target) / max(1.0, abs(target)))
+            worst = worst_of(worst, abs(value - target) / max(1.0, abs(target)))
     return VerificationReport(
         name="hermite-orthogonality",
         residual=worst,
@@ -166,7 +152,7 @@ def oracle_quadrature_report(
         for b in range(max_power + 1):
             exact = oracle.monomial_expectation(oracle.MomentQuery((a,), (b,)))
             approx = oracle.quadrature_monomial_expectation(a, b)
-            worst = max(worst, abs(approx - exact) / max(1.0, abs(exact)))
+            worst = worst_of(worst, abs(approx - exact) / max(1.0, abs(exact)))
     return VerificationReport(
         name="oracle-quadrature",
         residual=worst,
@@ -196,13 +182,13 @@ def kernel_invariants_report(
         f = random_kernel(p, q, n, rng)
         sym = ito_symmetrize(f)
         osym = ordinary_symmetrize(f)
-        worst = max(worst, norm(ito_symmetrize(sym) - sym))
-        worst = max(worst, norm(ordinary_symmetrize(osym) - osym))
-        worst = max(worst, norm(ito_symmetrize(osym) - osym))
-        worst = max(worst, max(0.0, norm(sym) - norm(f)))
+        worst = worst_of(worst, norm(ito_symmetrize(sym) - sym))
+        worst = worst_of(worst, norm(ordinary_symmetrize(osym) - osym))
+        worst = worst_of(worst, norm(ito_symmetrize(osym) - osym))
+        worst = worst_of(worst, norm(sym) - norm(f))
         flipped = reversed_conjugate(f)
-        worst = max(worst, norm(reversed_conjugate(flipped) - f))
-        worst = max(worst, abs(norm(flipped) - norm(f)))
+        worst = worst_of(worst, norm(reversed_conjugate(flipped) - f))
+        worst = worst_of(worst, abs(norm(flipped) - norm(f)))
         # bilinearity and the norm bound, against an independent partner
         c = int(rng.integers(0, max_total + 1 - p - q))
         d = int(rng.integers(0, max_total + 1 - p - q - c))
@@ -215,8 +201,8 @@ def kernel_invariants_report(
         )
         lhs = contract(alpha * f + beta * f2, g, spec)
         rhs = alpha * contract(f, g, spec) + beta * contract(f2, g, spec)
-        worst = max(worst, norm(lhs - rhs))
-        worst = max(worst, max(0.0, norm(contract(f, g, spec)) - norm(f) * norm(g)))
+        worst = worst_of(worst, norm(lhs - rhs))
+        worst = worst_of(worst, norm(contract(f, g, spec)) - norm(f) * norm(g))
     return VerificationReport(
         name="kernel-invariants",
         residual=worst,
@@ -232,11 +218,11 @@ def expand_symmetrization_report(
     for random kernels of every order in caps."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for p, q in _orders(max_total):
+    for p, q in hermite.order_tuples(max_total, 2):
         for t in range(trials):
             n = 1 + t % max_cells
             f = random_kernel(p, q, n, rng)
-            worst = max(worst, expand(f).max_diff(expand(ito_symmetrize(f))))
+            worst = worst_of(worst, expand(f).max_diff(expand(ito_symmetrize(f))))
     return VerificationReport(
         name="expand-symmetrization",
         residual=worst,
@@ -252,10 +238,10 @@ def conjugate_lemma_report(
     random kernels of every order in caps."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for p, q in _orders(max_total):
+    for p, q in hermite.order_tuples(max_total, 2):
         for t in range(trials):
             n = 1 + t % max_cells
-            worst = max(worst, integral_conjugate(random_kernel(p, q, n, rng)).residual)
+            worst = worst_of(worst, integral_conjugate(random_kernel(p, q, n, rng)).residual)
     return VerificationReport(
         name="conjugate-lemma",
         residual=worst,
@@ -282,12 +268,12 @@ def product_grid_report(
     check = product_conjugated_check if conjugated else product_check
     worst = 0.0
     count = 0
-    for a, b, c, d in _order_tuples(max_total):
+    for a, b, c, d in hermite.order_tuples(max_total):
         for t in range(trials):
             n = 1 + t % max_cells
             f = random_kernel(a, b, n, rng)
             g = random_kernel(c, d, n, rng)
-            worst = max(worst, check(f, g, tolerance).residual)
+            worst = worst_of(worst, check(f, g, tolerance).residual)
             count += 1
     return VerificationReport(
         name="product-conjugated-grid" if conjugated else "product-grid",
@@ -313,10 +299,10 @@ def isometry_grid_report(
 ) -> VerificationReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for p, q in _orders(max_total):
+    for p, q in hermite.order_tuples(max_total, 2):
         for t in range(trials):
             n = 1 + t % max_cells
-            worst = max(worst, isometry_check(random_kernel(p, q, n, rng)).residual)
+            worst = worst_of(worst, isometry_check(random_kernel(p, q, n, rng)).residual)
     return VerificationReport(
         name="isometry-grid",
         residual=worst,
@@ -335,14 +321,14 @@ def orthogonality_grid_report(
     """Expansions of different orders are orthogonal under the oracle."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for a, b, c, d in _order_tuples(max_total):
+    for a, b, c, d in hermite.order_tuples(max_total):
         if (a, b) == (c, d):
             continue
         for t in range(trials):
             n = 1 + t % max_cells
             left = expand(random_kernel(a, b, n, rng))
             right = expand(random_kernel(c, d, n, rng))
-            worst = max(worst, abs(oracle.pair_expectation(left, right.conjugate())))
+            worst = worst_of(worst, abs(oracle.pair_expectation(left, right.conjugate())))
     return VerificationReport(
         name="orthogonality-grid",
         residual=worst,
@@ -364,14 +350,14 @@ def covariance_grid_reports(
     worst = 0.0
     most_negative = 0.0
     count = 0
-    for a, b, c, d in _order_tuples(max_total):
+    for a, b, c, d in hermite.order_tuples(max_total):
         for t in range(trials):
             n = 1 + t % max_cells
             f = random_kernel(a, b, n, rng)
             g = random_kernel(c, d, n, rng)
             comparison = covariance_squares(f, g, tolerance)
-            worst = max(worst, comparison.report.residual)
-            most_negative = min(most_negative, comparison.formula)
+            worst = worst_of(worst, comparison.report.residual)
+            most_negative = worst_of(most_negative, comparison.formula, pick=min)
             count += 1
     identity = VerificationReport(
         name="covariance-grid",
@@ -387,7 +373,7 @@ def covariance_grid_reports(
     )
     nonnegative = VerificationReport(
         name="covariance-nonnegative",
-        residual=max(0.0, -most_negative),
+        residual=worst_of(0.0, -most_negative),
         tolerance=STRUCTURAL_TOL,
         metadata={"seed": seed, "most_negative_formula": most_negative},
     )
@@ -440,11 +426,11 @@ def independence_disjoint_report(
     worst_criterion = 0.0
     worst_gap = 0.0
     for f, g in cases:
-        worst_criterion = max(worst_criterion, independence_check(f, g).residual)
-        worst_gap = max(worst_gap, moment_factorization_gap(f, g, max_degree))
+        worst_criterion = worst_of(worst_criterion, independence_check(f, g).residual)
+        worst_gap = worst_of(worst_gap, moment_factorization_gap(f, g, max_degree))
     return VerificationReport(
         name="independence-disjoint",
-        residual=max(worst_criterion, worst_gap),
+        residual=worst_of(worst_criterion, worst_gap),
         tolerance=tolerance,
         metadata={
             "seed": seed,
@@ -501,7 +487,7 @@ def independence_implication_report(
         report = independence_check(f, g, criterion_tol)
         if report.residual <= criterion_tol:
             passing += 1
-            worst_cov = max(worst_cov, abs(float(report.metadata["covariance_oracle"])))
+            worst_cov = worst_of(worst_cov, abs(float(report.metadata["covariance_oracle"])))
     return VerificationReport(
         name="independence-implication",
         residual=worst_cov,
@@ -526,14 +512,14 @@ def hypercontractivity_grid_report(
 ) -> VerificationReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for p, q in _orders(max_total):
+    for p, q in hermite.order_tuples(max_total, 2):
         for t in range(per_order):
             n = 1 + t % max_cells
-            worst = max(worst, hypercontractivity_check(random_kernel(p, q, n, rng)).residual)
+            worst = worst_of(worst, hypercontractivity_check(random_kernel(p, q, n, rng)).residual)
     # closed-form anchors
     single = hypercontractivity_check(Kernel.basis(1, 0, (0,), 1))
     centered = hypercontractivity_check(Kernel.basis(1, 1, (0, 0), 1))
-    worst = max(worst, single.residual, centered.residual)
+    worst = worst_of(worst, single.residual, centered.residual)
     return VerificationReport(
         name="hypercontractivity-grid",
         residual=worst,
@@ -574,10 +560,10 @@ def asymptotic_decay_reports(
         r_norm = max(p.max_contraction_norm for p in row.pairs) * scale / c_norm
         r_cov = max(abs(p.covariance) for p in row.pairs) * scale / c_cov
         for ratio in (r_norm, r_cov):
-            worst_band = max(worst_band, ratio - band_factor)
+            worst_band = worst_of(worst_band, ratio - band_factor)
     decay = VerificationReport(
         name="asymptotic-decay",
-        residual=max(0.0, worst_band),
+        residual=worst_of(0.0, worst_band),
         tolerance=1e-9,
         metadata={
             "indices": max_index,
@@ -592,10 +578,10 @@ def asymptotic_decay_reports(
     ]
     worst_rise = 0.0
     for prev, cur in zip(gaps, gaps[1:]):
-        worst_rise = max(worst_rise, cur - prev)
+        worst_rise = worst_of(worst_rise, cur - prev)
     monotone = VerificationReport(
         name="asymptotic-moment-gap",
-        residual=max(0.0, worst_rise),
+        residual=worst_of(0.0, worst_rise),
         tolerance=gap_tolerance,
         metadata={
             "indices": max_index,
@@ -635,13 +621,13 @@ def mc_isometry_report(
         est = montecarlo.estimate(sq, plan)
         target = oracle.expectation(sq).real
         sigma = abs(est.value - target) / est.stderr if est.stderr > 0 else 0.0
-        worst_sigma = max(worst_sigma, sigma)
+        worst_sigma = worst_of(worst_sigma, sigma)
         if sigma <= max_sigma:
             within += 1
     fraction = within / kernels
     return VerificationReport(
         name="mc-isometry",
-        residual=max(0.0, min_fraction - fraction),
+        residual=worst_of(0.0, min_fraction - fraction),
         tolerance=STRUCTURAL_TOL,
         metadata={
             "seed": seed,

@@ -1,5 +1,6 @@
 """Theorem layer: expansion, product formulas, covariance, independence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from complexchaos import (
     random_kernel,
     reversed_conjugate,
 )
+from complexchaos import suites
 from complexchaos.chaos import coupled_decay_sequences
 from complexchaos.oracle import pair_expectation
 
@@ -385,3 +387,36 @@ class TestVerificationReport:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             VerificationReport("x", 0.0, 0.0)
+
+
+class TestNonFiniteResiduals:
+    """A NaN anywhere in a fold fails the report instead of being dropped."""
+
+    @pytest.mark.parametrize("position", [0, 3])
+    @pytest.mark.parametrize(
+        "check, grid",
+        [
+            ("isometry_check", suites.isometry_grid_report),
+            ("product_check", suites.product_grid_report),
+            ("hypercontractivity_check", suites.hypercontractivity_grid_report),
+        ],
+    )
+    def test_nan_check_fails_grid(self, monkeypatch, check, grid, position):
+        real = getattr(suites, check)
+        calls = []
+
+        def one_nan(*args, **kwargs):
+            calls.append(None)
+            report = real(*args, **kwargs)
+            if len(calls) == position + 1:
+                return dataclasses.replace(report, residual=math.nan)
+            return report
+
+        monkeypatch.setattr(suites, check, one_nan)
+        report = grid(max_total=2, max_cells=2, seed=5)
+        assert len(calls) > position
+        assert not report.passed
+
+    def test_nan_kernel_fails_hypercontractivity(self):
+        f = Kernel.from_entries(1, 0, 2, {(0,): math.nan})
+        assert not hypercontractivity_check(f).passed

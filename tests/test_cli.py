@@ -149,6 +149,42 @@ class TestRun:
         err = capsys.readouterr().err
         assert json.loads(err)["error"]["code"] == "validation-error"
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"checks": [1]},
+            {"kernels": [1]},
+            {"kernels": {"f": 1}},
+            {"sequences": [1]},
+            {"checks": [{"name": "g", "kind": "product", "grid": [1]}]},
+            {"checks": [{"name": "i", "kind": "isometry", "f": "f", "tolerance": 0}]},
+            {
+                "kernels": [
+                    {"name": "f", "p": 1, "q": 1, "entries": basis_entries((True, 0))},
+                    DISJOINT["kernels"][1],
+                ]
+            },
+            {"kernels": [dict(DISJOINT["kernels"][0], p=True), DISJOINT["kernels"][1]]},
+            {"checks": [{"name": "a", "kind": "asymptotic", "sequences": [["f"], ["g"]]}]},
+        ],
+        ids=[
+            "check",
+            "kernel",
+            "kernel-map",
+            "sequence",
+            "grid",
+            "zero-tolerance",
+            "bool-idx",
+            "bool-order",
+            "sequence-names",
+        ],
+    )
+    def test_malformed_scenario_exit_two(self, tmp_path, capsys, change):
+        path = write_scenario(tmp_path, dict(DISJOINT, **change))
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["code"] == "validation-error"
+
     def test_unknown_kind_rejected(self, tmp_path):
         scenario = dict(DISJOINT, checks=[{"name": "x", "kind": "bogus"}])
         path = write_scenario(tmp_path, scenario)

@@ -1,5 +1,6 @@
 """Tensor algebra: symmetrizations, contractions, conjugation, norms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from complexchaos import (
     DiscreteMeasure,
     Kernel,
     contract,
+    expand,
     indicator_to_orthonormal,
     inner,
     ito_symmetrize,
@@ -147,6 +149,12 @@ class TestOrdinarySymmetrize:
         expected = brute_block_symmetrize(f, [[0, 1, 2]])
         assert np.allclose(ordinary_symmetrize(f).coeffs, expected, atol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(kernels())
+    def test_matches_brute_enumeration(self, f):
+        expected = brute_block_symmetrize(f, [list(range(f.p + f.q))])
+        assert np.allclose(ordinary_symmetrize(f).coeffs, expected, atol=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(kernels())
     def test_projection_and_block_compatibility(self, f):
@@ -154,6 +162,28 @@ class TestOrdinarySymmetrize:
         assert ordinary_symmetrize(sym).isclose(sym, rtol=1e-12, atol=1e-12)
         # fully symmetric kernels are in particular block-symmetric
         assert ito_symmetrize(sym).isclose(sym, rtol=1e-12, atol=1e-12)
+
+
+class TestCapAdjacentSymmetrize:
+    """Orders at the total-order cap on 4 cells, where summing all p! q!
+    transposes would be slow, checked against per-entry permutation means."""
+
+    @pytest.mark.parametrize("p, q", [(8, 0), (4, 4)])
+    def test_orbit_mean(self, p, q):
+        f = random_kernel(p, q, 4, np.random.default_rng(8))
+        sym = ito_symmetrize(f)
+        assert ito_symmetrize(sym).isclose(sym, rtol=1e-12, atol=1e-12)
+        assert expand(f).max_diff(expand(sym)) <= 1e-12
+        blocks = [np.array(list(itertools.permutations(range(k)))) for k in (p, q)]
+        for idx in [(0,) * (p + q), tuple(k % 4 for k in range(p + q)), (3, 1, 1, 0, 2, 3, 0, 1)]:
+            first, second = np.array(idx[:p]), np.array(idx[p:])
+            left = first[blocks[0]] if p else np.zeros((1, 0), dtype=int)
+            right = second[blocks[1]] if q else np.zeros((1, 0), dtype=int)
+            cells = np.concatenate(
+                [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))], axis=1
+            )
+            expected = f.coeffs[tuple(cells.T)].mean()
+            assert abs(sym.coeffs[idx] - expected) <= 1e-12
 
 
 class TestReversedConjugate:
