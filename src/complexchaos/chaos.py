@@ -301,16 +301,13 @@ def expand(f: Kernel) -> ChaosPolynomial:
     return ChaosPolynomial(f.n, terms)
 
 
-def hermite_to_chaos(
-    h: hermite.HermitePolynomial, var: int, n: int, scale: float = 1.0
-) -> ChaosPolynomial:
-    """View a univariate Hermite polynomial as a chaos polynomial in z_var,
-    optionally substituting z -> scale * z."""
+def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:
+    """View a univariate Hermite polynomial as a chaos polynomial in z_var."""
     terms: dict[ExponentKey, complex] = {}
     for (a, b), c in h.terms.items():
         avec = tuple(a if k == var else 0 for k in range(n))
         bvec = tuple(b if k == var else 0 for k in range(n))
-        terms[(avec, bvec)] = complex(c) * scale ** (a + b)
+        terms[(avec, bvec)] = complex(c)
     return ChaosPolynomial(n, terms)
 
 
@@ -374,6 +371,15 @@ def _product_terms(f: Kernel, g: Kernel) -> list[ProductTerm]:
     return terms
 
 
+def _check_pair(f: Kernel, g: Kernel) -> None:
+    """Two kernels enter one identity only on the same cells and within the
+    combined order cap."""
+    if f.n != g.n:
+        raise ValueError(f"cell count mismatch: {f.n} vs {g.n}")
+    if f.p + f.q + g.p + g.q > MAX_TOTAL_ORDER:
+        raise ValueError("combined order exceeds cap")
+
+
 def product(f: Kernel, g: Kernel) -> list[ProductTerm]:
     """Formal combination equal to integral(f) * integral(g).
 
@@ -382,20 +388,14 @@ def product(f: Kernel, g: Kernel) -> list[ProductTerm]:
     different orders, so they are returned as a combination rather than a
     single kernel; ``product_check`` certifies the identity through ``expand``.
     """
-    if f.n != g.n:
-        raise ValueError(f"cell count mismatch: {f.n} vs {g.n}")
-    if f.p + f.q + g.p + g.q > MAX_TOTAL_ORDER:
-        raise ValueError("combined order exceeds cap")
+    _check_pair(f, g)
     return _product_terms(ito_symmetrize(f), ito_symmetrize(g))
 
 
 def product_conjugated(f: Kernel, g: Kernel) -> list[ProductTerm]:
     """Formal combination equal to integral(f) * conj(integral(g)): the
     product formula applied against the reversed conjugate of g."""
-    if f.n != g.n:
-        raise ValueError(f"cell count mismatch: {f.n} vs {g.n}")
-    if f.p + f.q + g.p + g.q > MAX_TOTAL_ORDER:
-        raise ValueError("combined order exceeds cap")
+    _check_pair(f, g)
     return _product_terms(ito_symmetrize(f), reversed_conjugate(ito_symmetrize(g)))
 
 
@@ -511,10 +511,7 @@ def covariance_squares(
     The formula value is a sum of squared norms, hence certifies the
     non-negative correlation of squared moduli as a side effect.
     """
-    if f.n != g.n:
-        raise ValueError(f"cell count mismatch: {f.n} vs {g.n}")
-    if f.p + f.q + g.p + g.q > MAX_TOTAL_ORDER:
-        raise ValueError("combined order exceeds cap")
+    _check_pair(f, g)
     fs = ito_symmetrize(f)
     gs = ito_symmetrize(g)
     formula = _covariance_formula(fs, gs)

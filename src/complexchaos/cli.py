@@ -19,7 +19,10 @@ Scenario format (JSON)::
 Kernel entries are sparse (omitted multi-indices are zero); complex numbers
 are {re, im} pairs; multi-indices are 0-based integer arrays of length p+q.
 Indicator-coordinate kernels are rescaled by the product of sqrt cell masses
-at ingestion and the report records both norms.
+at ingestion and the report records both norms.  Every number must be a
+finite JSON number, never a bool or a string: seed in 0..2**64-1, samples
+>= 2, positive tolerance and max_sigma, grid max_total in 0..MAX_TOTAL_ORDER,
+max_cells in 1..MAX_CELLS and trials >= 1, hermite-product max_total >= 0.
 
 Check kinds: product, product-conjugated, isometry, conjugate-lemma,
 covariance, independence, asymptotic, hypercontractivity, hermite-product,
@@ -42,13 +45,15 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from . import __version__, hermite, montecarlo, oracle, suites
+from . import __version__, hermite, montecarlo, suites
 from .chaos import (
+    IDENTITY_TOL,
+    STRUCTURAL_TOL,
     KernelSequence,
     VerificationReport,
     asymptotic_diagnostics,
     covariance_squares,
-    expand,
+    expand,  # unused here; perfbench's tracer test reads cli.expand
     hypercontractivity_check,
     independence_check,
     integral_conjugate,
@@ -105,13 +110,30 @@ def _fail(code: str, message: str) -> ScenarioError:
     return ScenarioError(code, message)
 
 
+# Smallest positive float: as a lower bound it means "strictly positive".
+_POSITIVE = math.ulp(0.0)
+
+
+def _number(
+    value: Any, what: str, low: float = -math.inf, high: float = math.inf, integer: bool = False
+) -> Any:
+    """Every number of a scenario is read here: ``value`` must be a JSON
+    number (an integer when ``integer``) with ``low <= value <= high``.
+    Bools, strings, non-integers where an integer is due, NaN, infinities and
+    integers beyond float range are validation errors, never coerced."""
+    kinds = (int,) if integer else (int, float)
+    if type(value) in kinds and abs(value) <= sys.float_info.max and low <= value <= high:
+        return value if integer else float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise _fail("validation-error", f"{what} must be {kind} in [{low}, {high}], got {value!r}")
+
+
 def _parse_complex(obj: Any, where: str) -> complex:
     if not isinstance(obj, Mapping):
         raise _fail("validation-error", f"{where}: complex values are {{re, im}} maps")
-    try:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise _fail("validation-error", f"{where}: {exc}") from None
+    return complex(
+        _number(obj.get("re", 0.0), f"{where}: re"), _number(obj.get("im", 0.0), f"{where}: im")
+    )
 
 
 def _object_list(data: Mapping, key: str) -> list:
@@ -125,12 +147,9 @@ def _load_kernel(spec: Mapping, measure: DiscreteMeasure, caps: tuple[int, int])
     name = spec.get("name")
     if not isinstance(name, str) or not name:
         raise _fail("validation-error", "every kernel needs a non-empty name")
-    p, q = spec.get("p"), spec.get("q")
-    if type(p) is not int or type(q) is not int:
-        raise _fail("validation-error", f"kernel {name}: p and q must be integers")
     max_order, _ = caps
-    if p < 0 or q < 0 or p + q > max_order:
-        raise _fail("validation-error", f"kernel {name}: order ({p},{q}) outside caps")
+    p = _number(spec.get("p"), f"kernel {name}: p", 0, max_order, integer=True)
+    q = _number(spec.get("q"), f"kernel {name}: q", 0, max_order - p, integer=True)
     coords = spec.get("coordinates", "orthonormal")
     if coords not in ("orthonormal", "indicator"):
         raise _fail("validation-error", f"kernel {name}: unknown coordinates {coords!r}")
@@ -146,9 +165,8 @@ def _load_kernel(spec: Mapping, measure: DiscreteMeasure, caps: tuple[int, int])
         idx = entry.get("idx", [])
         if not isinstance(idx, list) or len(idx) != p + q:
             raise _fail("validation-error", f"{where}: idx must have length {p + q}")
-        if not all(type(i) is int and 0 <= i < n for i in idx):
-            raise _fail("validation-error", f"{where}: idx must hold integers in 0..{n - 1}")
-        arr[tuple(idx)] = _parse_complex(entry, where)
+        cells = tuple(_number(i, f"{where}: idx", 0, n - 1, integer=True) for i in idx)
+        arr[cells] = _parse_complex(entry, where)
     raw = Kernel(p, q, n, arr)
     if coords == "indicator":
         kernel = indicator_to_orthonormal(measure, p, q, arr)
@@ -176,6 +194,7 @@ def load_scenario(path: str, caps: tuple[int, int] = (MAX_TOTAL_ORDER, MAX_CELLS
     masses = measure_spec["masses"]
     if not isinstance(masses, list) or len(masses) > max_cells:
         raise _fail("validation-error", f"measure.masses must be a list of <= {max_cells} masses")
+    masses = [_number(m, "measure.masses", _POSITIVE) for m in masses]
     try:
         measure = DiscreteMeasure(masses)
     except ValueError as exc:
@@ -225,7 +244,7 @@ def load_scenario(path: str, caps: tuple[int, int] = (MAX_TOTAL_ORDER, MAX_CELLS
 
 def _kernel_ref(scenario: Scenario, check: Mapping, key: str) -> Kernel:
     name = check.get(key)
-    if name not in scenario.kernels:
+    if not isinstance(name, str) or name not in scenario.kernels:
         raise _fail(
             "validation-error", f"check {check.get('name')}: unknown kernel {name!r} for {key!r}"
         )
@@ -234,14 +253,15 @@ def _kernel_ref(scenario: Scenario, check: Mapping, key: str) -> Kernel:
 
 def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
     kind = check["kind"]
+
+    def read(obj: Mapping, key: str, default: Any, *bounds: float, integer: bool = True) -> Any:
+        where = f"check {check['name']}: {key}"
+        return _number(obj.get(key, default), where, *bounds, integer=integer)
+
     tol = check.get("tolerance")
     if tol is not None:
-        if type(tol) not in (int, float) or not 0 < tol < math.inf:
-            raise _fail(
-                "validation-error", f"check {check['name']}: tolerance must be finite and positive"
-            )
-        tol = float(tol)
-    seed = int(check.get("seed", defaults["seed"]))
+        tol = read(check, "tolerance", None, _POSITIVE, integer=False)
+    seed = read(check, "seed", defaults["seed"], 0, 2**64 - 1)
     record: dict[str, Any] = {"name": check["name"], "kind": kind}
 
     if kind in ("product", "product-conjugated"):
@@ -251,31 +271,28 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
             if not isinstance(grid, Mapping):
                 raise _fail("validation-error", f"check {check['name']}: grid must be an object")
             report = suites.product_grid_report(
-                max_total=int(grid.get("max_total", 6)),
-                max_cells=int(grid.get("max_cells", 3)),
-                trials=int(grid.get("trials", 20)),
+                max_total=read(grid, "max_total", 6, 0, MAX_TOTAL_ORDER),
+                max_cells=read(grid, "max_cells", 3, 1, MAX_CELLS),
+                trials=read(grid, "trials", 20, 1),
                 seed=seed,
                 conjugated=conjugated,
-                tolerance=tol or 1e-9,
+                tolerance=tol or IDENTITY_TOL,
             )
         else:
             f = _kernel_ref(scenario, check, "f")
             g = _kernel_ref(scenario, check, "g")
             checker = product_conjugated_check if conjugated else product_check
-            report = checker(f, g, tol or 1e-9)
+            report = checker(f, g, tol or IDENTITY_TOL)
     elif kind == "isometry":
-        report = isometry_check(_kernel_ref(scenario, check, "f"), tol or 1e-12)
+        report = isometry_check(_kernel_ref(scenario, check, "f"), tol or STRUCTURAL_TOL)
     elif kind == "conjugate-lemma":
-        report = integral_conjugate(_kernel_ref(scenario, check, "f"), tol or 1e-12)
+        report = integral_conjugate(_kernel_ref(scenario, check, "f"), tol or STRUCTURAL_TOL)
     elif kind == "covariance":
-        comparison = covariance_squares(
-            _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g"), tol or 1e-9
-        )
-        report = comparison.report
+        f, g = _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g")
+        report = covariance_squares(f, g, tol or IDENTITY_TOL).report
     elif kind == "independence":
-        report = independence_check(
-            _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g"), tol or 1e-12
-        )
+        f, g = _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g")
+        report = independence_check(f, g, tol or STRUCTURAL_TOL)
     elif kind == "asymptotic":
         names = check.get("sequences", [])
         if not isinstance(names, list) or len(names) < 2 or not all(
@@ -294,7 +311,7 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
         report = VerificationReport(
             name=check["name"],
             residual=residual,
-            tolerance=tol or 1e-9,
+            tolerance=tol or IDENTITY_TOL,
             metadata={"sequences": ",".join(names), "length": len(rows)},
         )
         record["table"] = [
@@ -313,19 +330,15 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
             for row in rows
         ]
     elif kind == "hypercontractivity":
-        report = hypercontractivity_check(_kernel_ref(scenario, check, "f"), tol or 1e-12)
+        report = hypercontractivity_check(_kernel_ref(scenario, check, "f"), tol or STRUCTURAL_TOL)
     elif kind == "hermite-product":
-        report = suites.hermite_product_report(max_total=int(check.get("max_total", 8)))
+        report = suites.hermite_product_report(max_total=read(check, "max_total", 8, 0))
     elif kind == "mc-estimate":
         f = _kernel_ref(scenario, check, "f")
-        samples = int(check.get("samples", defaults["samples"]))
-        max_sigma = float(check.get("max_sigma", 4.0))
-        poly = expand(f)
-        sq = poly * poly.conjugate()
+        samples = read(check, "samples", defaults["samples"], 2)
+        max_sigma = read(check, "max_sigma", 4.0, _POSITIVE, integer=False)
         plan = montecarlo.SamplePlan(seed=seed, samples=samples, n=f.n)
-        est = montecarlo.estimate(sq, plan)
-        target = oracle.expectation(sq).real
-        sigma = abs(est.value - target) / est.stderr if est.stderr > 0 else 0.0
+        est, target, sigma = suites.mc_sigma(f, plan)
         report = VerificationReport(
             name=check["name"],
             residual=sigma,

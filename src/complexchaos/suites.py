@@ -1,15 +1,19 @@
 """Seeded certification batteries.
 
 Each function runs one identity over a deterministic grid of random kernels
-and folds the worst case into a single ``VerificationReport``.  These are the
-building blocks of the command line selftest and of the acceptance tests; all
-randomness is drawn from generators seeded per battery, so reports are
-reproducible byte for byte.
+and folds the worst case into a single ``VerificationReport`` with
+``worst_of``.  These are the building blocks of the command line selftest and
+of the acceptance tests; all randomness is drawn from generators seeded per
+battery, so reports are reproducible byte for byte.  The seven grid batteries
+(expansion symmetrization, conjugate lemma, product, isometry, orthogonality,
+covariance and hypercontractivity) all draw their kernels from ``_grid``,
+which fixes the order in which the seeded random generator is consumed.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,6 +64,7 @@ __all__ = [
     "isometry_grid_report",
     "kernel_invariants_report",
     "mc_isometry_report",
+    "mc_sigma",
     "oracle_quadrature_report",
     "orthogonality_grid_report",
     "product_grid_report",
@@ -67,6 +72,23 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
+
+
+def _grid(
+    seed: int, orders: Iterable[tuple[int, ...]], max_cells: int, trials: int
+) -> Iterator[tuple[Kernel, ...]]:
+    """Kernels of a seeded certification grid, drawn lazily.
+
+    For each order tuple (a, b) or (a, b, c, d) and each trial t, yields one
+    random kernel per (p, q) pair of the tuple, all on 1 + t % max_cells
+    cells, drawn in that order from a single generator seeded with ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    for order in orders:
+        pairs = list(zip(order[::2], order[1::2]))
+        for t in range(trials):
+            n = 1 + t % max_cells
+            yield tuple(random_kernel(p, q, n, rng) for p, q in pairs)
 
 
 # -- hermite layer -------------------------------------------------------------
@@ -216,16 +238,11 @@ def expand_symmetrization_report(
 ) -> VerificationReport:
     """Expansion is blind to block symmetrization, coefficient by coefficient,
     for random kernels of every order in caps."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, q in hermite.order_tuples(max_total, 2):
-        for t in range(trials):
-            n = 1 + t % max_cells
-            f = random_kernel(p, q, n, rng)
-            worst = worst_of(worst, expand(f).max_diff(expand(ito_symmetrize(f))))
+    grid = _grid(seed, hermite.order_tuples(max_total, 2), max_cells, trials)
+    diffs = [expand(f).max_diff(expand(ito_symmetrize(f))) for (f,) in grid]
     return VerificationReport(
         name="expand-symmetrization",
-        residual=worst,
+        residual=worst_of(0.0, *diffs),
         tolerance=STRUCTURAL_TOL,
         metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
     )
@@ -236,15 +253,10 @@ def conjugate_lemma_report(
 ) -> VerificationReport:
     """Conjugate of the expansion vs expansion of the reversed conjugate, for
     random kernels of every order in caps."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, q in hermite.order_tuples(max_total, 2):
-        for t in range(trials):
-            n = 1 + t % max_cells
-            worst = worst_of(worst, integral_conjugate(random_kernel(p, q, n, rng)).residual)
+    grid = _grid(seed, hermite.order_tuples(max_total, 2), max_cells, trials)
     return VerificationReport(
         name="conjugate-lemma",
-        residual=worst,
+        residual=worst_of(0.0, *(integral_conjugate(f).residual for (f,) in grid)),
         tolerance=STRUCTURAL_TOL,
         metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
     )
@@ -264,27 +276,19 @@ def product_grid_report(
     """Certify the (plain or conjugated) product formula on every order tuple
     with a+b+c+d <= max_total, ``trials`` seeded random pairs each, cycling
     the cell count through 1..max_cells."""
-    rng = np.random.default_rng(seed)
     check = product_conjugated_check if conjugated else product_check
-    worst = 0.0
-    count = 0
-    for a, b, c, d in hermite.order_tuples(max_total):
-        for t in range(trials):
-            n = 1 + t % max_cells
-            f = random_kernel(a, b, n, rng)
-            g = random_kernel(c, d, n, rng)
-            worst = worst_of(worst, check(f, g, tolerance).residual)
-            count += 1
+    grid = _grid(seed, hermite.order_tuples(max_total), max_cells, trials)
+    residuals = [check(f, g, tolerance).residual for f, g in grid]
     return VerificationReport(
         name="product-conjugated-grid" if conjugated else "product-grid",
-        residual=worst,
+        residual=worst_of(0.0, *residuals),
         tolerance=tolerance,
         metadata={
             "seed": seed,
             "max_total_order": max_total,
             "max_cells": max_cells,
             "trials_per_tuple": trials,
-            "checks": count,
+            "checks": len(residuals),
             "certified_rho": 1,
         },
     )
@@ -297,15 +301,10 @@ def isometry_grid_report(
     seed: int = DEFAULT_SEED,
     tolerance: float = STRUCTURAL_TOL,
 ) -> VerificationReport:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, q in hermite.order_tuples(max_total, 2):
-        for t in range(trials):
-            n = 1 + t % max_cells
-            worst = worst_of(worst, isometry_check(random_kernel(p, q, n, rng)).residual)
+    grid = _grid(seed, hermite.order_tuples(max_total, 2), max_cells, trials)
     return VerificationReport(
         name="isometry-grid",
-        residual=worst,
+        residual=worst_of(0.0, *(isometry_check(f).residual for (f,) in grid)),
         tolerance=tolerance,
         metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
     )
@@ -319,19 +318,12 @@ def orthogonality_grid_report(
     tolerance: float = STRUCTURAL_TOL,
 ) -> VerificationReport:
     """Expansions of different orders are orthogonal under the oracle."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for a, b, c, d in hermite.order_tuples(max_total):
-        if (a, b) == (c, d):
-            continue
-        for t in range(trials):
-            n = 1 + t % max_cells
-            left = expand(random_kernel(a, b, n, rng))
-            right = expand(random_kernel(c, d, n, rng))
-            worst = worst_of(worst, abs(oracle.pair_expectation(left, right.conjugate())))
+    orders = (o for o in hermite.order_tuples(max_total) if o[:2] != o[2:])
+    grid = _grid(seed, orders, max_cells, trials)
+    overlaps = [abs(oracle.pair_expectation(expand(f), expand(g).conjugate())) for f, g in grid]
     return VerificationReport(
         name="orthogonality-grid",
-        residual=worst,
+        residual=worst_of(0.0, *overlaps),
         tolerance=tolerance,
         metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
     )
@@ -346,28 +338,18 @@ def covariance_grid_reports(
 ) -> tuple[VerificationReport, VerificationReport]:
     """Covariance-of-squares formula vs oracle over the order grid, plus the
     non-negativity of the formula value."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    most_negative = 0.0
-    count = 0
-    for a, b, c, d in hermite.order_tuples(max_total):
-        for t in range(trials):
-            n = 1 + t % max_cells
-            f = random_kernel(a, b, n, rng)
-            g = random_kernel(c, d, n, rng)
-            comparison = covariance_squares(f, g, tolerance)
-            worst = worst_of(worst, comparison.report.residual)
-            most_negative = worst_of(most_negative, comparison.formula, pick=min)
-            count += 1
+    grid = _grid(seed, hermite.order_tuples(max_total), max_cells, trials)
+    comparisons = [covariance_squares(f, g, tolerance) for f, g in grid]
+    most_negative = worst_of(0.0, *(c.formula for c in comparisons), pick=min)
     identity = VerificationReport(
         name="covariance-grid",
-        residual=worst,
+        residual=worst_of(0.0, *(c.report.residual for c in comparisons)),
         tolerance=tolerance,
         metadata={
             "seed": seed,
             "max_total_order": max_total,
             "trials_per_tuple": trials,
-            "checks": count,
+            "checks": len(comparisons),
             "variant": COVARIANCE_VARIANT,
         },
     )
@@ -510,19 +492,14 @@ def hypercontractivity_grid_report(
     max_cells: int = 3,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, q in hermite.order_tuples(max_total, 2):
-        for t in range(per_order):
-            n = 1 + t % max_cells
-            worst = worst_of(worst, hypercontractivity_check(random_kernel(p, q, n, rng)).residual)
+    grid = _grid(seed, hermite.order_tuples(max_total, 2), max_cells, per_order)
+    residuals = [hypercontractivity_check(f).residual for (f,) in grid]
     # closed-form anchors
     single = hypercontractivity_check(Kernel.basis(1, 0, (0,), 1))
     centered = hypercontractivity_check(Kernel.basis(1, 1, (0, 0), 1))
-    worst = worst_of(worst, single.residual, centered.residual)
     return VerificationReport(
         name="hypercontractivity-grid",
-        residual=worst,
+        residual=worst_of(0.0, *residuals, single.residual, centered.residual),
         tolerance=STRUCTURAL_TOL,
         metadata={
             "seed": seed,
@@ -596,6 +573,18 @@ def asymptotic_decay_reports(
 # -- Monte Carlo ---------------------------------------------------------------------
 
 
+def mc_sigma(f: Kernel, plan: montecarlo.SamplePlan) -> tuple[montecarlo.Estimate, float, float]:
+    """Sampled vs exact second moment of the integral of f: the estimate, the
+    oracle value and their distance in standard errors (0 when the sampled
+    spread vanishes)."""
+    poly = expand(f)
+    sq = poly * poly.conjugate()
+    est = montecarlo.estimate(sq, plan)
+    target = oracle.expectation(sq).real
+    sigma = abs(est.value - target) / est.stderr if est.stderr > 0 else 0.0
+    return est, target, sigma
+
+
 def mc_isometry_report(
     kernels: int = 50,
     samples: int = 100_000,
@@ -615,12 +604,8 @@ def mc_isometry_report(
         q = int(rng.integers(0 if p else 1, max_total + 1 - p))
         n = 1 + t % max_cells
         f = random_kernel(p, q, n, rng)
-        poly = expand(f)
-        sq = poly * poly.conjugate()
         plan = montecarlo.SamplePlan(seed=seed + 1000 + t, samples=samples, n=n)
-        est = montecarlo.estimate(sq, plan)
-        target = oracle.expectation(sq).real
-        sigma = abs(est.value - target) / est.stderr if est.stderr > 0 else 0.0
+        _, _, sigma = mc_sigma(f, plan)
         worst_sigma = worst_of(worst_sigma, sigma)
         if sigma <= max_sigma:
             within += 1

@@ -29,7 +29,7 @@ from complexchaos import (
     random_kernel,
     reversed_conjugate,
 )
-from complexchaos import suites
+from complexchaos import hermite, suites
 from complexchaos.chaos import coupled_decay_sequences
 from complexchaos.oracle import pair_expectation
 
@@ -420,3 +420,56 @@ class TestNonFiniteResiduals:
     def test_nan_kernel_fails_hypercontractivity(self):
         f = Kernel.from_entries(1, 0, 2, {(0,): math.nan})
         assert not hypercontractivity_check(f).passed
+
+
+def parent_grid_loop(seed, max_total, width, max_cells, trials, skip_equal=False):
+    """The nested loop each grid battery wrote out before sharing ``_grid``."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for order in hermite.order_tuples(max_total, width):
+        if skip_equal and order[:2] == order[2:]:
+            continue
+        for t in range(trials):
+            n = 1 + t % max_cells
+            if width == 2:
+                p, q = order
+                drawn.append((random_kernel(p, q, n, rng),))
+            else:
+                a, b, c, d = order
+                f = random_kernel(a, b, n, rng)
+                g = random_kernel(c, d, n, rng)
+                drawn.append((f, g))
+    return drawn
+
+
+class TestGrid:
+    """``suites._grid`` draws the same kernels, in the same order, as the
+    per-battery loops it replaced."""
+
+    @pytest.mark.parametrize(
+        "width, skip_equal",
+        [(2, False), (4, False), (4, True)],
+        ids=["single", "pair", "pair-orthogonality-filter"],
+    )
+    @pytest.mark.parametrize("max_total, max_cells, trials", [(3, 2, 5), (4, 3, 2)])
+    def test_matches_reference_loop(self, width, skip_equal, max_total, max_cells, trials):
+        orders = hermite.order_tuples(max_total, width)
+        if skip_equal:
+            orders = (o for o in orders if o[:2] != o[2:])
+        got = list(suites._grid(11, orders, max_cells, trials))
+        want = parent_grid_loop(11, max_total, width, max_cells, trials, skip_equal)
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert [(k.p, k.q, k.n) for k in mine] == [(k.p, k.q, k.n) for k in theirs]
+            for k, r in zip(mine, theirs):
+                np.testing.assert_array_equal(k.coeffs, r.coeffs)
+        # the cell count cycles through 1..max_cells within each order tuple
+        assert [kernels[0].n for kernels in got[:trials]] == [
+            1 + t % max_cells for t in range(trials)
+        ]
+
+    def test_lazy(self):
+        grid = suites._grid(3, hermite.order_tuples(8, 2), 8, 10**9)
+        (first,) = next(grid)
+        (second,) = next(grid)
+        assert (first.order, first.n, second.n) == ((0, 0), 1, 2)

@@ -1,8 +1,15 @@
 """Command line front-end: scenarios, reports, exit codes, determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import operator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from complexchaos import cli
 
@@ -25,6 +32,25 @@ DISJOINT = {
     ],
     "checks": [{"name": "ind", "kind": "independence", "f": "f", "g": "g"}],
 }
+
+
+def one_check(**fields):
+    """DISJOINT's independence check with ``fields`` set or overridden."""
+    return {"checks": [dict(DISJOINT["checks"][0], **fields)]}
+
+
+def one_grid(**grid):
+    small = {"max_total": 2, "max_cells": 1, "trials": 1}
+    return one_check(kind="product", grid=dict(small, **grid))
+
+
+def one_entry(**entry):
+    return {
+        "kernels": [
+            {"name": "f", "p": 1, "q": 1, "entries": [dict({"idx": [0, 0]}, **entry)]},
+            DISJOINT["kernels"][1],
+        ]
+    }
 
 
 class TestRun:
@@ -166,6 +192,31 @@ class TestRun:
             },
             {"kernels": [dict(DISJOINT["kernels"][0], p=True), DISJOINT["kernels"][1]]},
             {"checks": [{"name": "a", "kind": "asymptotic", "sequences": [["f"], ["g"]]}]},
+            one_check(seed=True),
+            one_check(seed="5"),
+            one_check(seed=-1),
+            one_check(seed=2**64),
+            one_grid(max_total=2.9),
+            one_grid(max_total=-1),
+            one_grid(max_total=9),
+            one_grid(max_cells=True),
+            one_grid(max_cells=0),
+            one_grid(max_cells=9),
+            one_grid(trials=0),
+            one_check(kind="mc-estimate", samples=100.7),
+            one_check(kind="mc-estimate", samples=1),
+            one_check(kind="mc-estimate", samples=200, max_sigma="inf"),
+            one_check(kind="mc-estimate", samples=200, max_sigma=math.inf),
+            one_check(kind="mc-estimate", samples=200, max_sigma=0),
+            one_check(kind="hermite-product", max_total=-1),
+            one_check(tolerance=math.nan),
+            one_entry(re=True),
+            one_entry(re="nan"),
+            one_entry(re=math.nan),
+            one_entry(im=10**400),
+            {"measure": {"masses": [True, 1.0]}},
+            {"measure": {"masses": ["1.0", 1.0]}},
+            one_check(f=[]),
         ],
         ids=[
             "check",
@@ -177,6 +228,31 @@ class TestRun:
             "bool-idx",
             "bool-order",
             "sequence-names",
+            "bool-seed",
+            "string-seed",
+            "negative-seed",
+            "wide-seed",
+            "fractional-max-total",
+            "negative-max-total",
+            "over-cap-max-total",
+            "bool-max-cells",
+            "zero-max-cells",
+            "over-cap-max-cells",
+            "zero-trials",
+            "fractional-samples",
+            "one-sample",
+            "string-max-sigma",
+            "infinite-max-sigma",
+            "zero-max-sigma",
+            "negative-hermite-max-total",
+            "nan-tolerance",
+            "bool-re",
+            "string-re",
+            "nan-re",
+            "huge-im",
+            "bool-mass",
+            "string-mass",
+            "list-kernel-name",
         ],
     )
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, change):
@@ -184,6 +260,18 @@ class TestRun:
         assert cli.main(["run", path]) == 2
         err = capsys.readouterr().err
         assert json.loads(err)["error"]["code"] == "validation-error"
+
+    def test_valid_numbers_still_run(self, tmp_path):
+        scenario = dict(
+            DISJOINT,
+            checks=[
+                dict(DISJOINT["checks"][0], seed=2**64 - 1, tolerance=1),
+                dict(one_grid(max_total=0)["checks"][0], name="grid", seed=0),
+                {"name": "mc", "kind": "mc-estimate", "f": "f", "samples": 2, "max_sigma": 1e300},
+                {"name": "herm", "kind": "hermite-product", "max_total": 0},
+            ],
+        )
+        assert cli.main(["run", write_scenario(tmp_path, scenario)]) == 0
 
     def test_unknown_kind_rejected(self, tmp_path):
         scenario = dict(DISJOINT, checks=[{"name": "x", "kind": "bogus"}])
@@ -220,6 +308,68 @@ class TestRun:
         body = json.loads(report.read_text())
         assert [r["name"] for r in body["checks"]] == ["iso"]
         assert cli.main(["run", path, "--only", "missing"]) == 2
+
+
+# Paths into DISJOINT that the fuzz test overwrites; the trailing check fields
+# are added when absent.
+FUZZ_PATHS = [
+    ("measure", "masses"),
+    ("measure", "masses", 0),
+    ("kernels", 0, "p"),
+    ("kernels", 1, "q"),
+    ("kernels", 0, "entries", 0, "idx"),
+    ("kernels", 0, "entries", 0, "idx", 1),
+    ("kernels", 0, "entries", 0, "re"),
+    ("kernels", 1, "entries", 0, "im"),
+    ("checks", 0, "f"),
+    ("checks", 0, "seed"),
+    ("checks", 0, "tolerance"),
+    ("checks", 0, "samples"),
+    ("checks", 0, "max_sigma"),
+    ("checks", 0, "max_total"),
+    ("checks", 0, "grid"),
+]
+
+# No large in-range integers: hermite-product max_total has no upper bound,
+# and a run they do not reject must stay cheap.
+BAD_SCALARS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 2.5, -1, 10**400]),
+)
+FUZZ_VALUES = st.one_of(
+    BAD_SCALARS,
+    st.integers(-2, 4),
+    st.floats(-4, 4),
+    st.lists(st.integers(-1, 2), max_size=3),
+    # every grid field given is invalid, so no full-size default grid runs
+    st.dictionaries(st.sampled_from(["max_total", "max_cells", "trials"]), BAD_SCALARS, min_size=1),
+)
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), FUZZ_VALUES), min_size=1, max_size=3),
+        st.sampled_from(cli.CHECK_KINDS),
+    )
+    def test_exit_codes_and_error_records(self, tmp_path_factory, mutations, kind):
+        scenario = copy.deepcopy(DISJOINT)
+        scenario["checks"][0]["kind"] = kind
+        for (*parents, last), value in mutations:
+            # an earlier mutation may have replaced a parent of this path
+            with contextlib.suppress(LookupError, TypeError):
+                functools.reduce(operator.getitem, parents, scenario)[last] = value
+        path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--samples", "200"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert set(json.loads(err.getvalue())["error"]) == {"code", "message"}
 
 
 class TestSelftest:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from complexchaos import hermite
-from complexchaos.chaos import hermite_to_chaos
+from complexchaos.chaos import ChaosPolynomial, hermite_to_chaos
 from complexchaos.oracle import pair_expectation
 
 
@@ -122,7 +122,10 @@ class TestOrthogonality:
         members = {}
         for m in range(4):
             for n in range(4 - m):
-                members[(m, n)] = hermite_to_chaos(hermite.build(m, n, rho), 0, 1, scale)
+                poly = hermite_to_chaos(hermite.build(m, n, rho), 0, 1)
+                members[(m, n)] = ChaosPolynomial(
+                    1, {k: c * scale ** (k[0][0] + k[1][0]) for k, c in poly.terms.items()}
+                )
         for (m, n), left in members.items():
             for (mp, np_), right in members.items():
                 value = pair_expectation(left, right.conjugate())
