@@ -29,17 +29,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from . import hermite, oracle
+import numpy as np
+
+from . import hermite, montecarlo, oracle
+from .oracle import DIGIT, HIGH_BITS, MAX_EXPONENT, cmul, key_sum, unpack
 from .kernels import (
+    MAX_CELLS,
     MAX_TOTAL_ORDER,
     ContractionSpec,
     Kernel,
+    cached_by_shape,
     contract,
     ito_symmetrize,
     norm,
-    orbit_sums,
     orbit_table,
     reversed_conjugate,
 )
@@ -76,21 +81,106 @@ STRUCTURAL_TOL = 1e-12
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+def _groups(n: int, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal keys, groups in key order: the first index of every group
+    and the group of every index."""
+    new = np.empty(len(z), dtype=bool)
+    new[:1] = True
+    if 2 * DIGIT * n < 63:  # both keys fit in one sort key
+        key = z << (DIGIT * n) | zc
+        order = key.argsort(kind="stable")
+        key = key[order]
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+    else:
+        order = np.lexsort((zc, z))  # stable
+        sz, szc = z[order], zc[order]
+        np.logical_or(sz[1:] != sz[:-1], szc[1:] != szc[:-1], out=new[1:])
+    group = np.empty(len(z), dtype=np.intp)
+    group[order] = new.cumsum() - 1
+    return order[new], group
+
+
 class ChaosPolynomial:
     """Sparse polynomial in z_1..z_n and their conjugates.
 
-    ``terms[(a, b)]`` is the complex coefficient of
-    prod_k z_k**a_k * conj(z_k)**b_k.  Zero coefficients are not stored.
-    Treated as immutable everywhere.
+    Term t is ``re[t] + 1j * im[t]`` times prod_k z_k**a_k * conj(z_k)**b_k,
+    where a and b are the exponents packed in the keys ``z[t]`` and ``zc[t]``
+    (see ``oracle.key_sum``).  Keys are distinct, zero coefficients are not
+    stored, and terms are in the order in which a dict accumulating the same
+    operations would hold them, so results match such a dict bit for bit.
+    ``terms`` is the same polynomial as a read-only mapping
+    ``{(a, b): coefficient}``, built on first use.  Treated as immutable
+    everywhere.
     """
 
-    n: int
-    terms: Mapping[ExponentKey, complex]
+    __slots__ = ("n", "z", "zc", "re", "im", "_terms", "_small")
 
-    def __post_init__(self) -> None:
-        cleaned = {k: complex(c) for k, c in self.terms.items() if c != 0}
-        object.__setattr__(self, "terms", cleaned)
+    def __init__(self, n: int, terms: Mapping[ExponentKey, complex]) -> None:
+        if not 0 <= n <= MAX_CELLS:
+            raise ValueError(f"variable count {n} outside 0..{MAX_CELLS}")
+        items = [(key, complex(c)) for key, c in terms.items() if c != 0]
+        try:
+            exps = np.array([tuple(a) + tuple(b) for (a, b), _ in items], dtype=np.int64)
+            exps = exps.reshape(len(items), 2 * n)
+        except ValueError:
+            exps = None
+        if exps is None or ((exps < 0) | (exps > MAX_EXPONENT)).any():
+            raise ValueError(f"exponent keys must be two length-{n} vectors in 0..{MAX_EXPONENT}")
+        place = DIGIT * np.arange(n)
+        self._set(
+            n,
+            (exps[:, :n] << place).sum(axis=1),
+            (exps[:, n:] << place).sum(axis=1),
+            np.array([c.real for _, c in items]),
+            np.array([c.imag for _, c in items]),
+        )
+
+    def _set(self, n: int, z, zc, re, im) -> None:
+        self.n, self.z, self.zc, self.re, self.im = n, z, zc, re, im
+        self._terms = self._small = None
+
+    @classmethod
+    def _of(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
+        """Polynomial of distinct keys; zero coefficients are dropped."""
+        live = np.logical_or(re, im)
+        if np.count_nonzero(live) < len(live):
+            z, zc, re, im = z[live], zc[live], re[live], im[live]
+        poly = cls.__new__(cls)
+        poly._set(n, z, zc, re, im)
+        return poly
+
+    @classmethod
+    def _grouped(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
+        """Polynomial summing the terms of equal keys, keys in order of first
+        occurrence.  Sums add in input order from 0.0, as a dict updated term
+        by term adds."""
+        if len(z) < 2:
+            return cls._of(n, z, zc, re + 0.0, im + 0.0)
+        first, group = _groups(n, z, zc)
+        re, im = np.bincount(group, re), np.bincount(group, im)
+        rank = first.argsort()
+        keep = first[rank]
+        return cls._of(n, z[keep], zc[keep], re[rank], im[rank])
+
+    @property
+    def terms(self) -> Mapping[ExponentKey, complex]:
+        if self._terms is None:
+            a = unpack(self.z, self.n).tolist()
+            b = unpack(self.zc, self.n).tolist()
+            coef = map(complex, self.re.tolist(), self.im.tolist())
+            self._terms = MappingProxyType(
+                {(tuple(x), tuple(y)): c for x, y, c in zip(a, b, coef)}
+            )
+        return self._terms
+
+    @property
+    def small(self) -> bool:
+        """No exponent reaches 64, so exponent sums with another small
+        polynomial cannot pass MAX_EXPONENT."""
+        if self._small is None:
+            bits = np.bitwise_or.reduce(self.z) | np.bitwise_or.reduce(self.zc)
+            self._small = not bits & HIGH_BITS
+        return self._small
 
     @classmethod
     def constant(cls, value: complex, n: int) -> "ChaosPolynomial":
@@ -107,14 +197,9 @@ class ChaosPolynomial:
 
     def __add__(self, other: "ChaosPolynomial") -> "ChaosPolynomial":
         self._check_vars(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, 0j) + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return ChaosPolynomial(self.n, out)
+        if not len(other.re) or not len(self.re):
+            return self if len(self.re) else other
+        return _sum_of(self.n, [(self, 1), (other, 1)])
 
     def __sub__(self, other: "ChaosPolynomial") -> "ChaosPolynomial":
         return self + (-1.0) * other
@@ -123,22 +208,22 @@ class ChaosPolynomial:
         if not isinstance(other, ChaosPolynomial):
             return self.scaled(other)
         self._check_vars(other)
-        out: dict[ExponentKey, complex] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                out[key] = out.get(key, 0j) + c1 * c2
-        return ChaosPolynomial(self.n, out)
+        # Term pairs in row-major order, the order of the dict's double loop.
+        re, im = cmul(self.re[:, None], self.im[:, None], other.re, other.im)
+        check = not (self.small and other.small)
+        z = key_sum(self.z[:, None], other.z, check).ravel()
+        zc = key_sum(self.zc[:, None], other.zc, check).ravel()
+        if len(self.re) == 1 or len(other.re) == 1:  # keys stay distinct
+            return ChaosPolynomial._of(self.n, z, zc, re.ravel() + 0.0, im.ravel() + 0.0)
+        return ChaosPolynomial._grouped(self.n, z, zc, re.ravel(), im.ravel())
 
     def __rmul__(self, scalar: complex) -> "ChaosPolynomial":
         return self.scaled(scalar)
 
     def scaled(self, scalar: complex) -> "ChaosPolynomial":
         s = complex(scalar)
-        return ChaosPolynomial(self.n, {k: c * s for k, c in self.terms.items()})
+        re, im = cmul(self.re, self.im, s.real, s.imag)
+        return ChaosPolynomial._of(self.n, self.z, self.zc, re, im)
 
     def __pow__(self, power: int) -> "ChaosPolynomial":
         if power < 0:
@@ -149,34 +234,43 @@ class ChaosPolynomial:
         return out
 
     def conjugate(self) -> "ChaosPolynomial":
-        return ChaosPolynomial(
-            self.n, {(b, a): c.conjugate() for (a, b), c in self.terms.items()}
-        )
+        return ChaosPolynomial._of(self.n, self.zc, self.z, self.re, -self.im)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
-        z = [complex(v) for v in point]
-        if len(z) != self.n:
-            raise ValueError("point dimension mismatch")
-        total = 0j
-        for (a, b), c in self.terms.items():
-            value = c
-            for zk, ak, bk in zip(z, a, b):
-                if ak:
-                    value *= zk**ak
-                if bk:
-                    value *= zk.conjugate() ** bk
-            total += value
-        return total
+        return complex(montecarlo.evaluate_polynomial(self, np.array([point], dtype=complex))[0])
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return _max_modulus(self.re, self.im)
 
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
-        keys = set(self.terms) | set(other.terms)
-        return worst_of(
-            0.0, *(abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys)
-        )
+        if not len(self.re) or not len(other.re):
+            return worst_of(0.0, self.max_abs(), other.max_abs())
+        # self + (-other) adds exactly what self - other subtracts.
+        z, zc = np.concatenate((self.z, other.z)), np.concatenate((self.zc, other.zc))
+        group = _groups(self.n, z, zc)[1]
+        re = np.bincount(group, np.concatenate((self.re, -other.re)))
+        im = np.bincount(group, np.concatenate((self.im, -other.im)))
+        return worst_of(0.0, _max_modulus(re, im))
+
+
+def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
+    """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts, with integer or
+    float w, as if each part were scaled and added after the one before:
+    scaling by a real number rounds as ``scaled`` does, up to the signs of
+    zeros, which the sums make +0.0."""
+    return ChaosPolynomial._grouped(
+        n,
+        np.concatenate([p.z for p, _ in parts]),
+        np.concatenate([p.zc for p, _ in parts]),
+        np.concatenate([p.re * w if w != 1 else p.re for p, w in parts]),
+        np.concatenate([p.im * w if w != 1 else p.im for p, w in parts]),
+    )
+
+
+def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
+    # hypot is Python's abs(complex); numpy's complex abs rounds differently.
+    return float(np.hypot(re, im).max()) if len(re) else 0.0
 
 
 def worst_of(*values: float, pick=max) -> float:
@@ -246,34 +340,50 @@ class VerificationReport:
 
 # -- expansion into Gaussian coordinates --------------------------------------
 
-# Hermite products per orbit representative.  Module-level cache; inserts are
-# idempotent so concurrent use is safe.
-_ORBIT_POLYS: dict[tuple, dict[ExponentKey, int]] = {}
+def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """The expansion of every orbit of an (n, p, q) kernel as flat arrays.
 
+    An orbit expands into the product over the cells of the Hermite
+    polynomials (rho = 1) whose degrees are the cell's slot counts in the two
+    blocks.  Its terms run orbit by orbit; within an orbit, cell 0 varies
+    slowest and each cell's Hermite terms keep their order in
+    ``hermite.build``.  Returned: each term's orbit and integer weight, and
+    for the case that every orbit is present, each term's index among the
+    distinct keys plus those keys in order of first occurrence.
+    """
 
-def _orbit_poly(left: tuple[int, ...], right: tuple[int, ...]):
-    """Product over the cells of Hermite polynomials (rho = 1) whose degrees
-    are the cell's slot counts ``left[cell]`` and ``right[cell]``."""
-    key = (left, right)
-    hit = _ORBIT_POLYS.get(key)
-    if hit is not None:
-        return hit
-    zero = (0,) * len(left)
-    poly: dict[ExponentKey, int] = {(zero, zero): 1}
-    for cell, (mult_z, mult_conj) in enumerate(zip(left, right)):
-        if mult_z + mult_conj == 0:
-            continue
-        jterms = hermite.build(mult_z, mult_conj, 1).terms
-        next_poly: dict[ExponentKey, int] = {}
-        for (avec, bvec), c in poly.items():
-            for (alpha, beta), w in jterms.items():
-                a2 = avec[:cell] + (avec[cell] + alpha,) + avec[cell + 1 :]
-                b2 = bvec[:cell] + (bvec[cell] + beta,) + bvec[cell + 1 :]
-                k2 = (a2, b2)
-                next_poly[k2] = next_poly.get(k2, 0) + c * int(w)
-        poly = next_poly
-    _ORBIT_POLYS[key] = poly
-    return poly
+    def build():
+        _, _, left, right = orbit_table(n, p, q)
+        start = np.zeros((p + 1, q + 1), dtype=np.int64)
+        count = np.zeros((p + 1, q + 1), dtype=np.int64)
+        flat: list[tuple[int, int, int]] = []
+        for m in range(p + 1):
+            for mc in range(q + 1):
+                items = hermite.build(m, mc, 1).terms.items()
+                start[m, mc], count[m, mc] = len(flat), len(items)
+                flat += [(alpha, beta, w) for (alpha, beta), w in items]
+        alpha, beta, weight = np.array(flat, dtype=np.int64).T
+        orbit = np.arange(len(left))
+        z = np.zeros(len(left), dtype=np.int64)
+        zc = np.zeros(len(left), dtype=np.int64)
+        w = np.ones(len(left), dtype=np.int64)
+        for cell in range(n):
+            slots = (left[orbit, cell], right[orbit, cell])
+            times = count[slots]
+            src = np.repeat(np.arange(len(orbit)), times)
+            j = np.arange(len(src)) - np.repeat(np.cumsum(times) - times, times)
+            j += start[slots][src]
+            shift = DIGIT * cell
+            orbit, z, zc = orbit[src], z[src] + (alpha[j] << shift), zc[src] + (beta[j] << shift)
+            w = w[src] * weight[j]
+        first, group = _groups(n, z, zc)
+        rank = np.argsort(first)
+        label = np.empty(len(first), dtype=np.intp)
+        label[rank] = np.arange(len(first))
+        keep = first[rank]
+        return orbit, w.astype(float), z, zc, label[group], z[keep], zc[keep]
+
+    return cached_by_shape(("terms", n, p, q), build)
 
 
 def expand(f: Kernel) -> ChaosPolynomial:
@@ -285,20 +395,23 @@ def expand(f: Kernel) -> ChaosPolynomial:
     handled by the Hermite degrees, which is what makes the discretization
     match the diagonal-free continuum integral.
     """
-    ids, _, reps = orbit_table(f.n, f.p, f.q)
-    sums = orbit_sums(ids, f.coeffs)
-    terms: dict[ExponentKey, complex] = {}
-    for oid, (left, right) in enumerate(reps):
-        c = complex(sums[oid])
-        if c == 0:
-            continue
-        for key, w in _orbit_poly(left, right).items():
-            acc = terms.get(key, 0j) + c * w
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-    return ChaosPolynomial(f.n, terms)
+    ids = orbit_table(f.n, f.p, f.q)[0]
+    orbit, w, z, zc, inverse, keys, ckeys = _orbit_terms(f.n, f.p, f.q)
+    flat = f.coeffs.ravel()
+    sums_re, sums_im = np.bincount(ids, flat.real), np.bincount(ids, flat.imag)
+    # A term's coefficient is its orbit's sum times its weight.  Python's
+    # complex-times-int would also add products with 0.0; they only flip the
+    # signs of zeros, which every sum below turns into +0.0.
+    live = np.logical_or(sums_re, sums_im)
+    if np.count_nonzero(live) == len(live):
+        re = np.bincount(inverse, sums_re[orbit] * w, len(keys))
+        im = np.bincount(inverse, sums_im[orbit] * w, len(keys))
+        return ChaosPolynomial._of(f.n, keys, ckeys, re, im)
+    # Orbits with a zero sum add no terms, so a key sits where the first
+    # orbit with a nonzero sum adds to it.
+    live = live[orbit]
+    o = orbit[live]
+    return ChaosPolynomial._grouped(f.n, z[live], zc[live], sums_re[o] * w[live], sums_im[o] * w[live])
 
 
 def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:
@@ -400,10 +513,7 @@ def product_conjugated(f: Kernel, g: Kernel) -> list[ProductTerm]:
 
 
 def _combination_expand(terms: Iterable[ProductTerm], n: int) -> ChaosPolynomial:
-    total = ChaosPolynomial.zero(n)
-    for term in terms:
-        total = total + expand(term.kernel).scaled(term.weight)
-    return total
+    return _sum_of(n, [(expand(term.kernel), term.weight) for term in terms])
 
 
 def product_check(

@@ -21,8 +21,10 @@ are {re, im} pairs; multi-indices are 0-based integer arrays of length p+q.
 Indicator-coordinate kernels are rescaled by the product of sqrt cell masses
 at ingestion and the report records both norms.  Every number must be a
 finite JSON number, never a bool or a string: seed in 0..2**64-1, samples
->= 2, positive tolerance and max_sigma, grid max_total in 0..MAX_TOTAL_ORDER,
-max_cells in 1..MAX_CELLS and trials >= 1, hermite-product max_total >= 0.
+in 2..MAX_SAMPLES (also for the --samples flags), positive tolerance and
+max_sigma, grid max_total in 0..--max-order and max_cells in 1..--max-cells
+(the run's caps, at most MAX_TOTAL_ORDER and MAX_CELLS) and trials >= 1,
+hermite-product max_total in 0..2*MAX_TOTAL_ORDER.
 
 Check kinds: product, product-conjugated, isometry, conjugate-lemma,
 covariance, independence, asymptotic, hypercontractivity, hermite-product,
@@ -74,6 +76,9 @@ from .kernels import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+# Monte Carlo draws per estimate; memory grows with samples x cells x 16 bytes.
+MAX_SAMPLES = 1_000_000
 
 CHECK_KINDS = (
     "product",
@@ -270,9 +275,10 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
             grid = check["grid"]
             if not isinstance(grid, Mapping):
                 raise _fail("validation-error", f"check {check['name']}: grid must be an object")
+            max_order, max_cells = defaults["caps"]
             report = suites.product_grid_report(
-                max_total=read(grid, "max_total", 6, 0, MAX_TOTAL_ORDER),
-                max_cells=read(grid, "max_cells", 3, 1, MAX_CELLS),
+                max_total=read(grid, "max_total", min(6, max_order), 0, max_order),
+                max_cells=read(grid, "max_cells", min(3, max_cells), 1, max_cells),
                 trials=read(grid, "trials", 20, 1),
                 seed=seed,
                 conjugated=conjugated,
@@ -332,10 +338,11 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
     elif kind == "hypercontractivity":
         report = hypercontractivity_check(_kernel_ref(scenario, check, "f"), tol or STRUCTURAL_TOL)
     elif kind == "hermite-product":
-        report = suites.hermite_product_report(max_total=read(check, "max_total", 8, 0))
+        max_total = read(check, "max_total", 8, 0, 2 * MAX_TOTAL_ORDER)
+        report = suites.hermite_product_report(max_total=max_total)
     elif kind == "mc-estimate":
         f = _kernel_ref(scenario, check, "f")
-        samples = read(check, "samples", defaults["samples"], 2)
+        samples = read(check, "samples", defaults["samples"], 2, MAX_SAMPLES)
         max_sigma = read(check, "max_sigma", 4.0, _POSITIVE, integer=False)
         plan = montecarlo.SamplePlan(seed=seed, samples=samples, n=f.n)
         est, target, sigma = suites.mc_sigma(f, plan)
@@ -399,13 +406,16 @@ def _emit_error(exc: ScenarioError, report_path: str | None) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     caps = (args.max_order, args.max_cells)
     try:
+        _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
+        _number(args.max_order, "--max-order", 0, MAX_TOTAL_ORDER, integer=True)
+        _number(args.max_cells, "--max-cells", 1, MAX_CELLS, integer=True)
         scenario = load_scenario(args.scenario, caps)
         only = set(args.only.split(",")) if args.only else None
         checks = [c for c in scenario.checks if only is None or c["name"] in only]
         if only and len(checks) != len(only):
             missing = only - {c["name"] for c in checks}
             raise _fail("validation-error", f"unknown check names requested: {sorted(missing)}")
-        defaults = {"seed": args.seed, "samples": args.samples}
+        defaults = {"seed": args.seed, "samples": args.samples, "caps": caps}
         records = []
         for check in checks:
             if args.tolerance is not None and "tolerance" not in check:
@@ -433,6 +443,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    try:
+        _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
+    except ScenarioError as exc:
+        _emit_error(exc, args.report)
+        return EXIT_INPUT
     reports = suites.selftest_reports(
         seed=args.seed, samples=args.samples, perturbation=args.inject_perturbation
     )
@@ -461,6 +476,11 @@ def cmd_hermite(args: argparse.Namespace) -> int:
                 print(f"J[{m},{n}](z, rho={rho}) = {hermite.format_polynomial(poly)}")
         return EXIT_PASS
     if args.hermite_command == "product-check":
+        try:
+            _number(args.max, "--max", 0, 2 * MAX_TOTAL_ORDER, integer=True)
+        except ScenarioError as exc:
+            _emit_error(exc, None)
+            return EXIT_INPUT
         report = suites.hermite_product_report(max_total=args.max)
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -483,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--report", default=None, help="write the JSON report here")
     run.add_argument("--tolerance", type=float, default=None, help="tolerance override")
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--samples", type=int, default=100_000)
+    run.add_argument("--samples", type=int, default=100_000, help=f"2..{MAX_SAMPLES}")
     run.add_argument("--max-order", type=int, default=MAX_TOTAL_ORDER)
     run.add_argument("--max-cells", type=int, default=MAX_CELLS)
     run.add_argument("--only", default=None, help="comma-separated check names")
@@ -492,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="run the built-in certification suite")
     selftest.add_argument("--report", default=None)
     selftest.add_argument("--seed", type=int, default=42)
-    selftest.add_argument("--samples", type=int, default=20_000)
+    selftest.add_argument("--samples", type=int, default=20_000, help=f"2..{MAX_SAMPLES}")
     selftest.add_argument(
         "--inject-perturbation",
         type=float,
@@ -507,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--max", type=int, default=8, help="max total degree m+n")
     table.add_argument("--rho", type=int, default=1)
     check = herm_sub.add_parser("product-check", help="certify the product expansion")
-    check.add_argument("--max", type=int, default=8, help="max a+b+c+d")
+    check.add_argument(
+        "--max", type=int, default=8, help=f"max a+b+c+d, 0..{2 * MAX_TOTAL_ORDER}"
+    )
     herm.set_defaults(func=cmd_hermite)
 
     return parser

@@ -18,8 +18,10 @@ share between threads.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -184,22 +186,46 @@ class ContractionSpec:
             raise ValueError("contraction counts must be non-negative")
 
 
-# Orbit tables per (n, p, q).  Module-level cache; inserts are idempotent so
-# concurrent use is safe.
-_ORBIT_TABLES: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, list]] = {}
+# Per-shape tables (orbit tables here, expansion arrays in chaos) share one
+# byte budget with least-recently-used eviction; the newest entry always
+# stays.  The shapes of the largest benchmark workload take 23 MiB; one
+# orbit table at the caps, (8,0) or (4,4) on 8 cells, takes 128 MiB.
+_CACHE_BYTES = 256 << 20
+_SHAPE_CACHE: OrderedDict[tuple, tuple[tuple[np.ndarray, ...], int]] = OrderedDict()
 
 
-def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, list]:
+_CACHE_LOCK = threading.Lock()
+
+
+def cached_by_shape(key: tuple, build: Callable[[], tuple[np.ndarray, ...]]) -> tuple:
+    """``build()``'s arrays, built once per ``key`` and kept under the budget.
+    Safe to call from several threads; two may build the same entry."""
+    with _CACHE_LOCK:
+        hit = _SHAPE_CACHE.get(key)
+        if hit is not None:
+            _SHAPE_CACHE.move_to_end(key)
+            return hit[0]
+    arrays = build()
+    with _CACHE_LOCK:
+        _SHAPE_CACHE[key] = (arrays, sum(a.nbytes for a in arrays))
+        total = sum(size for _, size in _SHAPE_CACHE.values())
+        while total > _CACHE_BYTES and len(_SHAPE_CACHE) > 1:
+            total -= _SHAPE_CACHE.popitem(last=False)[1][1]
+    return arrays
+
+
+def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     """Orbits of the multi-indices of an (n,)*(p+q) tensor under permutations
     within the first p slots and, separately, the last q slots.
 
     Returns the orbit id of every flat (C-order) position, the size of every
-    orbit, and every orbit's representative as the pair of per-cell slot
-    counts of its two blocks.  Orbits are numbered in lexicographic order of
-    their sorted representatives (sorted first block, sorted second block).
+    orbit, and every orbit's representative as two (orbits, n) arrays: the
+    per-cell slot counts of its first and of its second block.  Orbits are
+    numbered in lexicographic order of their sorted representatives (sorted
+    first block, sorted second block).
     """
-    key = (n, p, q)
-    if key not in _ORBIT_TABLES:
+
+    def build():
         # Code each block's multiset of cells by its count vector in base
         # (block size + 1), cell 0 most significant, first block high.  A
         # larger code has a smaller sorted representative.
@@ -213,19 +239,11 @@ def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, list]:
         del code
         ids = len(uniq) - 1 - inverse.ravel()
         uniq = uniq[::-1, None]
-        left = (uniq // low // (p + 1) ** place % (p + 1)).tolist()
-        right = (uniq % low // (q + 1) ** place % (q + 1)).tolist()
-        reps = [(tuple(a), tuple(b)) for a, b in zip(left, right)]
-        _ORBIT_TABLES[key] = (ids, np.bincount(ids), reps)
-    return _ORBIT_TABLES[key]
+        left = uniq // low // (p + 1) ** place % (p + 1)
+        right = uniq % low // (q + 1) ** place % (q + 1)
+        return ids, np.bincount(ids), left, right
 
-
-def orbit_sums(ids: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sum of the coefficients over each orbit; every orbit id occurs in ids."""
-    flat = coeffs.ravel()
-    return np.bincount(ids, weights=flat.real).astype(complex) + 1j * np.bincount(
-        ids, weights=flat.imag
-    )
+    return cached_by_shape(("orbits", n, p, q), build)
 
 
 def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
@@ -233,8 +251,10 @@ def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
     within blocks of p and q slots (the identity when no block has two)."""
     if max(p, q) <= 1:
         return f
-    ids, sizes, _ = orbit_table(f.n, p, q)
-    mean = orbit_sums(ids, f.coeffs) / sizes
+    ids, sizes, _, _ = orbit_table(f.n, p, q)
+    flat = f.coeffs.ravel()
+    sums = np.bincount(ids, flat.real).astype(complex) + 1j * np.bincount(ids, flat.imag)
+    mean = sums / sizes
     return Kernel(f.p, f.q, f.n, mean[ids].reshape(f.coeffs.shape))
 
 

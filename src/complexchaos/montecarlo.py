@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .oracle import unpack
+
 if TYPE_CHECKING:  # pragma: no cover
     from .chaos import ChaosPolynomial
 
@@ -86,7 +88,8 @@ def evaluate_polynomial(poly: "ChaosPolynomial", samples: np.ndarray) -> np.ndar
         return hit
 
     total = np.zeros(samples.shape[0], dtype=np.complex128)
-    for (avec, bvec), coeff in poly.terms.items():
+    a, b = unpack(poly.z, poly.n).tolist(), unpack(poly.zc, poly.n).tolist()
+    for avec, bvec, coeff in zip(a, b, map(complex, poly.re.tolist(), poly.im.tolist())):
         term = np.full(samples.shape[0], coeff, dtype=np.complex128)
         for k, e in enumerate(avec):
             if e:

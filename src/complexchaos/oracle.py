@@ -12,11 +12,14 @@ numerical quadrature cross-check that keeps the rule honest.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from .kernels import MAX_CELLS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chaos import ChaosPolynomial
@@ -31,6 +34,39 @@ __all__ = [
 
 # Exact integer factorials; the arbiter must not round.
 _FACTORIALS: tuple[int, ...] = tuple(math.factorial(k) for k in range(129))
+
+# Exponent keys of ChaosPolynomial: a monomial's z-exponents and its
+# conjugate exponents are packed into one int64 word each, cell k in the
+# 7-bit digit at bit 7k, so MAX_CELLS = 8 cells take 56 bits.
+DIGIT = 7
+MAX_EXPONENT = (1 << DIGIT) - 1
+_SHIFTS = [DIGIT * np.arange(n) for n in range(MAX_CELLS + 1)]
+# The top bit of every digit: clear in two keys means no exponent reaches 64,
+# so their sum cannot carry.  A digit's carry shows at the lowest bit of its
+# upper neighbour in a ^ b ^ (a + b).
+HIGH_BITS = sum(1 << (DIGIT * k + DIGIT - 1) for k in range(MAX_CELLS))
+_CARRIES = HIGH_BITS << 1
+
+
+def key_sum(a: np.ndarray, b: np.ndarray, check: bool = True) -> np.ndarray:
+    """Keys of the products of the monomials keyed ``a`` and ``b`` (which
+    broadcast).  With ``check``, a digit that would pass MAX_EXPONENT raises
+    ValueError instead of carrying into the next cell."""
+    total = a + b
+    if check and np.count_nonzero((a ^ b ^ total) & _CARRIES):
+        raise ValueError(f"an exponent would pass {MAX_EXPONENT}")
+    return total
+
+
+def unpack(keys: np.ndarray, n: int) -> np.ndarray:
+    """(len(keys), n) array of the exponents packed in ``keys``."""
+    return keys[:, None] >> _SHIFTS[n] & MAX_EXPONENT
+
+
+def cmul(xr, xi, yr, yi):
+    """Complex product from real and imaginary parts, rounded as Python's
+    complex ``*`` rounds it; numpy's complex ``*`` rounds differently."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
 @dataclass(frozen=True)
@@ -58,43 +94,81 @@ def monomial_expectation(query: MomentQuery) -> int:
     return _monomial_expectation(query.z_powers, query.conj_powers)
 
 
+# k! as floats, exact up to 18!, the last one below 2**53; larger ones are
+# held at 2**53, so that a product of MAX_CELLS of them cannot overflow.
+_FLOAT_FACTORIALS = np.minimum([float(f) for f in _FACTORIALS[: MAX_EXPONENT + 1]], 2.0**53)
+
+
+def _weights(keys: np.ndarray, n: int) -> np.ndarray:
+    """prod_k a_k! for the exponents a packed in each key: the exact integer,
+    rounded to float once.  The float product of the factorials is that
+    number when it stays below 2**53, since every factor and partial product
+    is then an integer a float holds exactly; the others are redone in
+    integers."""
+    exps = unpack(keys, n)
+    weights = np.multiply.reduce(_FLOAT_FACTORIALS[exps], axis=1)
+    large = weights >= 2.0**53
+    if np.count_nonzero(large):
+        weights[large] = [
+            float(math.prod(_FACTORIALS[a] for a in row)) for row in exps[large].tolist()
+        ]
+    return weights
+
+
 def expectation(poly: "ChaosPolynomial") -> complex:
     """Linear extension of the monomial rule, fsum-accumulated."""
-    re: list[float] = []
-    im: list[float] = []
-    for (a, b), coeff in poly.terms.items():
-        weight = _monomial_expectation(a, b)
-        if weight:
-            re.append(coeff.real * weight)
-            im.append(coeff.imag * weight)
-    return complex(math.fsum(re), math.fsum(im))
+    diagonal = poly.z == poly.zc
+    w = _weights(poly.z[diagonal], poly.n)
+    return complex(
+        math.fsum((poly.re[diagonal] * w).tolist()), math.fsum((poly.im[diagonal] * w).tolist())
+    )
+
+
+# Term pairs a join materializes at once; larger joins run in left blocks.
+_JOIN_BLOCK = 1 << 16
 
 
 def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> complex:
     """E[left * right] without materializing the product.
 
     A pair of monomials contributes only when the z-exponent surplus of one
-    cancels the other (a1 - b1 == b2 - a2 componentwise), so the right terms
-    are bucketed by that surplus and each left term visits one bucket.
+    cancels the other (a1 - b1 == b2 - a2 componentwise).  The right terms
+    are sorted by their packed surplus and each left term finds its matches
+    by binary search.  Packed surpluses can also agree for a pair whose
+    exponent sums pass MAX_EXPONENT; such a pair raises ValueError.
     """
     if left.n != right.n:
         raise ValueError("variable count mismatch")
-    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]] = {}
-    for (a, b), coeff in right.terms.items():
-        key = tuple(x - y for x, y in zip(a, b))
-        buckets.setdefault(key, []).append((a, coeff))
-    re: list[float] = []
-    im: list[float] = []
-    for (a, b), coeff in left.terms.items():
-        key = tuple(y - x for x, y in zip(a, b))
-        for a2, coeff2 in buckets.get(key, ()):
-            weight = 1
-            for ak, a2k in zip(a, a2):
-                weight *= _FACTORIALS[ak + a2k]
-            value = coeff * coeff2
-            re.append(value.real * weight)
-            im.append(value.imag * weight)
-    return complex(math.fsum(re), math.fsum(im))
+    surplus = right.zc - right.z
+    order = surplus.argsort(kind="stable")
+    surplus = surplus[order]
+    want = left.z - left.zc
+    lo = surplus.searchsorted(want, "left")
+    hits = surplus.searchsorted(want, "right") - lo
+    ends = hits.cumsum()
+    offset = lo - ends + hits  # right position minus match number
+    check = not (left.small and right.small)
+    re: list[np.ndarray] = []
+    im: list[np.ndarray] = []
+    start = 0
+    while start < len(hits):
+        # Left terms start..stop-1 meet at most _JOIN_BLOCK right terms.
+        base = int(ends[start] - hits[start])
+        stop = max(int(ends.searchsorted(base + _JOIN_BLOCK, "right")), start + 1)
+        times = hits[start:stop]
+        li = np.arange(start, stop).repeat(times)
+        ri = order[np.arange(base, int(ends[stop - 1])) + offset[start:stop].repeat(times)]
+        key_sum(left.zc[li], right.zc[ri], check)
+        w = _weights(key_sum(left.z[li], right.z[ri], check), left.n)
+        vr, vi = cmul(left.re[li], left.im[li], right.re[ri], right.im[ri])
+        re.append(vr * w)
+        im.append(vi * w)
+        start = stop
+    return complex(_fsum(re), _fsum(im))
+
+
+def _fsum(blocks: list[np.ndarray]) -> float:
+    return math.fsum(itertools.chain.from_iterable(block.tolist() for block in blocks))
 
 
 def quadrature_monomial_expectation(a: int, b: int, points: int = 48) -> complex:

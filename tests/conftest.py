@@ -30,3 +30,88 @@ def brute_block_symmetrize(kernel: Kernel, blocks: list[list[int]]) -> np.ndarra
         arr += out
         count += 1
     return arr / count
+
+
+class DictPolynomial:
+    """Brute reference for ChaosPolynomial: the engine's earlier arithmetic on
+    a dict {(a, b): complex} keyed by exponent tuples, kept verbatim so the
+    array engine can be compared with it bit for bit."""
+
+    def __init__(self, n: int, terms: dict) -> None:
+        self.n = n
+        self.terms = {k: complex(c) for k, c in terms.items() if c != 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = out.get(key, 0j) + c
+            if acc == 0:
+                out.pop(key, None)
+            else:
+                out[key] = acc
+        return DictPolynomial(self.n, out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1.0)
+
+    def __mul__(self, other):
+        out: dict = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                key = (
+                    tuple(x + y for x, y in zip(a1, a2)),
+                    tuple(x + y for x, y in zip(b1, b2)),
+                )
+                out[key] = out.get(key, 0j) + c1 * c2
+        return DictPolynomial(self.n, out)
+
+    def scaled(self, scalar):
+        s = complex(scalar)
+        return DictPolynomial(self.n, {k: c * s for k, c in self.terms.items()})
+
+    def conjugate(self):
+        return DictPolynomial(self.n, {(b, a): c.conjugate() for (a, b), c in self.terms.items()})
+
+    def max_diff(self, other) -> float:
+        keys = set(self.terms) | set(other.terms)
+        return max(
+            (abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys), default=0.0
+        )
+
+    def expectation(self) -> complex:
+        import math
+
+        re, im = [], []
+        for (a, b), coeff in self.terms.items():
+            if a == b:
+                weight = math.prod(math.factorial(x) for x in a)
+                re.append(coeff.real * weight)
+                im.append(coeff.imag * weight)
+        return complex(math.fsum(re), math.fsum(im))
+
+    def pair_expectation(self, right) -> complex:
+        import math
+
+        re, im = [], []
+        for (a, b), coeff in self.terms.items():
+            for (a2, b2), coeff2 in right.terms.items():
+                if all(x - y == v - u for x, y, u, v in zip(a, b, a2, b2)):
+                    weight = math.prod(math.factorial(x + y) for x, y in zip(a, a2))
+                    value = coeff * coeff2
+                    re.append(value.real * weight)
+                    im.append(value.imag * weight)
+        return complex(math.fsum(re), math.fsum(im))
+
+    def evaluate(self, samples: np.ndarray) -> np.ndarray:
+        conj = np.conj(samples)
+        total = np.zeros(samples.shape[0], dtype=np.complex128)
+        for (avec, bvec), coeff in self.terms.items():
+            term = np.full(samples.shape[0], coeff, dtype=np.complex128)
+            for k, e in enumerate(avec):
+                if e:
+                    term = term * samples[:, k] ** e
+            for k, e in enumerate(bvec):
+                if e:
+                    term = term * conj[:, k] ** e
+            total += term
+        return total

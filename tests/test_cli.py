@@ -209,6 +209,8 @@ class TestRun:
             one_check(kind="mc-estimate", samples=200, max_sigma=math.inf),
             one_check(kind="mc-estimate", samples=200, max_sigma=0),
             one_check(kind="hermite-product", max_total=-1),
+            one_check(kind="hermite-product", max_total=2 * cli.MAX_TOTAL_ORDER + 1),
+            one_check(kind="mc-estimate", samples=cli.MAX_SAMPLES + 1),
             one_check(tolerance=math.nan),
             one_entry(re=True),
             one_entry(re="nan"),
@@ -245,6 +247,8 @@ class TestRun:
             "infinite-max-sigma",
             "zero-max-sigma",
             "negative-hermite-max-total",
+            "over-cap-hermite-max-total",
+            "over-cap-samples",
             "nan-tolerance",
             "bool-re",
             "string-re",
@@ -272,6 +276,47 @@ class TestRun:
             ],
         )
         assert cli.main(["run", write_scenario(tmp_path, scenario)]) == 0
+
+    def test_grid_obeys_run_caps(self, tmp_path, capsys):
+        caps = ["--max-order", "2", "--max-cells", "1"]
+
+        def run(grid):
+            check = {"name": "grid", "kind": "product", "grid": grid}
+            scenario = {"measure": {"masses": [1.0]}, "checks": [check]}
+            return cli.main(["run", write_scenario(tmp_path, scenario)] + caps)
+
+        for field in ("max_total", "max_cells"):
+            assert run({"max_total": 2, "max_cells": 1, "trials": 1, field: 3}) == 2
+            assert field in json.loads(capsys.readouterr().err)["error"]["message"]
+        # Omitted grid fields default to at most the caps.
+        assert run({"trials": 1}) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "SCENARIO", "--samples", "1"],
+            ["run", "SCENARIO", "--samples", str(cli.MAX_SAMPLES + 1)],
+            ["run", "SCENARIO", "--max-order", str(cli.MAX_TOTAL_ORDER + 1)],
+            ["run", "SCENARIO", "--max-cells", "0"],
+            ["selftest", "--samples", "1"],
+            ["selftest", "--samples", str(cli.MAX_SAMPLES + 1)],
+            ["hermite", "product-check", "--max", str(2 * cli.MAX_TOTAL_ORDER + 1)],
+        ],
+        ids=[
+            "run-one-sample",
+            "run-over-cap-samples",
+            "over-cap-max-order",
+            "zero-max-cells",
+            "selftest-one-sample",
+            "selftest-over-cap-samples",
+            "over-cap-hermite-max",
+        ],
+    )
+    def test_out_of_range_flags_exit_two(self, tmp_path, capsys, argv):
+        path = write_scenario(tmp_path, DISJOINT)
+        assert cli.main([path if a == "SCENARIO" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["code"] == "validation-error"
 
     def test_unknown_kind_rejected(self, tmp_path):
         scenario = dict(DISJOINT, checks=[{"name": "x", "kind": "bogus"}])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from complexchaos import (
     random_kernel,
     reversed_conjugate,
 )
+from complexchaos import kernels as kernels_module
 from conftest import brute_block_symmetrize
 
 
@@ -184,6 +186,47 @@ class TestCapAdjacentSymmetrize:
             )
             expected = f.coeffs[tuple(cells.T)].mean()
             assert abs(sym.coeffs[idx] - expected) <= 1e-12
+
+
+class TestShapeCache:
+    """Orbit tables and expansion arrays share one byte budget with
+    least-recently-used eviction."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = OrderedDict()
+        monkeypatch.setattr(kernels_module, "_SHAPE_CACHE", fresh)
+        return fresh
+
+    @staticmethod
+    def entry(key):
+        return kernels_module.cached_by_shape(key, lambda: (np.zeros(10),))  # 80 bytes
+
+    def test_least_recently_used_goes_first(self, cache, monkeypatch):
+        monkeypatch.setattr(kernels_module, "_CACHE_BYTES", 160)
+        first = self.entry("a")
+        self.entry("b")
+        assert self.entry("a") is first  # a hit, and now the most recent
+        self.entry("c")
+        assert list(cache) == ["a", "c"]
+
+    def test_newest_entry_stays_over_budget(self, cache, monkeypatch):
+        monkeypatch.setattr(kernels_module, "_CACHE_BYTES", 1)
+        self.entry("a")
+        self.entry("b")
+        assert list(cache) == ["b"]
+
+    def test_results_do_not_depend_on_eviction(self, cache, monkeypatch):
+        rng = np.random.default_rng(3)
+        shapes = [(2, 1, 3), (1, 2, 2), (3, 0, 2), (2, 1, 3)]
+        fs = [random_kernel(p, q, n, rng) for p, q, n in shapes]
+        roomy = [(expand(f).terms, ito_symmetrize(f).coeffs) for f in fs]
+        cache.clear()
+        monkeypatch.setattr(kernels_module, "_CACHE_BYTES", 1)
+        for f, (terms, sym) in zip(fs, roomy):
+            assert list(expand(f).terms.items()) == list(terms.items())
+            assert np.array_equal(ito_symmetrize(f).coeffs, sym)
+            assert len(cache) == 1
 
 
 class TestReversedConjugate:
