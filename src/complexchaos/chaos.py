@@ -154,8 +154,6 @@ class ChaosPolynomial:
         """Polynomial summing the terms of equal keys, keys in order of first
         occurrence.  Sums add in input order from 0.0, as a dict updated term
         by term adds."""
-        if len(z) < 2:
-            return cls._of(n, z, zc, re + 0.0, im + 0.0)
         first, group = _groups(n, z, zc)
         re, im = np.bincount(group, re), np.bincount(group, im)
         rank = first.argsort()
@@ -197,8 +195,6 @@ class ChaosPolynomial:
 
     def __add__(self, other: "ChaosPolynomial") -> "ChaosPolynomial":
         self._check_vars(other)
-        if not len(other.re) or not len(self.re):
-            return self if len(self.re) else other
         return _sum_of(self.n, [(self, 1), (other, 1)])
 
     def __sub__(self, other: "ChaosPolynomial") -> "ChaosPolynomial":
@@ -214,7 +210,7 @@ class ChaosPolynomial:
         z = key_sum(self.z[:, None], other.z, check).ravel()
         zc = key_sum(self.zc[:, None], other.zc, check).ravel()
         if len(self.re) == 1 or len(other.re) == 1:  # keys stay distinct
-            return ChaosPolynomial._of(self.n, z, zc, re.ravel() + 0.0, im.ravel() + 0.0)
+            return ChaosPolynomial._of(self.n, z, zc, re.ravel(), im.ravel())
         return ChaosPolynomial._grouped(self.n, z, zc, re.ravel(), im.ravel())
 
     def __rmul__(self, scalar: complex) -> "ChaosPolynomial":
@@ -240,18 +236,13 @@ class ChaosPolynomial:
         return complex(montecarlo.evaluate_polynomial(self, np.array([point], dtype=complex))[0])
 
     def max_abs(self) -> float:
-        return _max_modulus(self.re, self.im)
+        # hypot is Python's abs(complex); numpy's complex abs rounds differently.
+        return float(np.hypot(self.re, self.im).max()) if len(self.re) else 0.0
 
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
-        if not len(self.re) or not len(other.re):
-            return worst_of(0.0, self.max_abs(), other.max_abs())
-        # self + (-other) adds exactly what self - other subtracts.
-        z, zc = np.concatenate((self.z, other.z)), np.concatenate((self.zc, other.zc))
-        group = _groups(self.n, z, zc)[1]
-        re = np.bincount(group, np.concatenate((self.re, -other.re)))
-        im = np.bincount(group, np.concatenate((self.im, -other.im)))
-        return worst_of(0.0, _max_modulus(re, im))
+        # Adding -other rounds exactly as subtracting other does.
+        return worst_of(0.0, _sum_of(self.n, [(self, 1), (other, -1)]).max_abs())
 
 
 def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
@@ -266,11 +257,6 @@ def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPoly
         np.concatenate([p.re * w if w != 1 else p.re for p, w in parts]),
         np.concatenate([p.im * w if w != 1 else p.im for p, w in parts]),
     )
-
-
-def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
-    # hypot is Python's abs(complex); numpy's complex abs rounds differently.
-    return float(np.hypot(re, im).max()) if len(re) else 0.0
 
 
 def worst_of(*values: float, pick=max) -> float:
