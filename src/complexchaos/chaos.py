@@ -81,9 +81,24 @@ STRUCTURAL_TOL = 1e-12
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+# Up to this many keys, a dict groups them faster than sorting does.
+_FEW_KEYS = 48
+
+
 def _groups(n: int, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal keys, groups in key order: the first index of every group
-    and the group of every index."""
+    """Group equal keys: the first index of every group and the group of
+    every index.  Groups are in key order, or for few keys in order of first
+    occurrence."""
+    if len(z) <= _FEW_KEYS:
+        seen: dict[tuple[int, int], int] = {}
+        first: list[int] = []
+        group = []
+        for i, key in enumerate(zip(z.tolist(), zc.tolist())):
+            g = seen.setdefault(key, len(first))
+            if g == len(first):
+                first.append(i)
+            group.append(g)
+        return np.array(first, dtype=np.intp), np.array(group, dtype=np.intp)
     new = np.empty(len(z), dtype=bool)
     new[:1] = True
     if 2 * DIGIT * n < 63:  # both keys fit in one sort key
@@ -236,27 +251,38 @@ class ChaosPolynomial:
         return complex(montecarlo.evaluate_polynomial(self, np.array([point], dtype=complex))[0])
 
     def max_abs(self) -> float:
-        # hypot is Python's abs(complex); numpy's complex abs rounds differently.
-        return float(np.hypot(self.re, self.im).max()) if len(self.re) else 0.0
+        return _max_modulus(self.re, self.im)
 
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
         # Adding -other rounds exactly as subtracting other does.
-        return worst_of(0.0, _sum_of(self.n, [(self, 1), (other, -1)]).max_abs())
+        z, zc, re, im = _joined([(self, 1), (other, -1)])
+        group = _groups(self.n, z, zc)[1]
+        return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
 
-def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
-    """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts, with integer or
-    float w, as if each part were scaled and added after the one before:
-    scaling by a real number rounds as ``scaled`` does, up to the signs of
-    zeros, which the sums make +0.0."""
-    return ChaosPolynomial._grouped(
-        n,
+def _joined(parts: Sequence[tuple[ChaosPolynomial, float]]) -> tuple[np.ndarray, ...]:
+    """Keys and coefficients of ``poly.scaled(w)`` for the ``(poly, w)``
+    parts, one after the other, for integer or float w.  Scaling by a real
+    number rounds as ``scaled`` does up to the signs of zeros, which the sums
+    over groups make +0.0."""
+    return (
         np.concatenate([p.z for p, _ in parts]),
         np.concatenate([p.zc for p, _ in parts]),
         np.concatenate([p.re * w if w != 1 else p.re for p, w in parts]),
         np.concatenate([p.im * w if w != 1 else p.im for p, w in parts]),
     )
+
+
+def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
+    """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts, as if each part
+    were scaled and added after the one before."""
+    return ChaosPolynomial._grouped(n, *_joined(parts))
+
+
+def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
+    # hypot is Python's abs(complex); numpy's complex abs rounds differently.
+    return float(np.maximum.reduce(np.hypot(re, im))) if len(re) else 0.0
 
 
 def worst_of(*values: float, pick=max) -> float:

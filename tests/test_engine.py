@@ -2,11 +2,13 @@
 conftest: every operation must agree bit for bit, term order included, and
 an exponent past the packed digit must raise instead of wrapping."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import ChaosPolynomial
+from complexchaos import ChaosPolynomial, chaos
 from complexchaos.montecarlo import SamplePlan, evaluate_polynomial, sample_coordinates
 from complexchaos.oracle import MAX_EXPONENT, expectation, pair_expectation
 from conftest import DictPolynomial
@@ -25,13 +27,14 @@ COEFFS = st.one_of(
 @st.composite
 def polynomial_pairs(draw, exponents=SMALL):
     """Two sparse polynomials in the same n <= 8 variables, drawing their
-    keys from one small pool so that products and sums merge terms."""
+    keys from one small pool so that products and sums merge terms.  Up to
+    12 terms each, so products group both few and many term pairs."""
     n = draw(st.integers(1, 8))
     vector = st.tuples(*[exponents] * n)
-    pool = draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=6, unique=True))
+    pool = draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=12, unique=True))
     polys = []
     for _ in range(2):
-        keys = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+        keys = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
         polys.append({key: draw(COEFFS) for key in keys})
     return n, polys[0], polys[1]
 
@@ -57,16 +60,19 @@ def same_outcome(run, run_ref):
 
 class TestAgainstDictReference:
     @settings(max_examples=150, deadline=None)
-    @given(polynomial_pairs(), COEFFS)
-    def test_ring_operations(self, pair, scalar):
+    @given(polynomial_pairs(), COEFFS, st.booleans())
+    def test_ring_operations(self, pair, scalar, sort_keys):
         n, x_terms, y_terms = pair
         (x, rx), (y, ry) = both(n, x_terms), both(n, y_terms)
-        assert same_terms(x * y, rx * ry)
-        assert same_terms(x + y, rx + ry)
-        assert same_terms(x - y, rx - ry)
+        # Few keys are grouped with a dict, many by sorting: try both.
+        few = -1 if sort_keys else chaos._FEW_KEYS
+        with mock.patch.object(chaos, "_FEW_KEYS", few):
+            assert same_terms(x * y, rx * ry)
+            assert same_terms(x + y, rx + ry)
+            assert same_terms(x - y, rx - ry)
+            assert x.max_diff(y) == rx.max_diff(ry)
         assert same_terms(x.scaled(scalar), rx.scaled(scalar))
         assert same_terms(x.conjugate(), rx.conjugate())
-        assert x.max_diff(y) == rx.max_diff(ry)
         assert x.max_abs() == max((abs(c) for c in rx.terms.values()), default=0.0)
 
     @settings(max_examples=100, deadline=None)
