@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -124,46 +124,58 @@ def expectation(poly: "ChaosPolynomial") -> complex:
     )
 
 
-# Term pairs a join materializes at once; larger joins run in left blocks.
+# Term pairs a join materializes at once.
 _JOIN_BLOCK = 1 << 16
+
+
+def _matches(left: "ChaosPolynomial", right: "ChaosPolynomial") -> Iterator[tuple]:
+    """Index arrays (li, ri) of the term pairs whose z-exponent surpluses
+    cancel, left-major, in blocks of at most _JOIN_BLOCK pairs (or of one
+    left term).  Few pairs are compared all at once; otherwise the right
+    terms are sorted by their packed surplus and each left term finds its
+    matches by binary search."""
+    want = left.z - left.zc
+    surplus = right.zc - right.z
+    if len(want) * len(surplus) <= _JOIN_BLOCK:
+        yield np.nonzero(want[:, None] == surplus)
+        return
+    order = surplus.argsort(kind="stable")
+    surplus = surplus[order]
+    lo = surplus.searchsorted(want, "left")
+    hits = surplus.searchsorted(want, "right") - lo
+    ends = hits.cumsum()
+    offset = lo - ends + hits  # right position minus match number
+    start = 0
+    while start < len(hits):
+        base = int(ends[start] - hits[start])
+        stop = max(int(ends.searchsorted(base + _JOIN_BLOCK, "right")), start + 1)
+        times = hits[start:stop]
+        li = np.arange(start, stop).repeat(times)
+        yield li, order[np.arange(base, int(ends[stop - 1])) + offset[start:stop].repeat(times)]
+        start = stop
 
 
 def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> complex:
     """E[left * right] without materializing the product.
 
     A pair of monomials contributes only when the z-exponent surplus of one
-    cancels the other (a1 - b1 == b2 - a2 componentwise).  The right terms
-    are sorted by their packed surplus and each left term finds its matches
-    by binary search.  Packed surpluses can also agree for a pair whose
-    exponent sums pass MAX_EXPONENT; such a pair raises ValueError.
+    cancels the other (a1 - b1 == b2 - a2 componentwise).  Pairs are matched
+    on packed surpluses, which can also agree for a pair whose exponent sums
+    pass MAX_EXPONENT; such a pair raises ValueError.
     """
     if left.n != right.n:
         raise ValueError("variable count mismatch")
-    surplus = right.zc - right.z
-    order = surplus.argsort(kind="stable")
-    surplus = surplus[order]
-    want = left.z - left.zc
-    lo = surplus.searchsorted(want, "left")
-    hits = surplus.searchsorted(want, "right") - lo
-    ends = hits.cumsum()
-    offset = lo - ends + hits  # right position minus match number
     check = not (left.small and right.small)
     re: list[np.ndarray] = []
     im: list[np.ndarray] = []
-    start = 0
-    while start < len(hits):
-        # Left terms start..stop-1 meet at most _JOIN_BLOCK right terms.
-        base = int(ends[start] - hits[start])
-        stop = max(int(ends.searchsorted(base + _JOIN_BLOCK, "right")), start + 1)
-        times = hits[start:stop]
-        li = np.arange(start, stop).repeat(times)
-        ri = order[np.arange(base, int(ends[stop - 1])) + offset[start:stop].repeat(times)]
-        key_sum(left.zc[li], right.zc[ri], check)
-        w = _weights(key_sum(left.z[li], right.z[ri], check), left.n)
+    for li, ri in _matches(left, right):
+        z = key_sum(left.z[li], right.z[ri], check)
+        if check:
+            key_sum(left.zc[li], right.zc[ri])
+        w = _weights(z, left.n)
         vr, vi = cmul(left.re[li], left.im[li], right.re[ri], right.im[ri])
         re.append(vr * w)
         im.append(vi * w)
-        start = stop
     return complex(_fsum(re), _fsum(im))
 
 
