@@ -444,6 +444,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     try:
+        _number(args.seed, "--seed", 0, 2**64 - 1, integer=True)
         _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
     except ScenarioError as exc:
         _emit_error(exc, args.report)

@@ -300,6 +300,7 @@ class TestRun:
             ["run", "SCENARIO", "--max-cells", "0"],
             ["selftest", "--samples", "1"],
             ["selftest", "--samples", str(cli.MAX_SAMPLES + 1)],
+            ["selftest", "--seed", "-1"],
             ["hermite", "product-check", "--max", str(2 * cli.MAX_TOTAL_ORDER + 1)],
         ],
         ids=[
@@ -309,6 +310,7 @@ class TestRun:
             "zero-max-cells",
             "selftest-one-sample",
             "selftest-over-cap-samples",
+            "selftest-negative-seed",
             "over-cap-hermite-max",
         ],
     )
@@ -375,8 +377,8 @@ FUZZ_PATHS = [
     ("checks", 0, "grid"),
 ]
 
-# No large in-range integers: hermite-product max_total has no upper bound,
-# and a run they do not reject must stay cheap.
+# No large in-range integers: a run they do not reject must stay cheap, and
+# hermite-product max_total up to 16 or samples up to MAX_SAMPLES are not.
 BAD_SCALARS = st.one_of(
     st.booleans(),
     st.none(),
