@@ -35,7 +35,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import hermite, montecarlo, oracle
-from .oracle import DIGIT, HIGH_BITS, MAX_EXPONENT, cmul, key_sum, unpack
 from .kernels import (
     MAX_CELLS,
     MAX_TOTAL_ORDER,
@@ -48,6 +47,7 @@ from .kernels import (
     orbit_table,
     reversed_conjugate,
 )
+from .oracle import DIGIT, HIGH_BITS, MAX_EXPONENT, cmul, key_sum, unpack
 
 __all__ = [
     "ChaosPolynomial",
