@@ -86,9 +86,8 @@ _FEW_KEYS = 48
 
 
 def _groups(n: int, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal keys: the first index of every group and the group of
-    every index.  Groups are in key order, or for few keys in order of first
-    occurrence."""
+    """Group equal keys, numbering the groups in order of first occurrence:
+    the first index of every group and the group of every index."""
     if len(z) <= _FEW_KEYS:
         seen: dict[tuple[int, int], int] = {}
         first: list[int] = []
@@ -112,7 +111,11 @@ def _groups(n: int, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarr
         np.logical_or(sz[1:] != sz[:-1], szc[1:] != szc[:-1], out=new[1:])
     group = np.empty(len(z), dtype=np.intp)
     group[order] = new.cumsum() - 1
-    return order[new], group
+    first = order[new]  # in key order; the sorts are stable
+    rank = first.argsort()
+    label = np.empty(len(first), dtype=np.intp)
+    label[rank] = np.arange(len(first))
+    return first[rank], label[group]
 
 
 class ChaosPolynomial:
@@ -171,9 +174,7 @@ class ChaosPolynomial:
         by term adds."""
         first, group = _groups(n, z, zc)
         re, im = np.bincount(group, re), np.bincount(group, im)
-        rank = first.argsort()
-        keep = first[rank]
-        return cls._of(n, z[keep], zc[keep], re[rank], im[rank])
+        return cls._of(n, z[first], zc[first], re, im)
 
     @property
     def terms(self) -> Mapping[ExponentKey, complex]:
@@ -389,11 +390,7 @@ def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
             orbit, z, zc = orbit[src], z[src] + (alpha[j] << shift), zc[src] + (beta[j] << shift)
             w = w[src] * weight[j]
         first, group = _groups(n, z, zc)
-        rank = np.argsort(first)
-        label = np.empty(len(first), dtype=np.intp)
-        label[rank] = np.arange(len(first))
-        keep = first[rank]
-        return orbit, w.astype(float), z, zc, label[group], z[keep], zc[keep]
+        return orbit, w.astype(float), z, zc, group, z[first], zc[first]
 
     return cached_by_shape(("terms", n, p, q), build)
 
