@@ -353,6 +353,7 @@ class VerificationReport:
 
 # -- expansion into Gaussian coordinates --------------------------------------
 
+
 def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     """The expansion of every orbit of an (n, p, q) kernel as flat arrays.
 
@@ -360,9 +361,10 @@ def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     polynomials (rho = 1) whose degrees are the cell's slot counts in the two
     blocks.  Its terms run orbit by orbit; within an orbit, cell 0 varies
     slowest and each cell's Hermite terms keep their order in
-    ``hermite.build``.  Returned: each term's orbit and integer weight, and
-    for the case that every orbit is present, each term's index among the
-    distinct keys plus those keys in order of first occurrence.
+    ``hermite.build``.  Returned: each term's orbit, integer weight (as a
+    float) and packed keys, and for kernels whose orbit sums are all
+    nonzero, each term's group among the distinct keys and those keys in
+    order of first occurrence.
     """
 
     def build():
