@@ -47,7 +47,7 @@ from .kernels import (
     orbit_table,
     reversed_conjugate,
 )
-from .oracle import DIGIT, HIGH_BITS, MAX_EXPONENT, cmul, key_sum, unpack
+from .oracle import MAX_EXPONENT, cmul, key_sum, pack, unpack
 
 __all__ = [
     "ChaosPolynomial",
@@ -81,11 +81,12 @@ STRUCTURAL_TOL = 1e-12
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-# Up to this many keys, a dict groups them faster than sorting does.
+# Up to this many terms, Python loops (a dict grouping them, a running sum
+# per group) are faster than sorting them, because of numpy's per-call cost.
 _FEW_KEYS = 48
 
 
-def _groups(n: int, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal keys, numbering the groups in order of first occurrence:
     the first index of every group and the group of every index."""
     if len(z) <= _FEW_KEYS:
@@ -98,24 +99,59 @@ def _groups(n: int, z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 first.append(i)
             group.append(g)
         return np.array(first, dtype=np.intp), np.array(group, dtype=np.intp)
+    order = np.lexsort((zc, z))  # stable
+    sz, szc = z[order], zc[order]
     new = np.empty(len(z), dtype=bool)
     new[:1] = True
-    if 2 * DIGIT * n < 63:  # both keys fit in one sort key
-        key = z << (DIGIT * n) | zc
-        order = key.argsort(kind="stable")
-        key = key[order]
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-    else:
-        order = np.lexsort((zc, z))  # stable
-        sz, szc = z[order], zc[order]
-        np.logical_or(sz[1:] != sz[:-1], szc[1:] != szc[:-1], out=new[1:])
+    np.logical_or(sz[1:] != sz[:-1], szc[1:] != szc[:-1], out=new[1:])
     group = np.empty(len(z), dtype=np.intp)
     group[order] = new.cumsum() - 1
-    first = order[new]  # in key order; the sorts are stable
+    first = order[new]  # in key order; the sort is stable
     rank = first.argsort()
     label = np.empty(len(first), dtype=np.intp)
     label[rank] = np.arange(len(first))
     return first[rank], label[group]
+
+
+def _insertions(group: np.ndarray, re: np.ndarray, im: np.ndarray, first: np.ndarray):
+    """For every group, the index of the term that last inserted its key into
+    a dict that adds the terms in order and drops a key whose sum reaches 0:
+    the term after the group's last zero partial sum, else its first term;
+    None if that is the first term of every group.  Terms are nonzero, so
+    only a group of three or more can have a zero partial sum before its
+    last term.  Few terms are summed one by one; otherwise the partial sums
+    are running sums along the rows of a zero-padded (groups, width) array,
+    one array per band of group sizes up to a power of 2."""
+    size = np.bincount(group)
+    if size.max(initial=0) < 3:
+        return None
+    if len(group) <= _FEW_KEYS:
+        at, sums = first.tolist(), [0j] * len(first)
+        for i, (g, c) in enumerate(zip(group.tolist(), map(complex, re.tolist(), im.tolist()))):
+            if sums[g] == 0:
+                at[g] = i
+            sums[g] += c
+        return None if at == first.tolist() else np.array(at)
+    order = group.argsort(kind="stable")  # each group's terms, in input order
+    start = size.cumsum() - size
+    at = None
+    rows = (size > 2).nonzero()[0]
+    width = 4
+    while len(rows):
+        here, rows = rows[size[rows] <= width], rows[size[rows] > width]
+        rank = np.arange(width - 1)
+        inside = rank < size[here, None] - 1  # the sums before the last term
+        terms = order[np.where(inside, start[here, None] + rank, 0)]
+        zero = inside
+        for part in (re, im):
+            zero = zero & (np.where(inside, part[terms], 0.0).cumsum(axis=1) == 0)
+        hit = zero.any(axis=1).nonzero()[0]
+        if len(hit):
+            at = first.copy() if at is None else at
+            last = width - 2 - zero[hit, ::-1].argmax(axis=1)
+            at[here[hit]] = order[start[here[hit]] + last + 1]
+        width *= 2
+    return at
 
 
 class ChaosPolynomial:
@@ -123,39 +159,42 @@ class ChaosPolynomial:
 
     Term t is ``re[t] + 1j * im[t]`` times prod_k z_k**a_k * conj(z_k)**b_k,
     where a and b are the exponents packed in the keys ``z[t]`` and ``zc[t]``
-    (see ``oracle.key_sum``).  Keys are distinct, zero coefficients are not
+    (see ``oracle.pack``).  Keys are distinct, zero coefficients are not
     stored, and terms are in the order in which a dict accumulating the same
-    operations would hold them, so results match such a dict bit for bit.
+    operations would hold them, so results match such a dict bit for bit:
+    products keep keys where they first occur, while sums (``+``, ``-`` and
+    ``expand``) drop a key whose sum reaches 0 and put it last if it comes
+    back.
     ``terms`` is the same polynomial as a read-only mapping
     ``{(a, b): coefficient}``, built on first use.  Treated as immutable
     everywhere.
     """
 
-    __slots__ = ("n", "z", "zc", "re", "im", "_terms", "_small")
+    __slots__ = ("n", "z", "zc", "re", "im", "_terms")
 
     def __init__(self, n: int, terms: Mapping[ExponentKey, complex]) -> None:
         if not 0 <= n <= MAX_CELLS:
             raise ValueError(f"variable count {n} outside 0..{MAX_CELLS}")
         items = [(key, complex(c)) for key, c in terms.items() if c != 0]
-        try:
-            exps = np.array([tuple(a) + tuple(b) for (a, b), _ in items], dtype=np.int64)
-            exps = exps.reshape(len(items), 2 * n)
-        except ValueError:
-            exps = None
-        if exps is None or ((exps < 0) | (exps > MAX_EXPONENT)).any():
-            raise ValueError(f"exponent keys must be two length-{n} vectors in 0..{MAX_EXPONENT}")
-        place = DIGIT * np.arange(n)
+        error = ValueError(f"exponent keys must be two length-{n} vectors in 0..{MAX_EXPONENT}")
+        if any(len(a) != n or len(b) != n for (a, b), _ in items):
+            raise error
+        exps = np.array([tuple(a) + tuple(b) for (a, b), _ in items]).reshape(len(items), 2 * n)
+        integers = exps.dtype.kind in "iu"
+        if exps.size and not (integers and 0 <= exps.min() and exps.max() <= MAX_EXPONENT):
+            raise error
+        exps = exps.astype(np.int64)
         self._set(
             n,
-            (exps[:, :n] << place).sum(axis=1),
-            (exps[:, n:] << place).sum(axis=1),
+            pack(exps[:, :n]),
+            pack(exps[:, n:]),
             np.array([c.real for _, c in items]),
             np.array([c.imag for _, c in items]),
         )
 
     def _set(self, n: int, z, zc, re, im) -> None:
         self.n, self.z, self.zc, self.re, self.im = n, z, zc, re, im
-        self._terms = self._small = None
+        self._terms = None
 
     @classmethod
     def _of(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
@@ -170,10 +209,24 @@ class ChaosPolynomial:
     @classmethod
     def _grouped(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
         """Polynomial summing the terms of equal keys, keys in order of first
-        occurrence.  Sums add in input order from 0.0, as a dict updated term
-        by term adds."""
-        first, group = _groups(n, z, zc)
+        occurrence, as a dict that keeps a key whose sum reaches 0 holds them
+        (products do).  Sums add in input order from 0.0, as a dict updated
+        term by term adds."""
+        first, group = _groups(z, zc)
         re, im = np.bincount(group, re), np.bincount(group, im)
+        return cls._of(n, z[first], zc[first], re, im)
+
+    @classmethod
+    def _summed(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
+        """Like ``_grouped``, for nonzero terms and a dict that drops a key
+        whose sum reaches 0 (sums do), so that a key which comes back after
+        that is put last."""
+        first, group = _groups(z, zc)
+        at = _insertions(group, re, im, first)
+        re, im = np.bincount(group, re), np.bincount(group, im)
+        if at is not None:
+            order = at.argsort()
+            first, re, im = at[order], re[order], im[order]
         return cls._of(n, z[first], zc[first], re, im)
 
     @property
@@ -186,15 +239,6 @@ class ChaosPolynomial:
                 {(tuple(x), tuple(y)): c for x, y, c in zip(a, b, coef)}
             )
         return self._terms
-
-    @property
-    def small(self) -> bool:
-        """No exponent reaches 64, so exponent sums with another small
-        polynomial cannot pass MAX_EXPONENT."""
-        if self._small is None:
-            bits = np.bitwise_or.reduce(self.z) | np.bitwise_or.reduce(self.zc)
-            self._small = not bits & HIGH_BITS
-        return self._small
 
     @classmethod
     def constant(cls, value: complex, n: int) -> "ChaosPolynomial":
@@ -222,9 +266,8 @@ class ChaosPolynomial:
         self._check_vars(other)
         # Term pairs in row-major order, the order of the dict's double loop.
         re, im = cmul(self.re[:, None], self.im[:, None], other.re, other.im)
-        check = not (self.small and other.small)
-        z = key_sum(self.z[:, None], other.z, check).ravel()
-        zc = key_sum(self.zc[:, None], other.zc, check).ravel()
+        z = key_sum(self.z[:, None], other.z).ravel()
+        zc = key_sum(self.zc[:, None], other.zc).ravel()
         if len(self.re) == 1 or len(other.re) == 1:  # keys stay distinct
             return ChaosPolynomial._of(self.n, z, zc, re.ravel(), im.ravel())
         return ChaosPolynomial._grouped(self.n, z, zc, re.ravel(), im.ravel())
@@ -258,7 +301,7 @@ class ChaosPolynomial:
         self._check_vars(other)
         # Adding -other rounds exactly as subtracting other does.
         z, zc, re, im = _joined([(self, 1), (other, -1)])
-        group = _groups(self.n, z, zc)[1]
+        group = _groups(z, zc)[1]
         return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
 
@@ -276,9 +319,9 @@ def _joined(parts: Sequence[tuple[ChaosPolynomial, float]]) -> tuple[np.ndarray,
 
 
 def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
-    """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts, as if each part
-    were scaled and added after the one before."""
-    return ChaosPolynomial._grouped(n, *_joined(parts))
+    """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts (w nonzero), as
+    if each part were scaled and added after the one before."""
+    return ChaosPolynomial._summed(n, *_joined(parts))
 
 
 def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
@@ -362,9 +405,7 @@ def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     blocks.  Its terms run orbit by orbit; within an orbit, cell 0 varies
     slowest and each cell's Hermite terms keep their order in
     ``hermite.build``.  Returned: each term's orbit, integer weight (as a
-    float) and packed keys, and for kernels whose orbit sums are all
-    nonzero, each term's group among the distinct keys and those keys in
-    order of first occurrence.
+    float) and packed keys.
     """
 
     def build():
@@ -379,8 +420,8 @@ def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
                 flat += [(alpha, beta, w) for (alpha, beta), w in items]
         alpha, beta, weight = np.array(flat, dtype=np.int64).T
         orbit = np.arange(len(left))
-        z = np.zeros(len(left), dtype=np.int64)
-        zc = np.zeros(len(left), dtype=np.int64)
+        a = np.zeros((len(left), n), dtype=np.int64)
+        b = np.zeros((len(left), n), dtype=np.int64)
         w = np.ones(len(left), dtype=np.int64)
         for cell in range(n):
             slots = (left[orbit, cell], right[orbit, cell])
@@ -388,11 +429,9 @@ def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
             src = np.repeat(np.arange(len(orbit)), times)
             j = np.arange(len(src)) - np.repeat(np.cumsum(times) - times, times)
             j += start[slots][src]
-            shift = DIGIT * cell
-            orbit, z, zc = orbit[src], z[src] + (alpha[j] << shift), zc[src] + (beta[j] << shift)
-            w = w[src] * weight[j]
-        first, group = _groups(n, z, zc)
-        return orbit, w.astype(float), z, zc, group, z[first], zc[first]
+            orbit, a, b, w = orbit[src], a[src], b[src], w[src] * weight[j]
+            a[:, cell], b[:, cell] = alpha[j], beta[j]
+        return orbit, w.astype(float), pack(a), pack(b)
 
     return cached_by_shape(("terms", n, p, q), build)
 
@@ -407,22 +446,17 @@ def expand(f: Kernel) -> ChaosPolynomial:
     match the diagonal-free continuum integral.
     """
     ids = orbit_table(f.n, f.p, f.q)[0]
-    orbit, w, z, zc, inverse, keys, ckeys = _orbit_terms(f.n, f.p, f.q)
+    orbit, w, z, zc = _orbit_terms(f.n, f.p, f.q)
     flat = f.coeffs.ravel()
     sums_re, sums_im = np.bincount(ids, flat.real), np.bincount(ids, flat.imag)
     # A term's coefficient is its orbit's sum times its weight.  Python's
     # complex-times-int would also add products with 0.0; they only flip the
-    # signs of zeros, which every sum below turns into +0.0.
-    live = np.logical_or(sums_re, sums_im)
-    if np.count_nonzero(live) == len(live):
-        re = np.bincount(inverse, sums_re[orbit] * w, len(keys))
-        im = np.bincount(inverse, sums_im[orbit] * w, len(keys))
-        return ChaosPolynomial._of(f.n, keys, ckeys, re, im)
-    # Orbits with a zero sum add no terms, so a key sits where the first
-    # orbit with a nonzero sum adds to it.
-    live = live[orbit]
-    o = orbit[live]
-    return ChaosPolynomial._grouped(f.n, z[live], zc[live], sums_re[o] * w[live], sums_im[o] * w[live])
+    # signs of zeros, which every sum below turns into +0.0.  Orbits with a
+    # zero sum add no terms.
+    live = np.logical_or(sums_re, sums_im)[orbit]
+    o, z, zc = orbit[live], z[live], zc[live]
+    re, im = sums_re[o] * w[live], sums_im[o] * w[live]
+    return ChaosPolynomial._summed(f.n, z, zc, re, im)
 
 
 def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:

@@ -41,19 +41,17 @@ _FACTORIALS: tuple[int, ...] = tuple(math.factorial(k) for k in range(129))
 DIGIT = 7
 MAX_EXPONENT = (1 << DIGIT) - 1
 _SHIFTS = [DIGIT * np.arange(n) for n in range(MAX_CELLS + 1)]
-# The top bit of every digit: clear in two keys means no exponent reaches 64,
-# so their sum cannot carry.  A digit's carry shows at the lowest bit of its
-# upper neighbour in a ^ b ^ (a + b).
-HIGH_BITS = sum(1 << (DIGIT * k + DIGIT - 1) for k in range(MAX_CELLS))
-_CARRIES = HIGH_BITS << 1
+# The lowest bit of every digit but the first: a digit's carry shows there,
+# in its upper neighbour, in a ^ b ^ (a + b).
+_CARRIES = sum(1 << DIGIT * k for k in range(1, MAX_CELLS + 1))
 
 
-def key_sum(a: np.ndarray, b: np.ndarray, check: bool = True) -> np.ndarray:
+def key_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Keys of the products of the monomials keyed ``a`` and ``b`` (which
-    broadcast).  With ``check``, a digit that would pass MAX_EXPONENT raises
-    ValueError instead of carrying into the next cell."""
+    broadcast).  A digit that would pass MAX_EXPONENT raises ValueError
+    instead of carrying into the next cell."""
     total = a + b
-    if check and np.count_nonzero((a ^ b ^ total) & _CARRIES):
+    if np.count_nonzero((a ^ b ^ total) & _CARRIES):
         raise ValueError(f"an exponent would pass {MAX_EXPONENT}")
     return total
 
@@ -61,6 +59,12 @@ def key_sum(a: np.ndarray, b: np.ndarray, check: bool = True) -> np.ndarray:
 def unpack(keys: np.ndarray, n: int) -> np.ndarray:
     """(len(keys), n) array of the exponents packed in ``keys``."""
     return keys[:, None] >> _SHIFTS[n] & MAX_EXPONENT
+
+
+def pack(exps: np.ndarray) -> np.ndarray:
+    """Keys of the rows of the (count, n) exponent array ``exps``, whose
+    entries lie in 0..MAX_EXPONENT; ``unpack`` inverts it."""
+    return (exps << _SHIFTS[exps.shape[1]]).sum(axis=1)
 
 
 def cmul(xr, xi, yr, yi):
@@ -165,13 +169,11 @@ def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> compl
     """
     if left.n != right.n:
         raise ValueError("variable count mismatch")
-    check = not (left.small and right.small)
     re: list[np.ndarray] = []
     im: list[np.ndarray] = []
     for li, ri in _matches(left, right):
-        z = key_sum(left.z[li], right.z[ri], check)
-        if check:
-            key_sum(left.zc[li], right.zc[ri])
+        z = key_sum(left.z[li], right.z[ri])
+        key_sum(left.zc[li], right.zc[ri])
         w = _weights(z, left.n)
         vr, vi = cmul(left.re[li], left.im[li], right.re[ri], right.im[ri])
         re.append(vr * w)

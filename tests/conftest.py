@@ -35,7 +35,8 @@ def brute_block_symmetrize(kernel: Kernel, blocks: list[list[int]]) -> np.ndarra
 class DictPolynomial:
     """Brute reference for ChaosPolynomial: the engine's earlier arithmetic on
     a dict {(a, b): complex} keyed by exponent tuples, kept verbatim so the
-    array engine can be compared with it bit for bit."""
+    array engine can be compared with it bit for bit (evaluation, one point
+    at a time in Python complex arithmetic, only to rounding)."""
 
     def __init__(self, n: int, terms: dict) -> None:
         self.n = n
@@ -102,16 +103,72 @@ class DictPolynomial:
                     im.append(value.imag * weight)
         return complex(math.fsum(re), math.fsum(im))
 
-    def evaluate(self, samples: np.ndarray) -> np.ndarray:
-        conj = np.conj(samples)
-        total = np.zeros(samples.shape[0], dtype=np.complex128)
-        for (avec, bvec), coeff in self.terms.items():
-            term = np.full(samples.shape[0], coeff, dtype=np.complex128)
-            for k, e in enumerate(avec):
-                if e:
-                    term = term * samples[:, k] ** e
-            for k, e in enumerate(bvec):
-                if e:
-                    term = term * conj[:, k] ** e
-            total += term
+    def evaluate(self, point) -> complex:
+        z = [complex(v) for v in point]
+        if len(z) != self.n:
+            raise ValueError("point dimension mismatch")
+        total = 0j
+        for (a, b), c in self.terms.items():
+            value = c
+            for zk, ak, bk in zip(z, a, b):
+                if ak:
+                    value *= zk**ak
+                if bk:
+                    value *= zk.conjugate() ** bk
+            total += value
         return total
+
+
+def _orbit_poly(left: tuple[int, ...], right: tuple[int, ...]) -> dict:
+    """Product over the cells of Hermite polynomials (rho = 1) whose degrees
+    are the cell's slot counts ``left[cell]`` and ``right[cell]``."""
+    from complexchaos import hermite
+
+    zero = (0,) * len(left)
+    poly = {(zero, zero): 1}
+    for cell, (mult_z, mult_conj) in enumerate(zip(left, right)):
+        if mult_z + mult_conj == 0:
+            continue
+        jterms = hermite.build(mult_z, mult_conj, 1).terms
+        next_poly: dict = {}
+        for (avec, bvec), c in poly.items():
+            for (alpha, beta), w in jterms.items():
+                a2 = avec[:cell] + (avec[cell] + alpha,) + avec[cell + 1 :]
+                b2 = bvec[:cell] + (bvec[cell] + beta,) + bvec[cell + 1 :]
+                next_poly[(a2, b2)] = next_poly.get((a2, b2), 0) + c * int(w)
+        poly = next_poly
+    return poly
+
+
+def dict_expand(f: Kernel) -> DictPolynomial:
+    """Brute reference for chaos.expand: orbits found by sorting every
+    multi-index's blocks, visited in lexicographic order of those sorted
+    representatives, and each orbit's Hermite product added term by term
+    into a dict that drops a key whose sum reaches 0."""
+    sums: dict = {}
+    for idx in np.ndindex(*f.coeffs.shape):
+        rep = (tuple(sorted(idx[: f.p])), tuple(sorted(idx[f.p :])))
+        sums[rep] = sums.get(rep, 0j) + complex(f.coeffs[idx])
+    terms: dict = {}
+    for (first, second), c in sorted(sums.items()):
+        if c == 0:
+            continue
+        left = tuple(first.count(k) for k in range(f.n))
+        right = tuple(second.count(k) for k in range(f.n))
+        for key, w in _orbit_poly(left, right).items():
+            acc = terms.get(key, 0j) + c * w
+            if acc == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = acc
+    return DictPolynomial(f.n, terms)
+
+
+def dict_combination(parts) -> DictPolynomial:
+    """Sum of ``dict_expand(kernel).scaled(weight)`` over the ``(weight,
+    kernel)`` parts, one ``+`` after the other from the zero polynomial."""
+    parts = list(parts)
+    total = DictPolynomial(parts[0][1].n, {})
+    for weight, kernel in parts:
+        total = total + dict_expand(kernel).scaled(weight)
+    return total
