@@ -77,7 +77,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-# Monte Carlo draws per estimate; memory grows with samples x cells x 16 bytes.
+# Monte Carlo draws per estimate.  An estimate holds the samples and their
+# values, (cells + 1) x 16 bytes per sample, plus one row block of
+# temporaries; the README gives the time and peak RSS at this cap.
 MAX_SAMPLES = 1_000_000
 
 CHECK_KINDS = (

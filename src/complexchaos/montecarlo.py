@@ -7,6 +7,13 @@ counter-based generator keyed directly with the plan seed, the Gaussian
 transform is the fixed polar map  z = sqrt(-log u1) * exp(2*pi*1j*u2), and
 reductions run over a fixed chunk grid with exact (fsum) combination, so the
 result is independent of how chunks might be distributed across workers.
+
+Sampling and evaluation run over the rows in fixed blocks of ``_BLOCK`` rows,
+so that every temporary of a block stays in cache.  Each row goes through the
+same operations in the same order whatever the block size, and Philox hands
+out the same stream in the same order when drawn block by block, so the
+blocks change no bit of any result.  The reduction grid ``_CHUNK`` is another
+matter: changing it does change the bits of the mean and the spread.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ GENERATOR_NAME = "philox4x64:polar-boxmuller"
 
 # Fixed reduction grid; changing it changes the exact bit pattern of results.
 _CHUNK = 1 << 14
+
+# Rows per block of sampling and evaluation; any size gives the same bits.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -67,38 +77,67 @@ def sample_coordinates(plan: SamplePlan) -> np.ndarray:
     """Array of shape (samples, n): iid standard complex Gaussians, i.e. real
     and imaginary parts independent with variance 1/2 each."""
     gen = np.random.Generator(np.random.Philox(key=plan.seed))
-    u = gen.random((plan.samples, plan.n, 2))
-    radius = np.sqrt(-np.log1p(-u[..., 0]))  # 1 - u in (0, 1], log stays finite
-    return radius * np.exp(2j * math.pi * u[..., 1])
+    out = np.empty((plan.samples, plan.n), dtype=np.complex128)
+    for start in range(0, plan.samples, _BLOCK):
+        block = out[start : start + _BLOCK]
+        u = gen.random((len(block), plan.n, 2))
+        radius = np.sqrt(-np.log1p(-u[..., 0]))  # 1 - u in (0, 1], log stays finite
+        np.multiply(radius, np.exp(2j * math.pi * u[..., 1]), out=block)
+    return out
 
 
 def evaluate_polynomial(poly: "ChaosPolynomial", samples: np.ndarray) -> np.ndarray:
-    """Evaluate a chaos polynomial on a batch of coordinate vectors."""
+    """Evaluate a chaos polynomial on a batch of coordinate vectors.
+
+    Each term is its coefficient times ``z_k**a_k`` for k ascending, then
+    ``conj(z_k)**b_k`` for k ascending, multiplied in that order and added to
+    the total term by term; each distinct power is computed once per block.
+    """
     if samples.ndim != 2 or samples.shape[1] != poly.n:
         raise ValueError(f"samples must have shape (count, {poly.n})")
-    conj = np.conj(samples)
-    powers: dict[tuple[int, int, bool], np.ndarray] = {}
-
-    def power(k: int, e: int, conjugated: bool) -> np.ndarray:
-        key = (k, e, conjugated)
-        hit = powers.get(key)
-        if hit is None:
-            base = conj[:, k] if conjugated else samples[:, k]
-            hit = powers[key] = base**e
-        return hit
-
-    total = np.zeros(samples.shape[0], dtype=np.complex128)
+    # Distinct (cell, exponent, conjugated) powers, and per term its
+    # coefficient with the indices of its factors among them.
+    powers: dict[tuple[int, int, bool], int] = {}
+    terms: list[tuple[complex, list[int]]] = []
     a, b = unpack(poly.z, poly.n).tolist(), unpack(poly.zc, poly.n).tolist()
     for avec, bvec, coeff in zip(a, b, map(complex, poly.re.tolist(), poly.im.tolist())):
-        term = np.full(samples.shape[0], coeff, dtype=np.complex128)
-        for k, e in enumerate(avec):
-            if e:
-                term = term * power(k, e, False)
-        for k, e in enumerate(bvec):
-            if e:
-                term = term * power(k, e, True)
-        total += term
+        factors = [
+            powers.setdefault((k, e, conjugated), len(powers))
+            for conjugated, vec in ((False, avec), (True, bvec))
+            for k, e in enumerate(vec)
+            if e
+        ]
+        terms.append((coeff, factors))
+
+    total = np.zeros(samples.shape[0], dtype=np.complex128)
+    # Two term buffers, so that no product is formed in place: numpy may
+    # round an in-place product differently (seen on one-row arrays).
+    buffers = np.empty((2, min(_BLOCK, len(total))), dtype=np.complex128)
+    for start in range(0, len(total), _BLOCK):
+        rows = samples[start : start + _BLOCK]
+        conj = np.conj(rows)
+        values = [(conj if conjugated else rows)[:, k] ** e for k, e, conjugated in powers]
+        out = total[start : start + _BLOCK]
+        for coeff, factors in terms:
+            if not factors:
+                out += coeff
+                continue
+            term, spare = buffers[:, : len(out)]
+            term.fill(coeff)
+            for f in factors:
+                np.multiply(term, values[f], out=spare)
+                term, spare = spare, term
+            out += term
     return total
+
+
+def _fsum(parts: list[float]) -> float:
+    """Exact sum of the parts, or NaN where ``math.fsum`` raises: on inf + -inf
+    or on an exact sum past the float range."""
+    try:
+        return math.fsum(parts)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _chunked_mean(values: np.ndarray) -> complex:
@@ -108,7 +147,7 @@ def _chunked_mean(values: np.ndarray) -> complex:
         block = values[start : start + _CHUNK]
         re.append(float(np.sum(block.real)))
         im.append(float(np.sum(block.imag)))
-    return complex(math.fsum(re), math.fsum(im)) / len(values)
+    return complex(_fsum(re), _fsum(im)) / len(values)
 
 
 def estimate(poly: "ChaosPolynomial", plan: SamplePlan) -> Estimate:
@@ -121,5 +160,5 @@ def estimate(poly: "ChaosPolynomial", plan: SamplePlan) -> Estimate:
         float(np.sum(np.abs(values[s : s + _CHUNK] - mean) ** 2))
         for s in range(0, len(values), _CHUNK)
     ]
-    sd = math.sqrt(math.fsum(spread) / (plan.samples - 1))
+    sd = math.sqrt(_fsum(spread) / (plan.samples - 1))
     return Estimate(value=mean, stderr=sd / math.sqrt(plan.samples), samples=plan.samples)

@@ -576,12 +576,18 @@ def asymptotic_decay_reports(
 def mc_sigma(f: Kernel, plan: montecarlo.SamplePlan) -> tuple[montecarlo.Estimate, float, float]:
     """Sampled vs exact second moment of the integral of f: the estimate, the
     oracle value and their distance in standard errors (0 when the sampled
-    spread vanishes)."""
+    spread is a finite zero, NaN when the estimate, its standard error or the
+    oracle value is not finite)."""
     poly = expand(f)
     sq = poly * poly.conjugate()
     est = montecarlo.estimate(sq, plan)
     target = oracle.expectation(sq).real
-    sigma = abs(est.value - target) / est.stderr if est.stderr > 0 else 0.0
+    if not all(map(math.isfinite, (est.value.real, est.value.imag, est.stderr, target))):
+        sigma = math.nan
+    elif est.stderr > 0:
+        sigma = abs(est.value - target) / est.stderr
+    else:
+        sigma = 0.0
     return est, target, sigma
 
 
@@ -595,7 +601,9 @@ def mc_isometry_report(
     max_cells: int = 3,
 ) -> VerificationReport:
     """Sampled second moments vs oracle values: the estimate must land within
-    ``max_sigma`` standard errors in at least ``min_fraction`` of the cases."""
+    ``max_sigma`` standard errors in at least ``min_fraction`` of the cases.
+    A kernel whose sigma is not finite fails the battery outright (NaN
+    residual) instead of counting as one case outside the band."""
     rng = np.random.default_rng(seed)
     within = 0
     worst_sigma = 0.0
@@ -610,9 +618,10 @@ def mc_isometry_report(
         if sigma <= max_sigma:
             within += 1
     fraction = within / kernels
+    shortfall = worst_of(0.0, min_fraction - fraction)
     return VerificationReport(
         name="mc-isometry",
-        residual=worst_of(0.0, min_fraction - fraction),
+        residual=shortfall if math.isfinite(worst_sigma) else math.nan,
         tolerance=STRUCTURAL_TOL,
         metadata={
             "seed": seed,

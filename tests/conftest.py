@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from complexchaos import Kernel
+from complexchaos.oracle import unpack
 
 
 @pytest.fixture
@@ -171,4 +174,41 @@ def dict_combination(parts) -> DictPolynomial:
     total = DictPolynomial(parts[0][1].n, {})
     for weight, kernel in parts:
         total = total + dict_expand(kernel).scaled(weight)
+    return total
+
+
+def reference_sample_coordinates(plan) -> np.ndarray:
+    """Reference for montecarlo.sample_coordinates: the sampler as it was
+    before row blocks, drawing every uniform in one call."""
+    gen = np.random.Generator(np.random.Philox(key=plan.seed))
+    u = gen.random((plan.samples, plan.n, 2))
+    radius = np.sqrt(-np.log1p(-u[..., 0]))
+    return radius * np.exp(2j * math.pi * u[..., 1])
+
+
+def reference_evaluate_polynomial(poly, samples: np.ndarray) -> np.ndarray:
+    """Reference for montecarlo.evaluate_polynomial: the evaluator as it was
+    before row blocks, one term at a time over all rows."""
+    conj = np.conj(samples)
+    powers: dict = {}
+
+    def power(k: int, e: int, conjugated: bool) -> np.ndarray:
+        key = (k, e, conjugated)
+        hit = powers.get(key)
+        if hit is None:
+            base = conj[:, k] if conjugated else samples[:, k]
+            hit = powers[key] = base**e
+        return hit
+
+    total = np.zeros(samples.shape[0], dtype=np.complex128)
+    a, b = unpack(poly.z, poly.n).tolist(), unpack(poly.zc, poly.n).tolist()
+    for avec, bvec, coeff in zip(a, b, map(complex, poly.re.tolist(), poly.im.tolist())):
+        term = np.full(samples.shape[0], coeff, dtype=np.complex128)
+        for k, e in enumerate(avec):
+            if e:
+                term = term * power(k, e, False)
+        for k, e in enumerate(bvec):
+            if e:
+                term = term * power(k, e, True)
+        total += term
     return total

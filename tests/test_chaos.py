@@ -417,6 +417,24 @@ class TestNonFiniteResiduals:
         assert len(calls) > position
         assert not report.passed
 
+    def test_nan_sigma_fails_mc_battery(self, monkeypatch):
+        # One non-finite kernel of 50 is not forgiven by the 95% rule.
+        real = suites.mc_sigma
+        calls = []
+
+        def one_nan(*args):
+            calls.append(None)
+            est, target, sigma = real(*args)
+            return est, target, math.nan if len(calls) == 17 else sigma
+
+        assert suites.mc_isometry_report(kernels=50, samples=200).passed
+        monkeypatch.setattr(suites, "mc_sigma", one_nan)
+        report = suites.mc_isometry_report(kernels=50, samples=200)
+        assert len(calls) == 50
+        assert report.metadata["fraction_within"] == 0.98
+        assert math.isnan(report.residual)
+        assert not report.passed
+
     def test_nan_kernel_fails_hypercontractivity(self):
         f = Kernel.from_entries(1, 0, 2, {(0,): math.nan})
         assert not hypercontractivity_check(f).passed

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -276,6 +277,25 @@ class TestRun:
             ],
         )
         assert cli.main(["run", write_scenario(tmp_path, scenario)]) == 0
+
+    @pytest.mark.parametrize("samples", [1000, 100_000])
+    @pytest.mark.parametrize("exponent", range(150, 156))
+    def test_overflowing_mc_estimate_never_passes(self, tmp_path, capsys, exponent, samples):
+        # |f|^2 reaches the float range here: the estimate, its standard error
+        # or the oracle value overflows, and the check must not pass.
+        entries = [{"idx": [0, 0], "re": 10.0**exponent}]
+        scenario = {
+            "measure": {"masses": [1.0]},
+            "kernels": [{"name": "f", "p": 1, "q": 1, "entries": entries}],
+            "checks": [{"name": "mc", "kind": "mc-estimate", "f": "f", "samples": samples}],
+        }
+        report = tmp_path / "out.json"
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", write_scenario(tmp_path, scenario), "--report", str(report)])
+        assert code != 0
+        if code == 1:
+            (record,) = json.loads(report.read_text())["checks"]
+            assert record["pass"] is False and math.isnan(record["residual"])
 
     def test_grid_obeys_run_caps(self, tmp_path, capsys):
         caps = ["--max-order", "2", "--max-cells", "1"]

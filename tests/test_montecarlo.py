@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from complexchaos import ChaosPolynomial, Kernel, expand, random_kernel
+from complexchaos import ChaosPolynomial, Kernel, expand, montecarlo, random_kernel
 from complexchaos.montecarlo import (
     GENERATOR_NAME,
     SamplePlan,
@@ -12,11 +13,34 @@ from complexchaos.montecarlo import (
     sample_coordinates,
 )
 from complexchaos.oracle import expectation
-from conftest import DictPolynomial
+from conftest import DictPolynomial, reference_evaluate_polynomial, reference_sample_coordinates
+
+BLOCK = montecarlo._BLOCK
+ROW_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37]
 
 
 def poly(n, entries):
     return ChaosPolynomial(n, {(tuple(a), tuple(b)): c for (a, b), c in entries.items()})
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+coefficients = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polynomials(draw):
+    """Up to six terms on 1..8 cells with exponents 0..3, plus an optional
+    constant term; no terms at all gives the zero polynomial."""
+    n = draw(st.integers(1, 8))
+    exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    terms = draw(st.dictionaries(st.tuples(exponents, exponents), coefficients, max_size=6))
+    if draw(st.booleans()):
+        terms[((0,) * n, (0,) * n)] = draw(coefficients)
+    return ChaosPolynomial(n, terms)
 
 
 class TestSamplePlan:
@@ -95,9 +119,63 @@ class TestEvaluate:
         for k in range(8):
             assert batch[k] == pytest.approx(reference.evaluate(z[k]), rel=1e-12)
 
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
+    def test_constant_and_zero_polynomials(self, rows, dtype):
+        z = reference_sample_coordinates(SamplePlan(seed=2, samples=max(rows, 2), n=3))[:rows]
+        z = z.astype(dtype) if dtype != np.float64 else z.real.copy()
+        for p in (ChaosPolynomial.constant(2.5 - 1j, 3), ChaosPolynomial(3, {})):
+            assert_same_bits(evaluate_polynomial(p, z), reference_evaluate_polynomial(p, z))
+
     def test_shape_guard(self):
         with pytest.raises(ValueError):
             evaluate_polynomial(ChaosPolynomial.constant(1.0, 2), np.zeros((4, 3), complex))
+
+
+class TestAgainstReference:
+    """Row blocks against the unblocked sampler and evaluator, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        poly=polynomials(),
+        rows=st.sampled_from(ROW_COUNTS),
+        dtype=st.sampled_from([np.complex128, np.float64, np.complex64]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_unblocked_reference(self, poly, rows, dtype, seed):
+        plan = SamplePlan(seed=seed, samples=max(rows, 2), n=poly.n)
+        z = sample_coordinates(plan)
+        assert_same_bits(z, reference_sample_coordinates(plan))
+        z = z[:rows]
+        z = z.astype(dtype) if dtype != np.float64 else z.real.copy()
+        assert_same_bits(evaluate_polynomial(poly, z), reference_evaluate_polynomial(poly, z))
+
+
+class TestBlockSize:
+    """The row block is a cache size only: any block size gives the same bits."""
+
+    @pytest.fixture(scope="class")
+    def poly(self):
+        f = expand(random_kernel(2, 1, 3, np.random.default_rng(4)))
+        return f * f.conjugate()
+
+    def results(self, poly):
+        plan = SamplePlan(seed=21, samples=1000, n=3)
+        z = sample_coordinates(plan)
+        at_point = poly.evaluate([0.3 - 1.2j, 0.7j, -1.1])
+        return z, evaluate_polynomial(poly, z), estimate(poly, plan), at_point
+
+    def test_block_size_changes_no_bit(self, monkeypatch, poly):
+        z, values, est, at_point = self.results(poly)
+        for block in (1, 3, BLOCK):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            z2, values2, est2, at_point2 = self.results(poly)
+            assert_same_bits(z2, z)
+            assert_same_bits(values2, values)
+            assert est2 == est
+            assert at_point2 == at_point
+        point = np.array([[0.3 - 1.2j, 0.7j, -1.1]])
+        assert at_point == complex(reference_evaluate_polynomial(poly, point)[0])
 
 
 class TestOracleAgreement:
