@@ -47,7 +47,7 @@ from .kernels import (
     orbit_table,
     reversed_conjugate,
 )
-from .oracle import MAX_EXPONENT, cmul, key_sum, pack, unpack
+from .oracle import MAX_EXPONENT, cmul, key_sum, layout_key, pack, unpack
 
 __all__ = [
     "ChaosPolynomial",
@@ -81,24 +81,11 @@ STRUCTURAL_TOL = 1e-12
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-# Up to this many terms, Python loops (a dict grouping them, a running sum
-# per group) are faster than sorting them, because of numpy's per-call cost.
-_FEW_KEYS = 48
-
-
 def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal keys, numbering the groups in order of first occurrence:
-    the first index of every group and the group of every index."""
-    if len(z) <= _FEW_KEYS:
-        seen: dict[tuple[int, int], int] = {}
-        first: list[int] = []
-        group = []
-        for i, key in enumerate(zip(z.tolist(), zc.tolist())):
-            g = seen.setdefault(key, len(first))
-            if g == len(first):
-                first.append(i)
-            group.append(g)
-        return np.array(first, dtype=np.intp), np.array(group, dtype=np.intp)
+    """Key plan of terms keyed ``z`` and ``zc``: the distinct keys in order
+    of first occurrence, as the rows of one (2, keys) array, and every
+    term's group, the index of its key there, as int32 (which halves the
+    plans that ``cached_by_shape`` keeps)."""
     order = np.lexsort((zc, z))  # stable
     sz, szc = z[order], zc[order]
     new = np.empty(len(z), dtype=bool)
@@ -110,48 +97,8 @@ def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = first.argsort()
     label = np.empty(len(first), dtype=np.intp)
     label[rank] = np.arange(len(first))
-    return first[rank], label[group]
-
-
-def _insertions(group: np.ndarray, re: np.ndarray, im: np.ndarray, first: np.ndarray):
-    """For every group, the index of the term that last inserted its key into
-    a dict that adds the terms in order and drops a key whose sum reaches 0:
-    the term after the group's last zero partial sum, else its first term;
-    None if that is the first term of every group.  Terms are nonzero, so
-    only a group of three or more can have a zero partial sum before its
-    last term.  Few terms are summed one by one; otherwise the partial sums
-    are running sums along the rows of a zero-padded (groups, width) array,
-    one array per band of group sizes up to a power of 2."""
-    size = np.bincount(group)
-    if size.max(initial=0) < 3:
-        return None
-    if len(group) <= _FEW_KEYS:
-        at, sums = first.tolist(), [0j] * len(first)
-        for i, (g, c) in enumerate(zip(group.tolist(), map(complex, re.tolist(), im.tolist()))):
-            if sums[g] == 0:
-                at[g] = i
-            sums[g] += c
-        return None if at == first.tolist() else np.array(at)
-    order = group.argsort(kind="stable")  # each group's terms, in input order
-    start = size.cumsum() - size
-    at = None
-    rows = (size > 2).nonzero()[0]
-    width = 4
-    while len(rows):
-        here, rows = rows[size[rows] <= width], rows[size[rows] > width]
-        rank = np.arange(width - 1)
-        inside = rank < size[here, None] - 1  # the sums before the last term
-        terms = order[np.where(inside, start[here, None] + rank, 0)]
-        zero = inside
-        for part in (re, im):
-            zero = zero & (np.where(inside, part[terms], 0.0).cumsum(axis=1) == 0)
-        hit = zero.any(axis=1).nonzero()[0]
-        if len(hit):
-            at = first.copy() if at is None else at
-            last = width - 2 - zero[hit, ::-1].argmax(axis=1)
-            at[here[hit]] = order[start[here[hit]] + last + 1]
-        width *= 2
-    return at
+    first = first[rank]
+    return np.stack((z[first], zc[first])), label[group].astype(np.int32)
 
 
 class ChaosPolynomial:
@@ -159,18 +106,26 @@ class ChaosPolynomial:
 
     Term t is ``re[t] + 1j * im[t]`` times prod_k z_k**a_k * conj(z_k)**b_k,
     where a and b are the exponents packed in the keys ``z[t]`` and ``zc[t]``
-    (see ``oracle.pack``).  Keys are distinct, zero coefficients are not
-    stored, and terms are in the order in which a dict accumulating the same
-    operations would hold them, so results match such a dict bit for bit:
-    products keep keys where they first occur, while sums (``+``, ``-`` and
-    ``expand``) drop a key whose sum reaches 0 and put it last if it comes
-    back.
+    (see ``oracle.pack``).  Keys are distinct and zero coefficients are not
+    stored.  Products, sums and ``expand`` hold their keys in order of first
+    occurrence among the terms they add up (products take term pairs in
+    row-major order); that order is not part of a polynomial's value.  A
+    key's coefficient is the sum of its terms in that order, from 0.0.
+
+    ``layout`` is a hashable token that fixes the keys and their order:
+    ``("expand", n, p, q)`` for the expansion of a kernel, ``("mul", A, B)``
+    for a product, ``("conj", A)`` for a conjugate and ``("sum", A, B, ...)``
+    for a sum of operands of layouts A, B, ...; scaling keeps it.  It is None
+    for a polynomial built from a mapping and for a result that dropped a
+    zero coefficient.  Key work that depends only on layouts (groupings,
+    product keys, oracle joins) is planned once per layout and cached with
+    ``kernels.cached_by_shape``.
     ``terms`` is the same polynomial as a read-only mapping
     ``{(a, b): coefficient}``, built on first use.  Treated as immutable
     everywhere.
     """
 
-    __slots__ = ("n", "z", "zc", "re", "im", "_terms")
+    __slots__ = ("n", "z", "zc", "re", "im", "layout", "_terms")
 
     def __init__(self, n: int, terms: Mapping[ExponentKey, complex]) -> None:
         if not 0 <= n <= MAX_CELLS:
@@ -190,44 +145,34 @@ class ChaosPolynomial:
             pack(exps[:, n:]),
             np.array([c.real for _, c in items]),
             np.array([c.imag for _, c in items]),
+            None,
         )
 
-    def _set(self, n: int, z, zc, re, im) -> None:
-        self.n, self.z, self.zc, self.re, self.im = n, z, zc, re, im
+    def _set(self, n: int, z, zc, re, im, layout) -> None:
+        self.n, self.z, self.zc, self.re, self.im, self.layout = n, z, zc, re, im, layout
         self._terms = None
 
     @classmethod
-    def _of(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
-        """Polynomial of distinct keys; zero coefficients are dropped."""
+    def _of(cls, n: int, z, zc, re, im, layout) -> "ChaosPolynomial":
+        """Polynomial of distinct keys; zero coefficients are dropped, and
+        with them the layout."""
         live = np.logical_or(re, im)
         if np.count_nonzero(live) < len(live):
-            z, zc, re, im = z[live], zc[live], re[live], im[live]
+            z, zc, re, im, layout = z[live], zc[live], re[live], im[live], None
         poly = cls.__new__(cls)
-        poly._set(n, z, zc, re, im)
+        poly._set(n, z, zc, re, im, layout)
         return poly
 
     @classmethod
-    def _grouped(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
-        """Polynomial summing the terms of equal keys, keys in order of first
-        occurrence, as a dict that keeps a key whose sum reaches 0 holds them
-        (products do).  Sums add in input order from 0.0, as a dict updated
-        term by term adds."""
-        first, group = _groups(z, zc)
-        re, im = np.bincount(group, re), np.bincount(group, im)
-        return cls._of(n, z[first], zc[first], re, im)
-
-    @classmethod
-    def _summed(cls, n: int, z, zc, re, im) -> "ChaosPolynomial":
-        """Like ``_grouped``, for nonzero terms and a dict that drops a key
-        whose sum reaches 0 (sums do), so that a key which comes back after
-        that is put last."""
-        first, group = _groups(z, zc)
-        at = _insertions(group, re, im, first)
-        re, im = np.bincount(group, re), np.bincount(group, im)
-        if at is not None:
-            order = at.argsort()
-            first, re, im = at[order], re[order], im[order]
-        return cls._of(n, z[first], zc[first], re, im)
+    def _grouped(cls, n: int, plan: tuple, re, im, layout) -> "ChaosPolynomial":
+        """Polynomial of the terms ``re + 1j * im`` grouped by the key plan
+        ``(keys, group)`` (see ``_groups``; group is None when the terms are
+        the groups)."""
+        keys, group = plan
+        z, zc = keys[0], keys[1]  # faster than unpacking the rows
+        if group is not None:
+            re, im = np.bincount(group, re), np.bincount(group, im)
+        return cls._of(n, z, zc, re, im, layout)
 
     @property
     def terms(self) -> Mapping[ExponentKey, complex]:
@@ -264,13 +209,11 @@ class ChaosPolynomial:
         if not isinstance(other, ChaosPolynomial):
             return self.scaled(other)
         self._check_vars(other)
+        layout = layout_key("mul", self.layout, other.layout)
+        plan = cached_by_shape(layout, lambda: _product_keys(self, other))
         # Term pairs in row-major order, the order of the dict's double loop.
         re, im = cmul(self.re[:, None], self.im[:, None], other.re, other.im)
-        z = key_sum(self.z[:, None], other.z).ravel()
-        zc = key_sum(self.zc[:, None], other.zc).ravel()
-        if len(self.re) == 1 or len(other.re) == 1:  # keys stay distinct
-            return ChaosPolynomial._of(self.n, z, zc, re.ravel(), im.ravel())
-        return ChaosPolynomial._grouped(self.n, z, zc, re.ravel(), im.ravel())
+        return ChaosPolynomial._grouped(self.n, plan, re.ravel(), im.ravel(), layout)
 
     def __rmul__(self, scalar: complex) -> "ChaosPolynomial":
         return self.scaled(scalar)
@@ -278,7 +221,7 @@ class ChaosPolynomial:
     def scaled(self, scalar: complex) -> "ChaosPolynomial":
         s = complex(scalar)
         re, im = cmul(self.re, self.im, s.real, s.imag)
-        return ChaosPolynomial._of(self.n, self.z, self.zc, re, im)
+        return ChaosPolynomial._of(self.n, self.z, self.zc, re, im, self.layout)
 
     def __pow__(self, power: int) -> "ChaosPolynomial":
         if power < 0:
@@ -289,7 +232,8 @@ class ChaosPolynomial:
         return out
 
     def conjugate(self) -> "ChaosPolynomial":
-        return ChaosPolynomial._of(self.n, self.zc, self.z, self.re, -self.im)
+        layout = layout_key("conj", self.layout)
+        return ChaosPolynomial._of(self.n, self.zc, self.z, self.re, -self.im, layout)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         return complex(montecarlo.evaluate_polynomial(self, np.array([point], dtype=complex))[0])
@@ -300,19 +244,40 @@ class ChaosPolynomial:
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
         # Adding -other rounds exactly as subtracting other does.
-        z, zc, re, im = _joined([(self, 1), (other, -1)])
-        group = _groups(z, zc)[1]
+        parts = [(self, 1), (other, -1)]
+        group = _sum_keys(parts, layout_key("sum", self.layout, other.layout))[1]
+        re, im = _sum_values(parts)
         return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
 
-def _joined(parts: Sequence[tuple[ChaosPolynomial, float]]) -> tuple[np.ndarray, ...]:
-    """Keys and coefficients of ``poly.scaled(w)`` for the ``(poly, w)``
-    parts, one after the other, for integer or float w.  Scaling by a real
-    number rounds as ``scaled`` does up to the signs of zeros, which the sums
-    over groups make +0.0."""
+def _product_keys(x: ChaosPolynomial, y: ChaosPolynomial) -> tuple:
+    """Key plan of ``x * y``: term pair (i, j) has the key sum of x's term i
+    and y's term j.  Raises ValueError where an exponent passes the digit."""
+    z = key_sum(x.z[:, None], y.z).ravel()
+    zc = key_sum(x.zc[:, None], y.zc).ravel()
+    if len(x.z) == 1 or len(y.z) == 1:  # keys stay distinct
+        return np.stack((z, zc)), None
+    return _groups(z, zc)
+
+
+def _sum_keys(parts: Sequence[tuple[ChaosPolynomial, float]], layout) -> tuple:
+    """Key plan of the sum of the parts' polynomials, one after the other,
+    whose layout is ``layout``."""
+    return cached_by_shape(
+        layout,
+        lambda: _groups(
+            np.concatenate([poly.z for poly, _ in parts]),
+            np.concatenate([poly.zc for poly, _ in parts]),
+        ),
+    )
+
+
+def _sum_values(parts: Sequence[tuple[ChaosPolynomial, float]]) -> tuple[np.ndarray, ...]:
+    """Coefficients of ``poly.scaled(w)`` for the ``(poly, w)`` parts, one
+    after the other, for integer or float w.  Scaling by a real number
+    rounds as ``scaled`` does up to the signs of zeros, which the sums over
+    groups make +0.0."""
     return (
-        np.concatenate([p.z for p, _ in parts]),
-        np.concatenate([p.zc for p, _ in parts]),
         np.concatenate([p.re * w if w != 1 else p.re for p, w in parts]),
         np.concatenate([p.im * w if w != 1 else p.im for p, w in parts]),
     )
@@ -321,7 +286,8 @@ def _joined(parts: Sequence[tuple[ChaosPolynomial, float]]) -> tuple[np.ndarray,
 def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
     """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts (w nonzero), as
     if each part were scaled and added after the one before."""
-    return ChaosPolynomial._summed(n, *_joined(parts))
+    layout = layout_key("sum", *(poly.layout for poly, _ in parts))
+    return ChaosPolynomial._grouped(n, _sum_keys(parts, layout), *_sum_values(parts), layout)
 
 
 def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
@@ -404,8 +370,8 @@ def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     polynomials (rho = 1) whose degrees are the cell's slot counts in the two
     blocks.  Its terms run orbit by orbit; within an orbit, cell 0 varies
     slowest and each cell's Hermite terms keep their order in
-    ``hermite.build``.  Returned: each term's orbit, integer weight (as a
-    float) and packed keys.
+    ``hermite.build``.  Returned: each term's orbit and integer weight (as
+    a float), then the key plan of the terms (see ``_groups``).
     """
 
     def build():
@@ -431,7 +397,7 @@ def _orbit_terms(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
             j += start[slots][src]
             orbit, a, b, w = orbit[src], a[src], b[src], w[src] * weight[j]
             a[:, cell], b[:, cell] = alpha[j], beta[j]
-        return orbit, w.astype(float), pack(a), pack(b)
+        return (orbit, w.astype(float)) + _groups(pack(a), pack(b))
 
     return cached_by_shape(("terms", n, p, q), build)
 
@@ -446,17 +412,17 @@ def expand(f: Kernel) -> ChaosPolynomial:
     match the diagonal-free continuum integral.
     """
     ids = orbit_table(f.n, f.p, f.q)[0]
-    orbit, w, z, zc = _orbit_terms(f.n, f.p, f.q)
-    flat = f.coeffs.ravel()
-    sums_re, sums_im = np.bincount(ids, flat.real), np.bincount(ids, flat.imag)
+    orbit, w, *plan = _orbit_terms(f.n, f.p, f.q)
+    # Raveling the parts, not the tensor, copies half as much from a view.
+    sums_re = np.bincount(ids, f.coeffs.real.ravel())
+    sums_im = np.bincount(ids, f.coeffs.imag.ravel())
     # A term's coefficient is its orbit's sum times its weight.  Python's
     # complex-times-int would also add products with 0.0; they only flip the
-    # signs of zeros, which every sum below turns into +0.0.  Orbits with a
-    # zero sum add no terms.
-    live = np.logical_or(sums_re, sums_im)[orbit]
-    o, z, zc = orbit[live], z[live], zc[live]
-    re, im = sums_re[o] * w[live], sums_im[o] * w[live]
-    return ChaosPolynomial._summed(f.n, z, zc, re, im)
+    # signs of zeros, which the sums over keys turn into +0.0.  So do the
+    # terms of an orbit whose sum is zero: they are +-0.0, change no sum,
+    # and leave a key that only they have at +0.0, which is dropped.
+    re, im = sums_re[orbit] * w, sums_im[orbit] * w
+    return ChaosPolynomial._grouped(f.n, plan, re, im, ("expand", f.n, f.p, f.q))
 
 
 def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:

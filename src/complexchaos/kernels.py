@@ -186,31 +186,48 @@ class ContractionSpec:
             raise ValueError("contraction counts must be non-negative")
 
 
-# Per-shape tables (orbit tables here, expansion arrays in chaos) share one
-# byte budget with least-recently-used eviction; the newest entry always
-# stays.  The shapes of the largest benchmark workload take 23 MiB; one
-# orbit table at the caps, (8,0) or (4,4) on 8 cells, takes 128 MiB.
+# Per-shape tables (orbit tables here; expansion arrays and the plans of
+# polynomial operations in chaos and oracle) share one byte budget with
+# least-recently-used eviction; the newest entry always stays.  One orbit
+# table at the caps, (8,0) or (4,4) on 8 cells, takes 128 MiB.
 _CACHE_BYTES = 256 << 20
-_SHAPE_CACHE: OrderedDict[tuple, tuple[tuple[np.ndarray, ...], int]] = OrderedDict()
 
 
+class _ShapeCache(OrderedDict):
+    """Entries ``key: (arrays, bytes)``, least recently used first, with the
+    running byte total of all of them in ``nbytes``."""
+
+    nbytes = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
+_SHAPE_CACHE = _ShapeCache()
 _CACHE_LOCK = threading.Lock()
 
 
-def cached_by_shape(key: tuple, build: Callable[[], tuple[np.ndarray, ...]]) -> tuple:
-    """``build()``'s arrays, built once per ``key`` and kept under the budget.
-    Safe to call from several threads; two may build the same entry."""
+def cached_by_shape(key: tuple | None, build: Callable[[], tuple]) -> tuple:
+    """``build()``'s arrays (None counts as no array), built once per ``key``
+    and kept under the budget; a key of None caches nothing.  Safe to call
+    from several threads; two may build the same entry."""
+    if key is None:
+        return build()
+    cache = _SHAPE_CACHE
     with _CACHE_LOCK:
-        hit = _SHAPE_CACHE.get(key)
+        hit = cache.get(key)
         if hit is not None:
-            _SHAPE_CACHE.move_to_end(key)
+            cache.move_to_end(key)
             return hit[0]
     arrays = build()
+    size = sum(a.nbytes for a in arrays if a is not None)
     with _CACHE_LOCK:
-        _SHAPE_CACHE[key] = (arrays, sum(a.nbytes for a in arrays))
-        total = sum(size for _, size in _SHAPE_CACHE.values())
-        while total > _CACHE_BYTES and len(_SHAPE_CACHE) > 1:
-            total -= _SHAPE_CACHE.popitem(last=False)[1][1]
+        old = cache.pop(key, None)
+        cache[key] = (arrays, size)
+        cache.nbytes += size - (old[1] if old else 0)
+        while cache.nbytes > _CACHE_BYTES and len(cache) > 1:
+            cache.nbytes -= cache.popitem(last=False)[1][1]
     return arrays
 
 
@@ -252,8 +269,9 @@ def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
     if max(p, q) <= 1:
         return f
     ids, sizes, _, _ = orbit_table(f.n, p, q)
-    flat = f.coeffs.ravel()
-    sums = np.bincount(ids, flat.real).astype(complex) + 1j * np.bincount(ids, flat.imag)
+    # Raveling the parts, not the tensor, copies half as much from a view.
+    re = np.bincount(ids, f.coeffs.real.ravel())
+    sums = re.astype(complex) + 1j * np.bincount(ids, f.coeffs.imag.ravel())
     mean = sums / sizes
     return Kernel(f.p, f.q, f.n, mean[ids].reshape(f.coeffs.shape))
 

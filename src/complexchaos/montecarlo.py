@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .oracle import unpack
+from .oracle import exact_sum, unpack
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chaos import ChaosPolynomial
@@ -131,15 +131,6 @@ def evaluate_polynomial(poly: "ChaosPolynomial", samples: np.ndarray) -> np.ndar
     return total
 
 
-def _fsum(parts: list[float]) -> float:
-    """Exact sum of the parts, or NaN where ``math.fsum`` raises: on inf + -inf
-    or on an exact sum past the float range."""
-    try:
-        return math.fsum(parts)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
 def _chunked_mean(values: np.ndarray) -> complex:
     re: list[float] = []
     im: list[float] = []
@@ -147,7 +138,7 @@ def _chunked_mean(values: np.ndarray) -> complex:
         block = values[start : start + _CHUNK]
         re.append(float(np.sum(block.real)))
         im.append(float(np.sum(block.imag)))
-    return complex(_fsum(re), _fsum(im)) / len(values)
+    return complex(exact_sum(re), exact_sum(im)) / len(values)
 
 
 def estimate(poly: "ChaosPolynomial", plan: SamplePlan) -> Estimate:
@@ -160,5 +151,5 @@ def estimate(poly: "ChaosPolynomial", plan: SamplePlan) -> Estimate:
         float(np.sum(np.abs(values[s : s + _CHUNK] - mean) ** 2))
         for s in range(0, len(values), _CHUNK)
     ]
-    sd = math.sqrt(_fsum(spread) / (plan.samples - 1))
+    sd = math.sqrt(exact_sum(spread) / (plan.samples - 1))
     return Estimate(value=mean, stderr=sd / math.sqrt(plan.samples), samples=plan.samples)

@@ -15,17 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import MAX_CELLS
+from .kernels import MAX_CELLS, cached_by_shape
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chaos import ChaosPolynomial
 
 __all__ = [
     "MomentQuery",
+    "exact_sum",
     "expectation",
     "monomial_expectation",
     "pair_expectation",
@@ -54,6 +55,13 @@ def key_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.count_nonzero((a ^ b ^ total) & _CARRIES):
         raise ValueError(f"an exponent would pass {MAX_EXPONENT}")
     return total
+
+
+def layout_key(kind: str, *layouts) -> tuple | None:
+    """``(kind, *layouts)``, or None if one of the layouts is None: the layout
+    of a polynomial that ``kind`` builds from operands of these layouts (see
+    ``ChaosPolynomial``), and the cache key of a plan for them."""
+    return None if None in layouts else (kind, *layouts)
 
 
 def unpack(keys: np.ndarray, n: int) -> np.ndarray:
@@ -119,70 +127,86 @@ def _weights(keys: np.ndarray, n: int) -> np.ndarray:
     return weights
 
 
+def exact_sum(values: Iterable[float]) -> float:
+    """``math.fsum`` of the values, or NaN where it raises: on inf + -inf or
+    on an exact sum past the float range."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _diagonal(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the terms with a nonzero expectation, and their weights."""
+    diagonal = np.flatnonzero(poly.z == poly.zc)
+    return diagonal, _weights(poly.z[diagonal], poly.n)
+
+
 def expectation(poly: "ChaosPolynomial") -> complex:
-    """Linear extension of the monomial rule, fsum-accumulated."""
-    diagonal = poly.z == poly.zc
-    w = _weights(poly.z[diagonal], poly.n)
+    """Linear extension of the monomial rule, summed exactly (NaN where the
+    exact sum leaves the float range)."""
+    diagonal, w = cached_by_shape(layout_key("expectation", poly.layout), lambda: _diagonal(poly))
     return complex(
-        math.fsum((poly.re[diagonal] * w).tolist()), math.fsum((poly.im[diagonal] * w).tolist())
+        exact_sum((poly.re[diagonal] * w).tolist()), exact_sum((poly.im[diagonal] * w).tolist())
     )
 
 
-# Term pairs a join materializes at once.
+# Term pairs a join evaluates at once.
 _JOIN_BLOCK = 1 << 16
 
 
-def _matches(left: "ChaosPolynomial", right: "ChaosPolynomial") -> Iterator[tuple]:
-    """Index arrays (li, ri) of the term pairs whose z-exponent surpluses
-    cancel, left-major, in blocks of at most _JOIN_BLOCK pairs (or of one
-    left term).  Few pairs are compared all at once; otherwise the right
-    terms are sorted by their packed surplus and each left term finds its
-    matches by binary search."""
+def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
+    """The term pairs whose z-exponent surpluses cancel and their weights.
+
+    The right terms are sorted by their packed surplus and each left term
+    finds its matches by binary search.  Packed surpluses can also agree for
+    a pair whose exponent sums pass MAX_EXPONENT; such a pair raises
+    ValueError.  Returned compactly, since ``cached_by_shape`` keeps it: the
+    pairs as the rows (li, ri) of one (2, pairs) int32 array, the distinct
+    weights, and each pair's index among them in the smallest unsigned type.
+    """
     want = left.z - left.zc
     surplus = right.zc - right.z
-    if len(want) * len(surplus) <= _JOIN_BLOCK:
-        yield np.nonzero(want[:, None] == surplus)
-        return
-    order = surplus.argsort(kind="stable")
+    order = surplus.argsort(kind="stable").astype(np.int32)
     surplus = surplus[order]
     lo = surplus.searchsorted(want, "left")
     hits = surplus.searchsorted(want, "right") - lo
-    ends = hits.cumsum()
-    offset = lo - ends + hits  # right position minus match number
-    start = 0
-    while start < len(hits):
-        base = int(ends[start] - hits[start])
-        stop = max(int(ends.searchsorted(base + _JOIN_BLOCK, "right")), start + 1)
-        times = hits[start:stop]
-        li = np.arange(start, stop).repeat(times)
-        yield li, order[np.arange(base, int(ends[stop - 1])) + offset[start:stop].repeat(times)]
-        start = stop
+    li = np.arange(len(want), dtype=np.int32).repeat(hits)
+    pairs = np.stack((li, order[np.arange(len(li)) + (lo - hits.cumsum() + hits).repeat(hits)]))
+    weights = np.empty(len(li))
+    for s in range(0, len(li), _JOIN_BLOCK):
+        l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
+        key_sum(left.zc[l], right.zc[r])
+        weights[s : s + _JOIN_BLOCK] = _weights(key_sum(left.z[l], right.z[r]), left.n)
+    table, index = np.unique(weights, return_inverse=True)
+    return pairs, table, index.astype(np.min_scalar_type(len(table)))
 
 
 def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> complex:
     """E[left * right] without materializing the product.
 
     A pair of monomials contributes only when the z-exponent surplus of one
-    cancels the other (a1 - b1 == b2 - a2 componentwise).  Pairs are matched
-    on packed surpluses, which can also agree for a pair whose exponent sums
-    pass MAX_EXPONENT; such a pair raises ValueError.
+    cancels the other (a1 - b1 == b2 - a2 componentwise).  The pairs are
+    joined once per pair of layouts (see ``_join``) and summed exactly, NaN
+    where the exact sum leaves the float range.
     """
     if left.n != right.n:
         raise ValueError("variable count mismatch")
+    key = layout_key("pair", left.layout, right.layout)
+    pairs, table, index = cached_by_shape(key, lambda: _join(left, right))
     re: list[np.ndarray] = []
     im: list[np.ndarray] = []
-    for li, ri in _matches(left, right):
-        z = key_sum(left.z[li], right.z[ri])
-        key_sum(left.zc[li], right.zc[ri])
-        w = _weights(z, left.n)
-        vr, vi = cmul(left.re[li], left.im[li], right.re[ri], right.im[ri])
+    for s in range(0, len(index), _JOIN_BLOCK):
+        l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
+        w = table.take(index[s : s + _JOIN_BLOCK])
+        vr, vi = cmul(left.re.take(l), left.im.take(l), right.re.take(r), right.im.take(r))
         re.append(vr * w)
         im.append(vi * w)
-    return complex(_fsum(re), _fsum(im))
-
-
-def _fsum(blocks: list[np.ndarray]) -> float:
-    return math.fsum(itertools.chain.from_iterable(block.tolist() for block in blocks))
+    chain = itertools.chain.from_iterable
+    return complex(
+        exact_sum(chain(block.tolist() for block in re)),
+        exact_sum(chain(block.tolist() for block in im)),
+    )
 
 
 def quadrature_monomial_expectation(a: int, b: int, points: int = 48) -> complex:

@@ -297,6 +297,27 @@ class TestRun:
             (record,) = json.loads(report.read_text())["checks"]
             assert record["pass"] is False and math.isnan(record["residual"])
 
+    @pytest.mark.parametrize("value", [1e154, 1e155])
+    def test_overflowing_oracle_fails_its_checks(self, tmp_path, capsys, value):
+        # The oracle's sums leave the float range: the checks fail with a
+        # non-finite residual instead of ending in a validation error.
+        scenario = {
+            "measure": {"masses": [1.0]},
+            "kernels": [{"name": "f", "p": 1, "q": 1, "entries": [{"idx": [0, 0], "re": value}]}],
+            "checks": [
+                {"name": "mc", "kind": "mc-estimate", "f": "f", "samples": 1000},
+                {"name": "iso", "kind": "isometry", "f": "f"},
+            ],
+        }
+        report = tmp_path / "out.json"
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", write_scenario(tmp_path, scenario), "--report", str(report)])
+        assert code == 1
+        records = json.loads(report.read_text())["checks"]
+        assert sorted(r["name"] for r in records) == ["iso", "mc"]
+        for record in records:
+            assert record["pass"] is False and not math.isfinite(record["residual"])
+
     def test_grid_obeys_run_caps(self, tmp_path, capsys):
         caps = ["--max-order", "2", "--max-cells", "1"]
 

@@ -1,15 +1,19 @@
 """The array-backed polynomial engine against the dict reference in
-conftest: every operation must agree bit for bit, term order included
-(evaluation, which the reference does one point at a time, to rounding),
-and an exponent past the packed digit must raise instead of wrapping."""
+conftest: every operation must agree bit for bit on every key (evaluation,
+which the reference does one point at a time, to rounding), products and
+sums of two also in term order, and an exponent past the packed digit must
+raise instead of wrapping.  Where a key's sum returns to 0 and the key comes
+back, the dict re-inserts it last while the engine keeps it where it first
+occurred; term order is not part of a polynomial's value, so those results
+are compared key by key."""
 
-from unittest import mock
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import ChaosPolynomial, Kernel, chaos
+from complexchaos import ChaosPolynomial, Kernel, chaos, kernels
 from complexchaos.montecarlo import SamplePlan, evaluate_polynomial, sample_coordinates
 from complexchaos.oracle import MAX_EXPONENT, expectation, pair_expectation
 from conftest import DictPolynomial, dict_combination, dict_expand
@@ -83,6 +87,11 @@ def same_terms(poly, ref):
     return list(poly.terms.items()) == list(ref.terms.items())
 
 
+def same_values(poly, ref):
+    """Equal coefficients on equal keys, in whatever order."""
+    return len(poly.re) == len(ref.terms) and dict(poly.terms) == ref.terms
+
+
 def same_outcome(run, run_ref):
     """Equal values, or the same exception type from both."""
     try:
@@ -96,17 +105,14 @@ def same_outcome(run, run_ref):
 
 class TestAgainstDictReference:
     @settings(max_examples=150, deadline=None)
-    @given(polynomial_pairs(), COEFFS, st.booleans())
-    def test_ring_operations(self, pair, scalar, sort_keys):
+    @given(polynomial_pairs(), COEFFS)
+    def test_ring_operations(self, pair, scalar):
         n, x_terms, y_terms = pair
         (x, rx), (y, ry) = both(n, x_terms), both(n, y_terms)
-        # Few keys are grouped with a dict, many by sorting: try both.
-        few = -1 if sort_keys else chaos._FEW_KEYS
-        with mock.patch.object(chaos, "_FEW_KEYS", few):
-            assert same_terms(x * y, rx * ry)
-            assert same_terms(x + y, rx + ry)
-            assert same_terms(x - y, rx - ry)
-            assert x.max_diff(y) == rx.max_diff(ry)
+        assert same_terms(x * y, rx * ry)
+        assert same_terms(x + y, rx + ry)
+        assert same_terms(x - y, rx - ry)
+        assert x.max_diff(y) == rx.max_diff(ry)
         assert same_terms(x.scaled(scalar), rx.scaled(scalar))
         assert same_terms(x.conjugate(), rx.conjugate())
         assert x.max_abs() == max((abs(c) for c in rx.terms.values()), default=0.0)
@@ -140,28 +146,24 @@ class TestAgainstDictReference:
         assert same_outcome(lambda: expectation(x), rx.expectation)
 
     @settings(max_examples=200, deadline=None)
-    @given(many_parts(), st.booleans())
-    def test_sums_of_many_parts(self, case, sort_keys):
-        # Keys whose sum cancels to 0 and comes back move to the end; few
-        # terms are summed one by one, many by sorting.
+    @given(many_parts())
+    def test_sums_of_many_parts(self, case):
+        # Keys whose sum cancels to 0 and comes back keep the sum of the
+        # terms after their last cancellation.
         n, parts = case
         ref = DictPolynomial(n, {})
         for terms, weight in parts:
             ref = ref + DictPolynomial(n, terms).scaled(weight)
-        few = -1 if sort_keys else chaos._FEW_KEYS
-        with mock.patch.object(chaos, "_FEW_KEYS", few):
-            total = chaos._sum_of(n, [(ChaosPolynomial(n, t), w) for t, w in parts])
-        assert same_terms(total, ref)
+        total = chaos._sum_of(n, [(ChaosPolynomial(n, t), w) for t, w in parts])
+        assert same_values(total, ref)
 
-    @pytest.mark.parametrize("few", [chaos._FEW_KEYS, -1])
-    def test_key_back_twice_goes_after_the_last_return(self, few):
+    def test_key_back_twice_keeps_its_last_sum(self):
         # a comes back after its first cancellation, b arrives, a cancels
-        # and comes back again: the dict then holds b before a.
+        # and comes back again, as 2.
         a, b = ((1,), (0,)), ((0,), (1,))
         steps = [{a: 1.0}, {a: -1.0}, {a: 1.0}, {b: 1.0}, {a: -1.0}, {a: 2.0}]
-        with mock.patch.object(chaos, "_FEW_KEYS", few):
-            total = chaos._sum_of(1, [(ChaosPolynomial(1, t), 1) for t in steps])
-        assert list(total.terms.items()) == [(b, 1 + 0j), (a, 2 + 0j)]
+        total = chaos._sum_of(1, [(ChaosPolynomial(1, t), 1) for t in steps])
+        assert dict(total.terms) == {a: 2 + 0j, b: 1 + 0j}
 
     @settings(max_examples=60, deadline=None)
     @given(polynomial_pairs(st.integers(0, 4)), st.integers(0, 2**32 - 1))
@@ -182,32 +184,27 @@ class TestAgainstDictReference:
 
 
 class TestExpansion:
-    def test_cancelled_key_comes_back_last(self):
-        # The constant term of z zbar - 1 goes -1, 0 (dropped), -1 over
-        # the three diagonal orbits, so it ends up after cells 0 and 1.
+    def test_cancelled_key_comes_back(self):
+        # The constant term of z zbar - 1 goes -1, 0, -1 over the three
+        # diagonal orbits.
         f = Kernel(1, 1, 3, np.diag([1.0, -1.0, 1.0]).astype(complex))
-        assert same_terms(chaos.expand(f), dict_expand(f))
-        assert list(chaos.expand(f).terms)[2] == ((0, 0, 0), (0, 0, 0))
+        assert same_values(chaos.expand(f), dict_expand(f))
+        assert chaos.expand(f).terms[((0, 0, 0), (0, 0, 0))] == -1
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 3).flatmap(integer_kernels), st.booleans())
-    def test_expand_matches_reference(self, f, sort_keys):
-        few = -1 if sort_keys else chaos._FEW_KEYS
-        with mock.patch.object(chaos, "_FEW_KEYS", few):
-            assert same_terms(chaos.expand(f), dict_expand(f))
+    @given(st.integers(2, 3).flatmap(integer_kernels))
+    def test_expand_matches_reference(self, f):
+        assert same_values(chaos.expand(f), dict_expand(f))
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 3).flatmap(lambda n: st.lists(integer_kernels(n), min_size=3, max_size=6)),
         st.lists(st.sampled_from([1, -1, 2, 6]), min_size=6, max_size=6),
-        st.booleans(),
     )
-    def test_combination_matches_reference(self, kernels, weights, sort_keys):
+    def test_combination_matches_reference(self, kernels, weights):
         terms = [chaos.ProductTerm(w, f) for w, f in zip(weights, kernels)]
         ref = dict_combination((t.weight, t.kernel) for t in terms)
-        few = -1 if sort_keys else chaos._FEW_KEYS
-        with mock.patch.object(chaos, "_FEW_KEYS", few):
-            assert same_terms(chaos._combination_expand(terms, kernels[0].n), ref)
+        assert same_values(chaos._combination_expand(terms, kernels[0].n), ref)
 
 
 class TestDigitLimit:
@@ -253,3 +250,78 @@ class TestDigitLimit:
         right = ChaosPolynomial(2, {((0, 0), (127, 0)): 1.0})
         with pytest.raises(ValueError):
             pair_expectation(left, right)
+
+
+class TestPlans:
+    """Keys, groupings and joins are planned once per operand layout; the
+    plans must not change a bit of any result, and a result whose keys the
+    layouts do not fix must not get a layout."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = kernels._ShapeCache()
+        monkeypatch.setattr(kernels, "_SHAPE_CACHE", fresh)
+        return fresh
+
+    @staticmethod
+    def grid_reports(pairs):
+        reports = []
+        for f, g in pairs:
+            reports += [
+                chaos.product_check(f, g),
+                chaos.product_conjugated_check(f, g),
+                chaos.covariance_squares(f, g).report,
+                chaos.hypercontractivity_check(f),
+            ]
+        return json.dumps([r.to_dict() for r in reports])  # floats round-trip
+
+    def test_cold_warm_and_evicted_plans_agree(self, cache, monkeypatch):
+        rng = np.random.default_rng(11)
+        pairs = [
+            (kernels.random_kernel(a, b, n, rng), kernels.random_kernel(c, d, n, rng))
+            for a, b, c, d in [(1, 1, 1, 0), (2, 0, 1, 1), (1, 2, 2, 1), (0, 0, 2, 2)]
+            for n in (1, 2, 3)
+        ]
+        cold = self.grid_reports(pairs)
+        assert any(key[0] == "pair" for key in cache)
+        assert self.grid_reports(pairs) == cold
+        monkeypatch.setattr(kernels, "_SHAPE_CACHE", kernels._ShapeCache())
+        monkeypatch.setattr(kernels, "_CACHE_BYTES", 1)
+        assert self.grid_reports(pairs) == cold
+        assert len(kernels._SHAPE_CACHE) == 1
+
+    def test_product_past_the_digit_raises_every_time(self, cache):
+        power = {1: chaos.expand(Kernel.basis(1, 0, (0,), 1))}  # z
+        for k in (2, 4, 8, 16, 32, 64):
+            power[k] = power[k // 2] * power[k // 2]
+        assert dict(power[64].terms) == {((64,), (0,)): 1}
+        assert (power[64] * power[32]).layout is not None
+        square = power[64] * power[64].conjugate()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                power[64] * power[64]
+            with pytest.raises(ValueError):
+                pair_expectation(square, square)
+        assert ("mul", power[64].layout, power[64].layout) not in cache
+        assert ("pair", square.layout, square.layout) not in cache
+
+    def test_dropped_coefficient_drops_the_layout(self, cache):
+        # The constant terms of the two diagonal orbits cancel.
+        f = Kernel(1, 1, 2, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+        x, rx = chaos.expand(f), dict_expand(f)
+        assert x.layout is None and same_values(x, rx)
+        z = chaos.expand(Kernel(1, 0, 2, [1.0, 1j]))
+        assert z.layout == ("expand", 2, 1, 0)
+        rz = DictPolynomial(2, dict(z.terms))
+        s, d = z + z.conjugate(), z - z.conjugate()
+        assert None not in (s.layout, d.layout)
+        rs, rd = rz + rz.conjugate(), rz - rz.conjugate()
+        prod, rprod = s * d, rs * rd  # z zbar cancels
+        assert prod.layout is None and same_values(prod, rprod)
+        assert (d - d).layout is None and not (d - d).terms
+        for left, ref in ((prod, rprod), (x, rx)):
+            assert same_values(left * s, ref * rs)
+            assert same_values(left + s, ref + rs)
+            assert left.max_diff(s) == ref.max_diff(rs)
+            assert expectation(left * s) == (ref * rs).expectation()
+            assert pair_expectation(left, s) == ref.pair_expectation(rs)

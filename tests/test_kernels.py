@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -194,7 +193,7 @@ class TestShapeCache:
 
     @pytest.fixture
     def cache(self, monkeypatch):
-        fresh = OrderedDict()
+        fresh = kernels_module._ShapeCache()
         monkeypatch.setattr(kernels_module, "_SHAPE_CACHE", fresh)
         return fresh
 
@@ -215,6 +214,27 @@ class TestShapeCache:
         self.entry("a")
         self.entry("b")
         assert list(cache) == ["b"]
+
+    def test_running_total_is_the_sum_of_the_entries(self, cache, monkeypatch):
+        monkeypatch.setattr(kernels_module, "_CACHE_BYTES", 400)
+
+        def consistent():
+            return cache.nbytes == sum(size for _, size in cache.values())
+
+        self.entry("a")
+        self.entry("b")
+        self.entry("a")  # a hit
+        assert consistent() and cache.nbytes == 160
+        # "c" is built again while its first build runs, as two threads may
+        # build one entry: the second insert replaces the first.
+        kernels_module.cached_by_shape("c", lambda: (self.entry("c")[0], np.zeros(20)))
+        assert consistent() and cache.nbytes == 400 and list(cache) == ["b", "a", "c"]
+        self.entry("d")  # evicts "b"
+        assert consistent() and list(cache) == ["a", "c", "d"]
+        kernels_module.cached_by_shape(None, lambda: (np.zeros(10),))  # not cached
+        assert consistent() and list(cache) == ["a", "c", "d"]
+        cache.clear()
+        assert cache.nbytes == 0
 
     def test_results_do_not_depend_on_eviction(self, cache, monkeypatch):
         rng = np.random.default_rng(3)
