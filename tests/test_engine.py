@@ -157,13 +157,15 @@ class TestAgainstDictReference:
         total = chaos._sum_of(n, [(ChaosPolynomial(n, t), w) for t, w in parts])
         assert same_values(total, ref)
 
-    def test_key_back_twice_keeps_its_last_sum(self):
+    @pytest.mark.parametrize("weight", [48, -1])
+    def test_key_back_twice_goes_after_the_last_return(self, weight):
         # a comes back after its first cancellation, b arrives, a cancels
-        # and comes back again, as 2.
+        # and comes back again: a holds what was added after its last
+        # return, 2 * weight, whatever the parts' common weight.
         a, b = ((1,), (0,)), ((0,), (1,))
         steps = [{a: 1.0}, {a: -1.0}, {a: 1.0}, {b: 1.0}, {a: -1.0}, {a: 2.0}]
-        total = chaos._sum_of(1, [(ChaosPolynomial(1, t), 1) for t in steps])
-        assert dict(total.terms) == {a: 2 + 0j, b: 1 + 0j}
+        total = chaos._sum_of(1, [(ChaosPolynomial(1, t), weight) for t in steps])
+        assert dict(total.terms) == {a: 2.0 * weight + 0j, b: weight + 0j}
 
     @settings(max_examples=60, deadline=None)
     @given(polynomial_pairs(st.integers(0, 4)), st.integers(0, 2**32 - 1))
