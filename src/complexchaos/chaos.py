@@ -50,6 +50,7 @@ from .kernels import (
 from .oracle import MAX_EXPONENT, cmul, key_sum, layout_key, pack, unpack
 
 __all__ = [
+    "MAX_TERM_PAIRS",
     "ChaosPolynomial",
     "CovarianceComparison",
     "DiagnosticsRow",
@@ -57,6 +58,7 @@ __all__ = [
     "PairDiagnostics",
     "ProductTerm",
     "VerificationReport",
+    "WorkBudgetError",
     "asymptotic_diagnostics",
     "coupled_decay_sequences",
     "covariance_squares",
@@ -79,6 +81,17 @@ IDENTITY_TOL = 1e-9
 STRUCTURAL_TOL = 1e-12
 
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+# Term pairs one polynomial product may form.  The first product of a layout
+# peaks at about 60 bytes of RSS per pair (keys, grouping and the complex
+# products), so this bounds a product near 1 GB; the README gives the time
+# and memory of the largest squares it accepts.
+MAX_TERM_PAIRS = 1 << 24
+
+
+class WorkBudgetError(ValueError):
+    """A polynomial product past ``MAX_TERM_PAIRS`` term pairs, refused
+    before anything is allocated."""
 
 
 def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,13 +126,15 @@ class ChaosPolynomial:
     key's coefficient is the sum of its terms in that order, from 0.0.
 
     ``layout`` is a hashable token that fixes the keys and their order:
-    ``("expand", n, p, q)`` for the expansion of a kernel, ``("mul", A, B)``
-    for a product, ``("conj", A)`` for a conjugate and ``("sum", A, B, ...)``
-    for a sum of operands of layouts A, B, ...; scaling keeps it.  It is None
-    for a polynomial built from a mapping and for a result that dropped a
-    zero coefficient.  Key work that depends only on layouts (groupings,
-    product keys, oracle joins) is planned once per layout and cached with
-    ``kernels.cached_by_shape``.
+    ``("expand", n, p, q)`` for the expansion of a kernel, ``("constant", n)``
+    for a nonzero constant, ``("mul", A, B)`` for a product, ``("conj", A)``
+    for a conjugate and ``("sum", A, B, ...)`` for a sum of operands of
+    layouts A, B, ...; scaling keeps it.  It is None for any other polynomial
+    built from a mapping and for a result that dropped a zero coefficient.
+    Key work that depends only on layouts (groupings, product keys, oracle
+    joins) is planned once per layout and cached with
+    ``kernels.cached_by_shape``.  A product of more than ``MAX_TERM_PAIRS``
+    term pairs raises ``WorkBudgetError``.
     ``terms`` is the same polynomial as a read-only mapping
     ``{(a, b): coefficient}``, built on first use.  Treated as immutable
     everywhere.
@@ -188,7 +203,10 @@ class ChaosPolynomial:
     @classmethod
     def constant(cls, value: complex, n: int) -> "ChaosPolynomial":
         key = ((0,) * n, (0,) * n)
-        return cls(n, {key: complex(value)})
+        poly = cls(n, {key: complex(value)})
+        if value != 0:  # one zero-exponent key
+            poly.layout = ("constant", n)
+        return poly
 
     @classmethod
     def zero(cls, n: int) -> "ChaosPolynomial":
@@ -209,6 +227,12 @@ class ChaosPolynomial:
         if not isinstance(other, ChaosPolynomial):
             return self.scaled(other)
         self._check_vars(other)
+        pairs = len(self.re) * len(other.re)
+        if pairs > MAX_TERM_PAIRS:
+            raise WorkBudgetError(
+                f"a product of {len(self.re)} x {len(other.re)} terms forms {pairs} term "
+                f"pairs, past the work budget of {MAX_TERM_PAIRS}"
+            )
         layout = layout_key("mul", self.layout, other.layout)
         plan = cached_by_shape(layout, lambda: _product_keys(self, other))
         # Term pairs in row-major order, the order of the dict's double loop.

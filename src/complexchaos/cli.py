@@ -31,9 +31,11 @@ covariance, independence, asymptotic, hypercontractivity, hermite-product,
 mc-estimate.  The product checks accept either a kernel pair or a
 {"grid": {...}} descriptor running the seeded certification grid.
 
-Exit status: 0 all checks pass, 1 at least one failed, 2 input error (with a
-machine-readable error record on stdout).  Report bodies contain no
-timestamps, so equal seeds give byte-identical reports.
+Exit status: 0 all checks pass, 1 at least one failed, 2 input error or a
+check past the work budget (with a machine-readable error record on stderr,
+and in the --report file; its code is parse-error, validation-error or
+work-budget).  Report bodies contain no timestamps, so equal seeds give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .chaos import (
     STRUCTURAL_TOL,
     KernelSequence,
     VerificationReport,
+    WorkBudgetError,
     asymptotic_diagnostics,
     covariance_squares,
     expand,  # unused here; perfbench's tracer test reads cli.expand
@@ -97,7 +100,9 @@ CHECK_KINDS = (
 
 
 class ScenarioError(Exception):
-    """Input problem; ``code`` is 'parse-error' or 'validation-error'."""
+    """Input problem; ``code`` is 'parse-error', 'validation-error' or
+    'work-budget' (a check whose polynomial product is past
+    ``chaos.MAX_TERM_PAIRS``)."""
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
@@ -425,6 +430,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             records.append(_run_check(scenario, check, defaults))
     except ScenarioError as exc:
         _emit_error(exc, args.report)
+        return EXIT_INPUT
+    except WorkBudgetError as exc:
+        _emit_error(_fail("work-budget", str(exc)), args.report)
         return EXIT_INPUT
     except ValueError as exc:
         _emit_error(_fail("validation-error", str(exc)), args.report)

@@ -6,13 +6,13 @@ and imaginary parts of variance 1/2,
 
     E[ prod_k z_k**a_k conj(z_k)**b_k ] = prod_k [a_k == b_k] * a_k!
 
-Everything else is linear extension with error-tracked accumulation, plus a
-numerical quadrature cross-check that keeps the rule honest.
+Everything else is linear extension with exact, correctly rounded sums (see
+``exact_sum``), plus a numerical quadrature cross-check that keeps the rule
+honest.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -127,13 +127,71 @@ def _weights(keys: np.ndarray, n: int) -> np.ndarray:
     return weights
 
 
+# Float64 arrays of at least this many values are summed by ``_array_sum``;
+# below it ``math.fsum`` of the list is faster.
+_ARRAY_SUM_MIN = 1000
+# Values ``_array_sum`` splits at once: 2**14 keeps each temporary at 128 KiB,
+# the fastest size measured.  It must stay at most 2**21, so that a digit's
+# bincount of values below 2**32 is an exact integer in float64.
+_ARRAY_SUM_CHUNK = 1 << 14
+# A value is ``m * 2**(e - 53)`` with ``m, e = frexp(value)`` and the integer
+# ``m * 2**53``; ``e + 1073`` is never negative, even for subnormals, so the
+# integers ``_array_sum`` adds are the values times _SCALE.
+_EXP_OFFSET = 1073
+_SCALE = 1 << _EXP_OFFSET + 53
+_DIGIT_BITS = 10
+
+
 def exact_sum(values: Iterable[float]) -> float:
     """``math.fsum`` of the values, or NaN where it raises: on inf + -inf or
-    on an exact sum past the float range."""
+    on an exact sum past the float range.
+
+    A float64 array of ``_ARRAY_SUM_MIN`` values or more is summed exactly in
+    integers by ``_array_sum`` and rounded once; the result is correctly
+    rounded, as fsum's is, so it is the same float."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64 and values.ndim == 1 and len(values) >= _ARRAY_SUM_MIN:
+            total = _array_sum(values)
+            if total is not None:
+                return total
+        values = values.tolist()
     try:
         return math.fsum(values)
     except (OverflowError, ValueError):
         return math.nan
+
+
+def _array_sum(values: np.ndarray) -> float | None:
+    """The sum of the float64 array ``values``, correctly rounded (half to
+    even), or None where ``math.fsum`` must decide: a value that is not
+    finite, a sum whose partials could leave the float range, or values that
+    are all zeros, whose sign follows fsum's rules.  Nonzero values that
+    cancel exactly sum to +0.0, as in fsum.
+
+    Each value is an integer mantissa below 2**53 times a power of two.  The
+    exponent splits into a 10-bit digit and a shift of at most 9, which the
+    mantissa takes (staying below 2**62); the shifted mantissa splits at bit
+    32, and each half is summed per digit by a float64 ``bincount``, exact
+    for up to 2**21 values.  The digit sums are added as Python integers,
+    and one integer division rounds the total.
+    """
+    if not np.abs(values).max() < 2.0**1020 / len(values):  # also NaN and inf
+        return None
+    total = 0
+    for s in range(0, len(values), _ARRAY_SUM_CHUNK):
+        mant, exp = np.frexp(values[s : s + _ARRAY_SUM_CHUNK])
+        ints = (mant * 2.0**53).astype(np.int64)
+        exp += _EXP_OFFSET
+        digit = exp // _DIGIT_BITS
+        ints <<= exp - _DIGIT_BITS * digit
+        high = np.bincount(digit, ints >> 32)
+        low = np.bincount(digit, ints & 0xFFFFFFFF)
+        used = np.flatnonzero(np.logical_or(high, low))
+        for d, h, l in zip(used.tolist(), high[used].tolist(), low[used].tolist()):
+            total += ((int(h) << 32) + int(l)) << _DIGIT_BITS * d
+    if total:
+        return total / _SCALE
+    return 0.0 if np.count_nonzero(values) else None
 
 
 def _diagonal(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +204,7 @@ def expectation(poly: "ChaosPolynomial") -> complex:
     """Linear extension of the monomial rule, summed exactly (NaN where the
     exact sum leaves the float range)."""
     diagonal, w = cached_by_shape(layout_key("expectation", poly.layout), lambda: _diagonal(poly))
-    return complex(
-        exact_sum((poly.re[diagonal] * w).tolist()), exact_sum((poly.im[diagonal] * w).tolist())
-    )
+    return complex(exact_sum(poly.re[diagonal] * w), exact_sum(poly.im[diagonal] * w))
 
 
 # Term pairs a join evaluates at once.
@@ -194,19 +250,15 @@ def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> compl
         raise ValueError("variable count mismatch")
     key = layout_key("pair", left.layout, right.layout)
     pairs, table, index = cached_by_shape(key, lambda: _join(left, right))
-    re: list[np.ndarray] = []
-    im: list[np.ndarray] = []
+    re = np.empty(len(index))
+    im = np.empty(len(index))
     for s in range(0, len(index), _JOIN_BLOCK):
         l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
         w = table.take(index[s : s + _JOIN_BLOCK])
         vr, vi = cmul(left.re.take(l), left.im.take(l), right.re.take(r), right.im.take(r))
-        re.append(vr * w)
-        im.append(vi * w)
-    chain = itertools.chain.from_iterable
-    return complex(
-        exact_sum(chain(block.tolist() for block in re)),
-        exact_sum(chain(block.tolist() for block in im)),
-    )
+        np.multiply(vr, w, out=re[s : s + _JOIN_BLOCK])
+        np.multiply(vi, w, out=im[s : s + _JOIN_BLOCK])
+    return complex(exact_sum(re), exact_sum(im))
 
 
 def quadrature_monomial_expectation(a: int, b: int, points: int = 48) -> complex:

@@ -212,3 +212,19 @@ def reference_evaluate_polynomial(poly, samples: np.ndarray) -> np.ndarray:
                 term = term * power(k, e, True)
         total += term
     return total
+
+
+def reference_contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
+    """Reference for kernels.contract at an admissible (i, j): the
+    ``np.tensordot`` formulation it had before its plans, through the public
+    constructor's copy."""
+    p1, q1, p2, q2 = f.p, f.q, g.p, g.q
+    out_p, out_q = p1 + p2 - i - j, q1 + q2 - i - j
+    f_axes = list(range(p1 - i, p1)) + list(range(p1 + q1 - j, p1 + q1))
+    g_axes = list(range(p2 + q2 - i, p2 + q2)) + list(range(p2 - j, p2))
+    out = np.tensordot(f.coeffs, g.coeffs, axes=(f_axes, g_axes))
+    ft = list(range(0, p1 - i))
+    fs = list(range(p1 - i, p1 - i + q1 - j))
+    gt = list(range(p1 - i + q1 - j, p1 - i + q1 - j + p2 - j))
+    gs = list(range(p1 - i + q1 - j + p2 - j, out_p + out_q))
+    return Kernel(out_p, out_q, f.n, out.transpose(ft + gt + fs + gs))

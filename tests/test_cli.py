@@ -4,6 +4,7 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -317,6 +318,26 @@ class TestRun:
         assert sorted(r["name"] for r in records) == ["iso", "mc"]
         for record in records:
             assert record["pass"] is False and not math.isfinite(record["residual"])
+
+    def test_square_past_the_work_budget_exits_2(self, tmp_path, capsys):
+        # A (3, 3) kernel on the 8-cell cap with one entry in each of 4,500
+        # orbits expands to at least 4,500 terms; squaring it would form over
+        # 20M term pairs, past chaos.MAX_TERM_PAIRS.
+        blocks = list(itertools.combinations_with_replacement(range(8), 3))
+        orbits = itertools.islice(itertools.product(blocks, blocks), 4500)
+        entries = [{"idx": list(a + b), "re": 1.0, "im": 0.5} for a, b in orbits]
+        scenario = {
+            "measure": {"masses": [1.0] * 8},
+            "kernels": [{"name": "f", "p": 3, "q": 3, "entries": entries}],
+            "checks": [{"name": "hyper", "kind": "hypercontractivity", "f": "f"}],
+        }
+        report = tmp_path / "out.json"
+        code = cli.main(["run", write_scenario(tmp_path, scenario), "--report", str(report)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "work-budget"
+        assert "work budget" in error["message"]
+        assert json.loads(report.read_text()) == {"error": error}
 
     def test_grid_obeys_run_caps(self, tmp_path, capsys):
         caps = ["--max-order", "2", "--max-cells", "1"]

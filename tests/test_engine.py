@@ -327,3 +327,64 @@ class TestPlans:
             assert left.max_diff(s) == ref.max_diff(rs)
             assert expectation(left * s) == (ref * rs).expectation()
             assert pair_expectation(left, s) == ref.pair_expectation(rs)
+
+    def test_constants_have_a_layout(self):
+        one = ChaosPolynomial.constant(1.0, 3)
+        assert one.layout == ("constant", 3)
+        assert ChaosPolynomial.constant(-2j, 3).layout == ("constant", 3)
+        assert ChaosPolynomial.constant(0, 3).layout is None
+        z = chaos.expand(Kernel(1, 0, 3, [1.0, 2.0, 1j]))
+        assert z.layout == ("expand", 3, 1, 0)
+        assert (z**0).layout == ("constant", 3)
+        assert (z**2).layout == ("mul", ("mul", ("constant", 3), z.layout), z.layout)
+        assert same_terms(z**2, DictPolynomial(3, dict(z.terms)) * DictPolynomial(3, dict(z.terms)))
+
+    def test_moment_factorization_plans_once(self, cache, monkeypatch):
+        rng = np.random.default_rng(3)
+
+        def pair():
+            return kernels.random_kernel(1, 1, 2, rng), kernels.random_kernel(1, 0, 2, rng)
+
+        layouts = []
+
+        def recorded(left, right, join=chaos.oracle.pair_expectation):
+            layouts.append((left.layout, right.layout))
+            return join(left, right)
+
+        monkeypatch.setattr(chaos.oracle, "pair_expectation", recorded)
+        f, g = pair()
+        first = chaos.moment_factorization_gap(f, g, max_degree=4)
+        assert layouts and all(None not in pair for pair in layouts)  # powers have layouts
+        planned = set(cache)
+        assert any(key[0] == "pair" for key in planned)
+        chaos.moment_factorization_gap(*pair(), max_degree=4)
+        assert set(cache) == planned  # equal shapes add no entry
+        again = chaos.moment_factorization_gap(f, g, max_degree=4)
+        assert again.hex() == first.hex()
+        cache.clear()
+        assert chaos.moment_factorization_gap(f, g, max_degree=4).hex() == first.hex()
+
+
+class TestWorkBudget:
+    def test_cap_size_square_is_refused_before_allocating(self, monkeypatch):
+        # (4, 4) on 5 cells expands to 6,376 terms: its square would form
+        # 40.7M term pairs and several GB of temporaries.
+        f = kernels.random_kernel(4, 4, 5, np.random.default_rng(0))
+
+        def allocates(*args):
+            raise AssertionError("the product was formed")
+
+        monkeypatch.setattr(chaos, "_product_keys", allocates)
+        monkeypatch.setattr(chaos, "cmul", allocates)
+        with pytest.raises(chaos.WorkBudgetError, match="work budget"):
+            chaos.hypercontractivity_check(f)
+        assert issubclass(chaos.WorkBudgetError, ValueError)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        x = ChaosPolynomial(1, {((k,), (0,)): 1.0 for k in range(3)})
+        y = ChaosPolynomial(1, {((0,), (k,)): 1.0 for k in range(4)})
+        monkeypatch.setattr(chaos, "MAX_TERM_PAIRS", 12)
+        assert len((x * y).terms) == 12
+        with pytest.raises(chaos.WorkBudgetError):
+            y * y
+        assert len(x.scaled(2.0).terms) == 3  # scaling forms no pairs

@@ -24,7 +24,7 @@ from complexchaos import (
     reversed_conjugate,
 )
 from complexchaos import kernels as kernels_module
-from conftest import brute_block_symmetrize
+from conftest import brute_block_symmetrize, reference_contract
 
 
 @st.composite
@@ -333,6 +333,74 @@ class TestContract:
         scale = max(1.0, norm(f), norm(f2)) * max(1.0, norm(g))
         assert norm(lhs - rhs) <= 1e-12 * scale
         assert norm(contract(f, g, spec)) <= norm(f) * norm(g) + 1e-12 * scale
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit (signs of zeros included), in shape and in strides."""
+    return a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+def both_layouts(p: int, q: int, n: int, rng) -> list[Kernel]:
+    """A random (p, q) kernel in C order and one whose strides are permuted
+    (a reversed conjugate keeps its transposed strides)."""
+    return [random_kernel(p, q, n, rng), reversed_conjugate(random_kernel(q, p, n, rng))]
+
+
+class TestPlannedContract:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_tensordot_bit_for_bit(self, n, rng):
+        # Every admissible (p1, q1, p2, q2, i, j) with p + q <= 4 per kernel,
+        # on operands of both stride orders; 0-d results included.
+        cases = 0
+        shapes = [(p, q) for p in range(5) for q in range(5 - p)]
+        for (p1, q1), (p2, q2) in itertools.product(shapes, shapes):
+            for f, g in itertools.product(both_layouts(p1, q1, n, rng), both_layouts(p2, q2, n, rng)):
+                for i in range(min(p1, q2) + 1):
+                    for j in range(min(q1, p2) + 1):
+                        out = contract(f, g, ContractionSpec(i, j))
+                        ref = reference_contract(f, g, i, j)
+                        assert out.order == ref.order and out.n == n
+                        assert same_array(out.coeffs, ref.coeffs), (p1, q1, p2, q2, i, j)
+                        cases += 1
+        assert cases == 4 * 574  # 574 admissible cases, four layout pairs each
+
+    def test_internally_built_kernels_are_read_only(self, rng):
+        f = random_kernel(2, 1, 2, rng)
+        g = random_kernel(1, 2, 2, rng)
+        s = Kernel.scalar(1 + 2j)
+        built = [
+            f,
+            contract(f, g, ContractionSpec(1, 1)),
+            contract(s, s, ContractionSpec(0, 0)),
+            ito_symmetrize(f),
+            ordinary_symmetrize(f),
+            reversed_conjugate(f),
+            reversed_conjugate(s),
+            f + f,
+            f - f,
+            -f,
+            2j * f,
+            s + s,
+            -s,
+            s * 3,
+        ]
+        for k in built:
+            assert isinstance(k.coeffs, np.ndarray)
+            assert k.coeffs.dtype == np.complex128 and k.coeffs.shape == (k.n,) * (k.p + k.q)
+            assert not k.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                k.coeffs[(0,) * k.coeffs.ndim] = 1.0
+
+    def test_adopted_strides_are_the_public_copys(self, rng):
+        for f, g in itertools.product(both_layouts(2, 1, 3, rng), both_layouts(2, 1, 3, rng)):
+            for k in (f + g, f - g, -f, f * (0.5 - 1j), ito_symmetrize(f), reversed_conjugate(f)):
+                assert same_array(k.coeffs, Kernel(k.p, k.q, k.n, k.coeffs).coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernels())
+    def test_norm_is_numpys_bit_for_bit(self, f):
+        for k in (f, reversed_conjugate(f)):
+            assert norm(k).hex() == float(np.linalg.norm(k.coeffs)).hex()
 
 
 class TestNormInner:
