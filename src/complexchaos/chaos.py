@@ -44,10 +44,26 @@ from .kernels import (
     contract,
     ito_symmetrize,
     norm,
+    orbit_mean,
+    orbit_sums,
     orbit_table,
     reversed_conjugate,
 )
-from .oracle import MAX_EXPONENT, cmul, key_sum, layout_key, pack, unpack
+from .oracle import (  # the work budget is oracle's, shared by products and joins
+    MAX_EXPONENT,
+    MAX_TERM_PAIRS,
+    WorkBudgetError,
+    check_budget,
+    cmul,
+    diagonal_sum,
+    expectation_plan,
+    join_plan,
+    join_sum,
+    key_sum,
+    layout_key,
+    pack,
+    unpack,
+)
 
 __all__ = [
     "MAX_TERM_PAIRS",
@@ -81,18 +97,6 @@ IDENTITY_TOL = 1e-9
 STRUCTURAL_TOL = 1e-12
 
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-# Term pairs one polynomial product may form.  The first product of a layout
-# peaks at about 60 bytes of RSS per pair (keys, grouping and the complex
-# products), so this bounds a product near 1 GB; the README gives the time
-# and memory of the largest squares it accepts.
-MAX_TERM_PAIRS = 1 << 24
-
-
-class WorkBudgetError(ValueError):
-    """A polynomial product past ``MAX_TERM_PAIRS`` term pairs, refused
-    before anything is allocated."""
-
 
 def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key plan of terms keyed ``z`` and ``zc``: the distinct keys in order
@@ -133,8 +137,8 @@ class ChaosPolynomial:
     built from a mapping and for a result that dropped a zero coefficient.
     Key work that depends only on layouts (groupings, product keys, oracle
     joins) is planned once per layout and cached with
-    ``kernels.cached_by_shape``.  A product of more than ``MAX_TERM_PAIRS``
-    term pairs raises ``WorkBudgetError``.
+    ``kernels.cached_by_shape``.  A product of more than
+    ``oracle.MAX_TERM_PAIRS`` term pairs raises ``WorkBudgetError``.
     ``terms`` is the same polynomial as a read-only mapping
     ``{(a, b): coefficient}``, built on first use.  Treated as immutable
     everywhere.
@@ -171,23 +175,12 @@ class ChaosPolynomial:
     def _of(cls, n: int, z, zc, re, im, layout) -> "ChaosPolynomial":
         """Polynomial of distinct keys; zero coefficients are dropped, and
         with them the layout."""
-        live = np.logical_or(re, im)
-        if np.count_nonzero(live) < len(live):
+        if not _live(re, im):
+            live = np.logical_or(re, im)
             z, zc, re, im, layout = z[live], zc[live], re[live], im[live], None
         poly = cls.__new__(cls)
         poly._set(n, z, zc, re, im, layout)
         return poly
-
-    @classmethod
-    def _grouped(cls, n: int, plan: tuple, re, im, layout) -> "ChaosPolynomial":
-        """Polynomial of the terms ``re + 1j * im`` grouped by the key plan
-        ``(keys, group)`` (see ``_groups``; group is None when the terms are
-        the groups)."""
-        keys, group = plan
-        z, zc = keys[0], keys[1]  # faster than unpacking the rows
-        if group is not None:
-            re, im = np.bincount(group, re), np.bincount(group, im)
-        return cls._of(n, z, zc, re, im, layout)
 
     @property
     def terms(self) -> Mapping[ExponentKey, complex]:
@@ -227,17 +220,9 @@ class ChaosPolynomial:
         if not isinstance(other, ChaosPolynomial):
             return self.scaled(other)
         self._check_vars(other)
-        pairs = len(self.re) * len(other.re)
-        if pairs > MAX_TERM_PAIRS:
-            raise WorkBudgetError(
-                f"a product of {len(self.re)} x {len(other.re)} terms forms {pairs} term "
-                f"pairs, past the work budget of {MAX_TERM_PAIRS}"
-            )
-        layout = layout_key("mul", self.layout, other.layout)
-        plan = cached_by_shape(layout, lambda: _product_keys(self, other))
-        # Term pairs in row-major order, the order of the dict's double loop.
-        re, im = cmul(self.re[:, None], self.im[:, None], other.re, other.im)
-        return ChaosPolynomial._grouped(self.n, plan, re.ravel(), im.ravel(), layout)
+        layout, (keys, group) = _product_plan(self, other)
+        re, im = _product_values((self.re, self.im), (other.re, other.im), group)
+        return ChaosPolynomial._of(self.n, keys[0], keys[1], re, im, layout)
 
     def __rmul__(self, scalar: complex) -> "ChaosPolynomial":
         return self.scaled(scalar)
@@ -267,11 +252,33 @@ class ChaosPolynomial:
 
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
-        # Adding -other rounds exactly as subtracting other does.
-        parts = [(self, 1), (other, -1)]
-        group = _sum_keys(parts, layout_key("sum", self.layout, other.layout))[1]
-        re, im = _sum_values(parts)
-        return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
+        group = _sum_keys([(self, 1), (other, -1)], layout_key("sum", self.layout, other.layout))[1]
+        return _diff_modulus(group, *_difference((self.re, self.im), (other.re, other.im)))
+
+
+# -- array arithmetic shared by the polynomial operations and the check programs
+
+
+def _live(re: np.ndarray, im: np.ndarray) -> bool:
+    """Whether every coefficient ``re + 1j * im`` is nonzero, so that a
+    polynomial of them drops none."""
+    return np.count_nonzero(np.logical_or(re, im)) == len(re)
+
+
+def _group_sums(group, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key sums of the terms ``re + 1j * im`` under a key plan's group
+    (None when the terms are the groups), each from 0.0 in term order."""
+    if group is None:
+        return re, im
+    return np.bincount(group, re), np.bincount(group, im)
+
+
+def _product_plan(x: ChaosPolynomial, y: ChaosPolynomial) -> tuple:
+    """Layout and key plan of ``x * y``, planned once per pair of layouts.
+    More than MAX_TERM_PAIRS term pairs raise WorkBudgetError first."""
+    check_budget(len(x.z) * len(y.z), f"a product of {len(x.z)} x {len(y.z)} terms")
+    layout = layout_key("mul", x.layout, y.layout)
+    return layout, cached_by_shape(layout, lambda: _product_keys(x, y))
 
 
 def _product_keys(x: ChaosPolynomial, y: ChaosPolynomial) -> tuple:
@@ -282,6 +289,15 @@ def _product_keys(x: ChaosPolynomial, y: ChaosPolynomial) -> tuple:
     if len(x.z) == 1 or len(y.z) == 1:  # keys stay distinct
         return np.stack((z, zc)), None
     return _groups(z, zc)
+
+
+def _product_values(x: tuple, y: tuple, group) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of a product from the parts ``(re, im)`` of its
+    operands' coefficients and its key plan's group: term pairs in
+    row-major order, the order of the dict's double loop.  A conjugated
+    operand is passed as ``(re, -im)``."""
+    re, im = cmul(x[0][:, None], x[1][:, None], y[0], y[1])
+    return _group_sums(group, re.ravel(), im.ravel())
 
 
 def _sum_keys(parts: Sequence[tuple[ChaosPolynomial, float]], layout) -> tuple:
@@ -296,22 +312,36 @@ def _sum_keys(parts: Sequence[tuple[ChaosPolynomial, float]], layout) -> tuple:
     )
 
 
-def _sum_values(parts: Sequence[tuple[ChaosPolynomial, float]]) -> tuple[np.ndarray, ...]:
-    """Coefficients of ``poly.scaled(w)`` for the ``(poly, w)`` parts, one
+def _sum_values(parts: Sequence[tuple]) -> tuple[np.ndarray, ...]:
+    """Coefficients ``w * (re + 1j * im)`` of the ``(re, im, w)`` parts, one
     after the other, for integer or float w.  Scaling by a real number
     rounds as ``scaled`` does up to the signs of zeros, which the sums over
     groups make +0.0."""
     return (
-        np.concatenate([p.re * w if w != 1 else p.re for p, w in parts]),
-        np.concatenate([p.im * w if w != 1 else p.im for p, w in parts]),
+        np.concatenate([re * w if w != 1 else re for re, _, w in parts]),
+        np.concatenate([im * w if w != 1 else im for _, im, w in parts]),
     )
+
+
+def _difference(x: tuple, y: tuple) -> tuple[np.ndarray, ...]:
+    """The terms of x - y from the parts of x's and y's coefficients: adding
+    -y rounds exactly as subtracting y does."""
+    return _sum_values(((*x, 1), (*y, -1)))
+
+
+def _diff_modulus(group: np.ndarray, re: np.ndarray, im: np.ndarray) -> float:
+    """``max_diff`` from the terms of a ``_difference`` and the group of its
+    key plan."""
+    return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
 
 def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
     """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts (w nonzero), as
     if each part were scaled and added after the one before."""
     layout = layout_key("sum", *(poly.layout for poly, _ in parts))
-    return ChaosPolynomial._grouped(n, _sum_keys(parts, layout), *_sum_values(parts), layout)
+    keys, group = _sum_keys(parts, layout)
+    values = _sum_values([(poly.re, poly.im, w) for poly, w in parts])
+    return ChaosPolynomial._of(n, keys[0], keys[1], *_group_sums(group, *values), layout)
 
 
 def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
@@ -435,18 +465,214 @@ def expand(f: Kernel) -> ChaosPolynomial:
     handled by the Hermite degrees, which is what makes the discretization
     match the diagonal-free continuum integral.
     """
-    ids = orbit_table(f.n, f.p, f.q)[0]
-    orbit, w, *plan = _orbit_terms(f.n, f.p, f.q)
-    # Raveling the parts, not the tensor, copies half as much from a view.
-    sums_re = np.bincount(ids, f.coeffs.real.ravel())
-    sums_im = np.bincount(ids, f.coeffs.imag.ravel())
+    terms = _orbit_terms(f.n, f.p, f.q)
+    re, im = _expansion(orbit_sums(f, orbit_table(f.n, f.p, f.q)[0]), terms)
+    keys = terms[2]
+    return ChaosPolynomial._of(f.n, keys[0], keys[1], re, im, ("expand", f.n, f.p, f.q))
+
+
+def _expansion(sums: tuple, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of an expansion, keyed as in ``_orbit_terms``, from the
+    kernel's ``orbit_sums`` and the ``_orbit_terms`` of its shape."""
+    orbit, w, _, group = terms
     # A term's coefficient is its orbit's sum times its weight.  Python's
     # complex-times-int would also add products with 0.0; they only flip the
     # signs of zeros, which the sums over keys turn into +0.0.  So do the
     # terms of an orbit whose sum is zero: they are +-0.0, change no sum,
     # and leave a key that only they have at +0.0, which is dropped.
-    re, im = sums_re[orbit] * w, sums_im[orbit] * w
-    return ChaosPolynomial._grouped(f.n, plan, re, im, ("expand", f.n, f.p, f.q))
+    return _group_sums(group, sums[0][orbit] * w, sums[1][orbit] * w)
+
+
+# -- check programs ------------------------------------------------------------
+#
+# A check that composes ChaosPolynomial operations spends most of its time on
+# their per-call work (layout tokens, locked plan lookups, zero tests and the
+# objects), not on arithmetic.  A check program runs the same arithmetic, in
+# the same order and through the same array helpers, on bare coefficient
+# arrays, with every plan it needs fetched in one lookup per (check, cell
+# count, orders).  It forms only the parts the check reads.  Where an
+# intermediate that feeds a product or a Wick join would drop a zero
+# coefficient (its layout, and so the plan, would change), the program
+# returns None and the check runs the composition, which stays the
+# reference.
+
+
+def _shape(layout: tuple) -> ChaosPolynomial:
+    """Coefficient-free polynomial with the keys and layout of ``layout``,
+    one built from expansions by products, conjugates and sums, for
+    planning; the plans it builds on the way are the operations' own."""
+    kind, *args = layout
+    if kind == "expand":
+        n, keys = args[0], _orbit_terms(*args)[2]
+    elif kind == "conj":
+        x = _shape(args[0])
+        n, keys = x.n, (x.zc, x.z)
+    else:
+        parts = [_shape(arg) for arg in args]
+        n = parts[0].n
+        if kind == "mul":
+            keys = _product_plan(*parts)[1][0]
+        else:
+            keys = _sum_keys([(x, 1) for x in parts], layout)[0]
+    poly = ChaosPolynomial.__new__(ChaosPolynomial)
+    poly._set(n, keys[0], keys[1], None, None, layout)
+    return poly
+
+
+def _kernel_plan(n: int, p: int, q: int) -> tuple:
+    """What a program needs of an (n, p, q) kernel: its orbit ids, the orbit
+    sizes where ``ito_symmetrize`` is not the identity (else None), and its
+    ``_orbit_terms``."""
+    ids, sizes, _, _ = orbit_table(n, p, q)
+    return ids, (sizes if max(p, q) > 1 else None), _orbit_terms(n, p, q)
+
+
+def _expanded(f: Kernel, plan: tuple) -> tuple:
+    """f's ``orbit_sums`` and the coefficients of ``expand(f)`` before its
+    zero test."""
+    sums = orbit_sums(f, plan[0])
+    return sums, _expansion(sums, plan[2])
+
+
+def _symmetrized(f: Kernel, plan: tuple, sums: tuple) -> Kernel:
+    """``ito_symmetrize(f)`` from f's orbit sums."""
+    ids, sizes, _ = plan
+    return f if sizes is None else orbit_mean(f, ids, sizes, sums)
+
+
+def _square_plan(n: int, p: int, q: int) -> tuple:
+    """Layout, term pairs and group of ``expand(f) * expand(f).conjugate()``
+    for an (n, p, q) kernel f."""
+    e = ("expand", n, p, q)
+    x, y = _shape(e), _shape(("conj", e))
+    layout, (_, group) = _product_plan(x, y)
+    return _shape(layout), len(x.z) * len(y.z), group
+
+
+def _square(x: tuple, group) -> tuple:
+    """Coefficients of an expansion times its conjugate, from the parts
+    ``x`` of the expansion's coefficients."""
+    return _product_values(x, (x[0], -x[1]), group)
+
+
+def _planned(key: tuple, build, *kernels: Kernel) -> tuple | None:
+    """The check plan ``build()`` under ``key``, whose first item is the
+    most term pairs one of its products forms, or None if the check must run
+    its composition.  A plan past the work budget is refused with
+    WorkBudgetError, as the composition refuses it, unless the expansion of
+    one of the kernels drops a zero coefficient: the composition then works
+    on fewer terms and decides."""
+    try:
+        plan = cached_by_shape(key, build)
+    except WorkBudgetError:
+        for f in kernels:
+            ids, terms = orbit_table(f.n, f.p, f.q)[0], _orbit_terms(f.n, f.p, f.q)
+            if not _live(*_expansion(orbit_sums(f, ids), terms)):
+                return None
+        raise
+    # A budget lowered since planning: the composition refuses the product.
+    return plan if plan[0] <= oracle.MAX_TERM_PAIRS else None
+
+
+def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
+    """``relative_residual`` of the (plain or conjugated) product check."""
+    (a, b), right = f.order, (g.q, g.p) if conjugated else g.order
+    n = f.n
+
+    def build():
+        ef, eg = ("expand", n, a, b), ("expand", n, *g.order)
+        x, y = _shape(ef), _shape(("conj", eg) if conjugated else eg)
+        lhs_layout, (_, lhs_group) = _product_plan(x, y)
+        lhs = _shape(lhs_layout)
+        c, d = right
+        terms, parts = [], []
+        for i in range(min(a, d) + 1):
+            for j in range(min(b, c) + 1):
+                order = (a + c - i - j, b + d - i - j)
+                w = hermite.pairing_weight(a, b, c, d, i, j)
+                terms.append((ContractionSpec(i, j), w, _kernel_plan(n, *order)))
+                parts.append((_shape(("expand", n, *order)), w))
+        rhs_layout = layout_key("sum", *(x.layout for x, _ in parts))
+        rhs_group = _sum_keys(parts, rhs_layout)[1]
+        rhs = _shape(rhs_layout)
+        diff_group = _sum_keys([(lhs, 1), (rhs, -1)], ("sum", lhs_layout, rhs_layout))[1]
+        pairs = len(x.z) * len(y.z)
+        f_plan, g_plan = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
+        return pairs, f_plan, g_plan, lhs_group, tuple(terms), rhs_group, diff_group
+
+    key = ("check", "product-conjugated" if conjugated else "product", n, a, b, *g.order)
+    plan = _planned(key, build, f, g)
+    if plan is None:
+        return None
+    _, f_plan, g_plan, lhs_group, terms, rhs_group, diff_group = plan
+    f_sums, x = _expanded(f, f_plan)
+    g_sums, y = _expanded(g, g_plan)
+    if not (_live(*x) and _live(*y)):
+        return None
+    lhs = _product_values(x, (y[0], -y[1]) if conjugated else y, lhs_group)
+    fs, gs = _symmetrized(f, f_plan, f_sums), _symmetrized(g, g_plan, g_sums)
+    if conjugated:
+        gs = reversed_conjugate(gs)
+    parts = []
+    for spec, w, plan in terms:
+        _, (re, im) = _expanded(contract(fs, gs, spec), plan)
+        parts.append((re, im, w))
+    # The composition drops a zero coefficient of lhs, of rhs and of their
+    # terms (the constants of the n = 1 pairs often cancel).  Keeping one
+    # changes no residual: it adds a +-0.0 to per-key sums that start at
+    # +0.0 (a term of the weighted sum: w * +0.0 is +0.0), and a 0.0 to the
+    # maxima of moduli.  Only the expansions of f and g must hold no zero,
+    # since their products with an inf coefficient would be NaN.
+    rhs = _group_sums(rhs_group, *_sum_values(parts))
+    diff = _diff_modulus(diff_group, *_difference(lhs, rhs))
+    return diff / max(1.0, _max_modulus(*lhs), _max_modulus(*rhs))
+
+
+def _squares_program(kernels: tuple[Kernel, ...]) -> tuple | None:
+    """For one kernel f: E[|I(f)|^2] and E[|I(f)|^4]; for two, f and g:
+    E[|I(f)|^2 |I(g)|^2], E[|I(f)|^2] and E[|I(g)|^2].  Real parts only."""
+
+    def build():
+        squares = [_square_plan(f.n, f.p, f.q) for f in kernels]
+        left, right = squares[0][0], squares[-1][0]
+        join = join_plan(left, right)
+        plans = tuple((_kernel_plan(f.n, f.p, f.q), group) for f, (_, _, group) in zip(kernels, squares))
+        diagonals = tuple(expectation_plan(sq) for sq, _, _ in squares)
+        return max(pairs for _, pairs, _ in squares), plans, join, diagonals
+
+    key = ("check", "squares", kernels[0].n, *[k for f in kernels for k in (f.p, f.q)])
+    plan = _planned(key, build, *kernels)
+    if plan is None:
+        return None
+    _, plans, join, diagonals = plan
+    squares = []
+    for f, (kernel_plan, group) in zip(kernels, plans):
+        x = _expanded(f, kernel_plan)[1]
+        if not _live(*x):
+            return None
+        sq = _square(x, group)
+        if not _live(*sq):
+            return None
+        squares.append(sq)
+    moments = [diagonal_sum(sq[0], d) for sq, d in zip(squares, diagonals)]
+    return (join_sum(join, *squares[0], *squares[-1], imag=False), *moments)
+
+
+def _isometry_program(f: Kernel) -> tuple | None:
+    """The second moment and the symmetrized kernel of the isometry check."""
+
+    def build():
+        e = ("expand", f.n, f.p, f.q)
+        return 0, _kernel_plan(f.n, f.p, f.q), join_plan(_shape(e), _shape(("conj", e)))
+
+    plan = _planned(("check", "isometry", f.n, f.p, f.q), build, f)
+    if plan is None:
+        return None
+    _, kernel_plan, join = plan
+    sums, (re, im) = _expanded(f, kernel_plan)
+    if not _live(re, im):
+        return None
+    return join_sum(join, re, im, re, -im, imag=False), _symmetrized(f, kernel_plan, sums)
 
 
 def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:
@@ -476,11 +702,12 @@ def integral_conjugate(f: Kernel, tolerance: float = STRUCTURAL_TOL) -> Verifica
 
 def isometry_check(f: Kernel, tolerance: float = STRUCTURAL_TOL) -> VerificationReport:
     """Second moment equals p! q! times the squared symmetrized norm."""
-    poly = expand(f)
-    second_moment = oracle.pair_expectation(poly, poly.conjugate()).real
-    target = (
-        math.factorial(f.p) * math.factorial(f.q) * norm(ito_symmetrize(f)) ** 2
-    )
+    program = _isometry_program(f)
+    if program is None:
+        poly = expand(f)
+        program = oracle.pair_expectation(poly, poly.conjugate()).real, ito_symmetrize(f)
+    second_moment, symmetrized = program
+    target = math.factorial(f.p) * math.factorial(f.q) * norm(symmetrized) ** 2
     residual = abs(second_moment - target) / max(1.0, abs(target))
     return VerificationReport(
         name="isometry",
@@ -551,14 +778,28 @@ def _combination_expand(terms: Iterable[ProductTerm], n: int) -> ChaosPolynomial
     return _sum_of(n, [(expand(term.kernel), term.weight) for term in terms])
 
 
+def _product_residual(f: Kernel, g: Kernel, conjugated: bool) -> float:
+    """Relative residual of the (plain or conjugated) product formula: the
+    check program where it runs, else the composition."""
+    if f.n == g.n and f.p + f.q + g.p + g.q <= MAX_TOTAL_ORDER:
+        residual = _product_program(f, g, conjugated)
+        if residual is not None:
+            return residual
+    if conjugated:
+        lhs = expand(f) * expand(g).conjugate()
+        rhs = _combination_expand(product_conjugated(f, g), f.n)
+    else:
+        lhs = expand(f) * expand(g)
+        rhs = _combination_expand(product(f, g), f.n)
+    return relative_residual(lhs, rhs)
+
+
 def product_check(
     f: Kernel, g: Kernel, tolerance: float = IDENTITY_TOL
 ) -> VerificationReport:
-    lhs = expand(f) * expand(g)
-    rhs = _combination_expand(product(f, g), f.n)
     return VerificationReport(
         name="product-formula",
-        residual=relative_residual(lhs, rhs),
+        residual=_product_residual(f, g, conjugated=False),
         tolerance=tolerance,
         metadata={"orders": f"{f.order}x{g.order}", "cells": f.n},
     )
@@ -567,11 +808,9 @@ def product_check(
 def product_conjugated_check(
     f: Kernel, g: Kernel, tolerance: float = IDENTITY_TOL
 ) -> VerificationReport:
-    lhs = expand(f) * expand(g).conjugate()
-    rhs = _combination_expand(product_conjugated(f, g), f.n)
     return VerificationReport(
         name="product-conjugated-formula",
-        residual=relative_residual(lhs, rhs),
+        residual=_product_residual(f, g, conjugated=True),
         tolerance=tolerance,
         metadata={"orders": f"{f.order}x{g.order}", "cells": f.n},
     )
@@ -633,6 +872,11 @@ def _covariance_formula(f: Kernel, g: Kernel) -> float:
 
 
 def _covariance_oracle(f: Kernel, g: Kernel) -> float:
+    if f.n == g.n:
+        program = _squares_program((f, g))
+        if program is not None:
+            joint, e_f, e_g = program
+            return joint - e_f * e_g
     pf = expand(f)
     pg = expand(g)
     sq_f = pf * pf.conjugate()
@@ -856,10 +1100,12 @@ def hypercontractivity_check(
 ) -> VerificationReport:
     """Fourth-moment hypercontractivity: the L4 norm of the integral is at
     most 3**((p+q)/2) times its L2 norm.  Residual is the positive excess."""
-    poly = expand(f)
-    sq = poly * poly.conjugate()
-    m2 = oracle.expectation(sq).real
-    m4 = oracle.pair_expectation(sq, sq).real
+    program = _squares_program((f,))
+    if program is None:
+        poly = expand(f)
+        sq = poly * poly.conjugate()
+        program = oracle.pair_expectation(sq, sq).real, oracle.expectation(sq).real
+    m4, m2 = program
     lhs = max(m4, 0.0) ** 0.25
     rhs = 3.0 ** ((f.p + f.q) / 2.0) * max(m2, 0.0) ** 0.5
     residual = worst_of(0.0, lhs - rhs)

@@ -101,8 +101,8 @@ CHECK_KINDS = (
 
 class ScenarioError(Exception):
     """Input problem; ``code`` is 'parse-error', 'validation-error' or
-    'work-budget' (a check whose polynomial product is past
-    ``chaos.MAX_TERM_PAIRS``)."""
+    'work-budget' (a check whose polynomial product or Wick join is past
+    ``oracle.MAX_TERM_PAIRS``)."""
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)

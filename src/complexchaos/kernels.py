@@ -18,6 +18,7 @@ share between threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -222,10 +223,20 @@ _SHAPE_CACHE = _ShapeCache()
 _CACHE_LOCK = threading.Lock()
 
 
+def _nbytes(value) -> int:
+    """Bytes of the arrays in ``value``, an array or a nest of tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(map(_nbytes, value))
+    return 0
+
+
 def cached_by_shape(key: tuple | None, build: Callable[[], tuple]) -> tuple:
-    """``build()``'s arrays (None counts as no array), built once per ``key``
-    and kept under the budget; a key of None caches nothing.  Safe to call
-    from several threads; two may build the same entry."""
+    """``build()``'s tuple, built once per ``key`` and kept under the budget,
+    which counts the arrays in it and in its nested tuples; a key of None
+    caches nothing.  Safe to call from several threads; two may build the
+    same entry."""
     if key is None:
         return build()
     cache = _SHAPE_CACHE
@@ -235,7 +246,7 @@ def cached_by_shape(key: tuple | None, build: Callable[[], tuple]) -> tuple:
             cache.move_to_end(key)
             return hit[0]
     arrays = build()
-    size = sum(a.nbytes for a in arrays if a is not None)
+    size = _nbytes(arrays)
     with _CACHE_LOCK:
         old = cache.pop(key, None)
         cache[key] = (arrays, size)
@@ -243,6 +254,43 @@ def cached_by_shape(key: tuple | None, build: Callable[[], tuple]) -> tuple:
         while cache.nbytes > _CACHE_BYTES and len(cache) > 1:
             cache.nbytes -= cache.popitem(last=False)[1][1]
     return arrays
+
+
+# Block positions whose multisets ``orbit_table`` ranks at once.
+_RANK_CHUNK = 1 << 18
+
+
+def _block_ranks(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multisets of ``size`` cells out of n, as count vectors, and the rank
+    among them of every position of a block of ``size`` slots (C order).
+
+    A multiset is coded by its count vector in base size + 1, cell 0 most
+    significant; a larger code has a smaller sorted representative, and the
+    multisets are ranked from the largest code down.  Positions are coded
+    and ranked by binary search in chunks of at most _RANK_CHUNK, so no
+    temporary is larger than the ranks."""
+    combos = list(itertools.combinations_with_replacement(range(n), size))
+    combos = np.array(combos, dtype=np.int64).reshape(len(combos), size)
+    counts = np.zeros((len(combos), n), dtype=np.int64)
+    rows = np.arange(len(combos))
+    for column in combos.T:
+        np.add.at(counts, (rows, column), 1)
+    weight = (size + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = counts @ weight
+    order = np.argsort(-codes, kind="stable")
+    counts, ascending = counts[order], codes[order][::-1].copy()
+    # Positions run as (head, tail): the leading slots, then at most
+    # _RANK_CHUNK positions of the trailing ones.
+    split = next(k for k in range(size + 1) if n ** (size - k) <= _RANK_CHUNK)
+    tail = np.zeros((n,) * (size - split), dtype=np.int64)
+    for axis in range(size - split):
+        tail += weight.reshape((n,) + (1,) * (size - split - 1 - axis))
+    tail = tail.ravel()
+    ranks = np.empty(n**size, dtype=np.int64)
+    for h, head in enumerate(itertools.product(weight.tolist(), repeat=split)):
+        chunk = ranks[h * len(tail) : (h + 1) * len(tail)]
+        np.subtract(len(codes) - 1, ascending.searchsorted(tail + sum(head)), out=chunk)
+    return counts, ranks
 
 
 def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
@@ -254,27 +302,42 @@ def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     per-cell slot counts of its first and of its second block.  Orbits are
     numbered in lexicographic order of their sorted representatives (sorted
     first block, sorted second block).
+
+    Every pair of a first-block multiset and a second-block multiset is an
+    orbit, so an orbit's id is its first block's rank times the count of
+    second-block multisets plus its second block's rank (see
+    ``_block_ranks``), and no sort over all n**(p+q) positions is needed.
     """
 
     def build():
-        # Code each block's multiset of cells by its count vector in base
-        # (block size + 1), cell 0 most significant, first block high.  A
-        # larger code has a smaller sorted representative.
-        low = (q + 1) ** n
-        place = np.arange(n - 1, -1, -1, dtype=np.int64)
-        code = np.zeros((n,) * (p + q), dtype=np.int64)
-        for axis in range(p + q):
-            size, scale = (p, low) if axis < p else (q, 1)
-            code += (scale * (size + 1) ** place).reshape((n,) + (1,) * (p + q - 1 - axis))
-        uniq, inverse = np.unique(code.ravel(), return_inverse=True)
-        del code
-        ids = len(uniq) - 1 - inverse.ravel()
-        uniq = uniq[::-1, None]
-        left = uniq // low // (p + 1) ** place % (p + 1)
-        right = uniq % low // (q + 1) ** place % (q + 1)
-        return ids, np.bincount(ids), left, right
+        left, first = _block_ranks(n, p)
+        right, second = _block_ranks(n, q)
+        if len(second) == 1:  # q = 0: the second block has one position
+            ids = first
+        elif len(first) == 1:
+            ids = second
+        else:
+            ids = np.add.outer(first * len(right), second).ravel()
+        sizes = np.outer(np.bincount(first, minlength=len(left)), np.bincount(second, minlength=len(right)))
+        left, right = left.repeat(len(right), axis=0), np.tile(right, (len(left), 1))
+        return ids, sizes.ravel(), left, right
 
     return cached_by_shape(("orbits", n, p, q), build)
+
+
+def orbit_sums(f: Kernel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the sums of f's entries over the orbits
+    labelled by ``ids`` (see ``orbit_table``)."""
+    # Raveling the parts, not the tensor, copies half as much from a view.
+    return np.bincount(ids, f.coeffs.real.ravel()), np.bincount(ids, f.coeffs.imag.ravel())
+
+
+def orbit_mean(f: Kernel, ids: np.ndarray, sizes: np.ndarray, sums: tuple) -> Kernel:
+    """f with every entry replaced by the mean over its orbit, from the
+    orbit table's ``ids`` and ``sizes`` and f's ``orbit_sums``."""
+    re, im = sums
+    mean = (re.astype(complex) + 1j * im) / sizes
+    return Kernel._adopt(f.p, f.q, f.n, mean[ids].reshape(f.coeffs.shape))
 
 
 def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
@@ -283,11 +346,7 @@ def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
     if max(p, q) <= 1:
         return f
     ids, sizes, _, _ = orbit_table(f.n, p, q)
-    # Raveling the parts, not the tensor, copies half as much from a view.
-    re = np.bincount(ids, f.coeffs.real.ravel())
-    sums = re.astype(complex) + 1j * np.bincount(ids, f.coeffs.imag.ravel())
-    mean = sums / sizes
-    return Kernel._adopt(f.p, f.q, f.n, mean[ids].reshape(f.coeffs.shape))
+    return orbit_mean(f, ids, sizes, orbit_sums(f, ids))
 
 
 def ito_symmetrize(f: Kernel) -> Kernel:

@@ -25,7 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .chaos import ChaosPolynomial
 
 __all__ = [
+    "MAX_TERM_PAIRS",
     "MomentQuery",
+    "WorkBudgetError",
     "exact_sum",
     "expectation",
     "monomial_expectation",
@@ -45,6 +47,27 @@ _SHIFTS = [DIGIT * np.arange(n) for n in range(MAX_CELLS + 1)]
 # The lowest bit of every digit but the first: a digit's carry shows there,
 # in its upper neighbour, in a ^ b ^ (a + b).
 _CARRIES = sum(1 << DIGIT * k for k in range(1, MAX_CELLS + 1))
+
+
+# Term pairs one polynomial product or one Wick join may form.  The first
+# product of a layout peaks at about 60 bytes of RSS per pair (keys, grouping
+# and the complex products), so this bounds a product near 1 GB; the README
+# gives the time and memory of the largest squares it accepts.
+MAX_TERM_PAIRS = 1 << 24
+
+
+class WorkBudgetError(ValueError):
+    """A polynomial product or Wick join past ``MAX_TERM_PAIRS`` term pairs,
+    refused before anything is allocated."""
+
+
+def check_budget(pairs: int, what: str) -> None:
+    """Raise WorkBudgetError if ``what`` forms more than MAX_TERM_PAIRS term
+    pairs; the bound is inclusive."""
+    if pairs > MAX_TERM_PAIRS:
+        raise WorkBudgetError(
+            f"{what} forms {pairs} term pairs, past the work budget of {MAX_TERM_PAIRS}"
+        )
 
 
 def key_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,10 +98,16 @@ def pack(exps: np.ndarray) -> np.ndarray:
     return (exps << _SHIFTS[exps.shape[1]]).sum(axis=1)
 
 
+def cmul_real(xr, xi, yr, yi):
+    """Real part of ``cmul``, alone."""
+    return xr * yr - xi * yi
+
+
 def cmul(xr, xi, yr, yi):
     """Complex product from real and imaginary parts, rounded as Python's
-    complex ``*`` rounds it; numpy's complex ``*`` rounds differently."""
-    return xr * yr - xi * yi, xr * yi + xi * yr
+    complex ``*`` rounds it; numpy's complex ``*`` rounds differently.  A
+    conjugated factor is passed as ``yr, -yi``: x - (-y) is x + y exactly."""
+    return cmul_real(xr, xi, yr, yi), xr * yi + xi * yr
 
 
 @dataclass(frozen=True)
@@ -194,48 +223,94 @@ def _array_sum(values: np.ndarray) -> float | None:
     return 0.0 if np.count_nonzero(values) else None
 
 
-def _diagonal(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the terms with a nonzero expectation, and their weights."""
-    diagonal = np.flatnonzero(poly.z == poly.zc)
-    return diagonal, _weights(poly.z[diagonal], poly.n)
+def _diagonal(z: np.ndarray, zc: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the terms keyed ``z`` and ``zc`` that have a nonzero
+    expectation, and their weights."""
+    diagonal = np.flatnonzero(z == zc)
+    return diagonal, _weights(z[diagonal], n)
+
+
+def expectation_plan(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
+    """The ``_diagonal`` of ``poly``, planned once per layout."""
+    key = layout_key("expectation", poly.layout)
+    return cached_by_shape(key, lambda: _diagonal(poly.z, poly.zc, poly.n))
+
+
+def diagonal_sum(values: np.ndarray, plan: tuple) -> float:
+    """One part (real or imaginary) of an expectation: the exact sum of the
+    diagonal ``values`` times their weights (see ``expectation_plan``)."""
+    diagonal, w = plan
+    return exact_sum(values[diagonal] * w)
 
 
 def expectation(poly: "ChaosPolynomial") -> complex:
     """Linear extension of the monomial rule, summed exactly (NaN where the
     exact sum leaves the float range)."""
-    diagonal, w = cached_by_shape(layout_key("expectation", poly.layout), lambda: _diagonal(poly))
-    return complex(exact_sum(poly.re[diagonal] * w), exact_sum(poly.im[diagonal] * w))
+    plan = expectation_plan(poly)
+    return complex(diagonal_sum(poly.re, plan), diagonal_sum(poly.im, plan))
 
 
 # Term pairs a join evaluates at once.
 _JOIN_BLOCK = 1 << 16
 
 
-def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
-    """The term pairs whose z-exponent surpluses cancel and their weights.
+def _join(left: tuple, right: tuple, n: int) -> tuple[np.ndarray, ...]:
+    """The term pairs of the polynomials keyed ``left = (z, zc)`` and
+    ``right`` whose z-exponent surpluses cancel, and their weights.
 
     The right terms are sorted by their packed surplus and each left term
-    finds its matches by binary search.  Packed surpluses can also agree for
-    a pair whose exponent sums pass MAX_EXPONENT; such a pair raises
-    ValueError.  Returned compactly, since ``cached_by_shape`` keeps it: the
-    pairs as the rows (li, ri) of one (2, pairs) int32 array, the distinct
-    weights, and each pair's index among them in the smallest unsigned type.
+    finds its matches by binary search.  The matches are counted first, and
+    more than MAX_TERM_PAIRS of them raise WorkBudgetError before any pair
+    is formed.  Packed surpluses can also agree for a pair whose exponent
+    sums pass MAX_EXPONENT; such a pair raises ValueError.  Returned
+    compactly, since ``cached_by_shape`` keeps it: the pairs as the rows
+    (li, ri) of one (2, pairs) int32 array, the distinct weights, and each
+    pair's index among them in the smallest unsigned type.
     """
-    want = left.z - left.zc
-    surplus = right.zc - right.z
+    (lz, lzc), (rz, rzc) = left, right
+    want = lz - lzc
+    surplus = rzc - rz
     order = surplus.argsort(kind="stable").astype(np.int32)
     surplus = surplus[order]
     lo = surplus.searchsorted(want, "left")
     hits = surplus.searchsorted(want, "right") - lo
+    check_budget(int(hits.sum()), f"a Wick join of {len(lz)} x {len(rz)} terms")
     li = np.arange(len(want), dtype=np.int32).repeat(hits)
     pairs = np.stack((li, order[np.arange(len(li)) + (lo - hits.cumsum() + hits).repeat(hits)]))
     weights = np.empty(len(li))
     for s in range(0, len(li), _JOIN_BLOCK):
         l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
-        key_sum(left.zc[l], right.zc[r])
-        weights[s : s + _JOIN_BLOCK] = _weights(key_sum(left.z[l], right.z[r]), left.n)
+        key_sum(lzc[l], rzc[r])
+        weights[s : s + _JOIN_BLOCK] = _weights(key_sum(lz[l], rz[r]), n)
     table, index = np.unique(weights, return_inverse=True)
     return pairs, table, index.astype(np.min_scalar_type(len(table)))
+
+
+def join_plan(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
+    """The ``_join`` of two polynomials, planned once per pair of layouts."""
+    key = layout_key("pair", left.layout, right.layout)
+    return cached_by_shape(key, lambda: _join((left.z, left.zc), (right.z, right.zc), left.n))
+
+
+def join_sum(plan: tuple, lr, li, rr, ri, imag: bool = True):
+    """E[left * right] from the parts ``lr, li`` and ``rr, ri`` of the two
+    polynomials' coefficients and their ``join_plan``: the exact sums of the
+    real and imaginary parts of every joined term pair's product times its
+    weight, or with ``imag=False`` the real sum alone."""
+    pairs, table, index = plan
+    re = np.empty(len(index))
+    im = np.empty(len(index)) if imag else None
+    for s in range(0, len(index), _JOIN_BLOCK):
+        l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
+        w = table.take(index[s : s + _JOIN_BLOCK])
+        x, y = (lr.take(l), li.take(l)), (rr.take(r), ri.take(r))
+        if imag:
+            vr, vi = cmul(*x, *y)
+            np.multiply(vi, w, out=im[s : s + _JOIN_BLOCK])
+        else:
+            vr = cmul_real(*x, *y)
+        np.multiply(vr, w, out=re[s : s + _JOIN_BLOCK])
+    return complex(exact_sum(re), exact_sum(im)) if imag else exact_sum(re)
 
 
 def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> complex:
@@ -244,21 +319,12 @@ def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> compl
     A pair of monomials contributes only when the z-exponent surplus of one
     cancels the other (a1 - b1 == b2 - a2 componentwise).  The pairs are
     joined once per pair of layouts (see ``_join``) and summed exactly, NaN
-    where the exact sum leaves the float range.
+    where the exact sum leaves the float range.  A join of more than
+    MAX_TERM_PAIRS pairs raises WorkBudgetError.
     """
     if left.n != right.n:
         raise ValueError("variable count mismatch")
-    key = layout_key("pair", left.layout, right.layout)
-    pairs, table, index = cached_by_shape(key, lambda: _join(left, right))
-    re = np.empty(len(index))
-    im = np.empty(len(index))
-    for s in range(0, len(index), _JOIN_BLOCK):
-        l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
-        w = table.take(index[s : s + _JOIN_BLOCK])
-        vr, vi = cmul(left.re.take(l), left.im.take(l), right.re.take(r), right.im.take(r))
-        np.multiply(vr, w, out=re[s : s + _JOIN_BLOCK])
-        np.multiply(vi, w, out=im[s : s + _JOIN_BLOCK])
-    return complex(exact_sum(re), exact_sum(im))
+    return join_sum(join_plan(left, right), left.re, left.im, right.re, right.im)
 
 
 def quadrature_monomial_expectation(a: int, b: int, points: int = 48) -> complex:

@@ -228,3 +228,21 @@ def reference_contract(f: Kernel, g: Kernel, i: int, j: int) -> Kernel:
     gt = list(range(p1 - i + q1 - j, p1 - i + q1 - j + p2 - j))
     gs = list(range(p1 - i + q1 - j + p2 - j, out_p + out_q))
     return Kernel(out_p, out_q, f.n, out.transpose(ft + gt + fs + gs))
+
+
+def reference_orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """Reference for kernels.orbit_table: the table as it was built before
+    block ranks, by ``np.unique`` over the count codes of all n**(p+q)
+    positions."""
+    low = (q + 1) ** n
+    place = np.arange(n - 1, -1, -1, dtype=np.int64)
+    code = np.zeros((n,) * (p + q), dtype=np.int64)
+    for axis in range(p + q):
+        size, scale = (p, low) if axis < p else (q, 1)
+        code += (scale * (size + 1) ** place).reshape((n,) + (1,) * (p + q - 1 - axis))
+    uniq, inverse = np.unique(code.ravel(), return_inverse=True)
+    ids = len(uniq) - 1 - inverse.ravel()
+    uniq = uniq[::-1, None]
+    left = uniq // low // (p + 1) ** place % (p + 1)
+    right = uniq % low // (q + 1) ** place % (q + 1)
+    return ids, np.bincount(ids), left, right

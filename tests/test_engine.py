@@ -383,7 +383,7 @@ class TestWorkBudget:
     def test_budget_is_inclusive(self, monkeypatch):
         x = ChaosPolynomial(1, {((k,), (0,)): 1.0 for k in range(3)})
         y = ChaosPolynomial(1, {((0,), (k,)): 1.0 for k in range(4)})
-        monkeypatch.setattr(chaos, "MAX_TERM_PAIRS", 12)
+        monkeypatch.setattr(chaos.oracle, "MAX_TERM_PAIRS", 12)  # one bound, kept in oracle
         assert len((x * y).terms) == 12
         with pytest.raises(chaos.WorkBudgetError):
             y * y

@@ -24,7 +24,7 @@ from complexchaos import (
     reversed_conjugate,
 )
 from complexchaos import kernels as kernels_module
-from conftest import brute_block_symmetrize, reference_contract
+from conftest import brute_block_symmetrize, reference_contract, reference_orbit_table
 
 
 @st.composite
@@ -247,6 +247,44 @@ class TestShapeCache:
             assert list(expand(f).terms.items()) == list(terms.items())
             assert np.array_equal(ito_symmetrize(f).coeffs, sym)
             assert len(cache) == 1
+
+
+def same_tables(table, reference) -> bool:
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(table, reference, strict=True)
+    )
+
+
+class TestOrbitTable:
+    """The sort-free table equals the np.unique one byte for byte."""
+
+    SAMPLE = [
+        (5, 4, 4), (5, 0, 6), (5, 3, 2), (6, 2, 2), (6, 5, 0), (6, 0, 1),
+        (7, 1, 3), (7, 0, 0), (7, 2, 4), (8, 2, 3), (8, 5, 0), (8, 1, 1),
+    ]
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = kernels_module._ShapeCache()
+        monkeypatch.setattr(kernels_module, "_SHAPE_CACHE", fresh)
+        return fresh
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_small_cell_counts(self, cache, n):
+        for p in range(9):
+            for q in range(9 - p):
+                table = kernels_module.orbit_table(n, p, q)
+                assert same_tables(table, reference_orbit_table(n, p, q)), (n, p, q)
+
+    @pytest.mark.parametrize("n, p, q", SAMPLE)
+    def test_sample_of_larger_cell_counts(self, cache, n, p, q):
+        assert same_tables(kernels_module.orbit_table(n, p, q), reference_orbit_table(n, p, q))
+
+    @pytest.mark.parametrize("n, p, q", [(3, 4, 0), (3, 0, 4), (4, 3, 2), (2, 5, 3)])
+    def test_chunks_do_not_change_the_table(self, cache, monkeypatch, n, p, q):
+        monkeypatch.setattr(kernels_module, "_RANK_CHUNK", n)  # one slot per chunk
+        assert same_tables(kernels_module.orbit_table(n, p, q), reference_orbit_table(n, p, q))
 
 
 class TestReversedConjugate:
