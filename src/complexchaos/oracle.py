@@ -223,17 +223,16 @@ def _array_sum(values: np.ndarray) -> float | None:
     return 0.0 if np.count_nonzero(values) else None
 
 
-def _diagonal(z: np.ndarray, zc: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the terms keyed ``z`` and ``zc`` that have a nonzero
-    expectation, and their weights."""
-    diagonal = np.flatnonzero(z == zc)
-    return diagonal, _weights(z[diagonal], n)
+def _diagonal(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the terms with a nonzero expectation, and their weights."""
+    diagonal = np.flatnonzero(poly.z == poly.zc)
+    return diagonal, _weights(poly.z[diagonal], poly.n)
 
 
 def expectation_plan(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
     """The ``_diagonal`` of ``poly``, planned once per layout."""
     key = layout_key("expectation", poly.layout)
-    return cached_by_shape(key, lambda: _diagonal(poly.z, poly.zc, poly.n))
+    return cached_by_shape(key, lambda: _diagonal(poly))
 
 
 def diagonal_sum(values: np.ndarray, plan: tuple) -> float:
@@ -254,9 +253,8 @@ def expectation(poly: "ChaosPolynomial") -> complex:
 _JOIN_BLOCK = 1 << 16
 
 
-def _join(left: tuple, right: tuple, n: int) -> tuple[np.ndarray, ...]:
-    """The term pairs of the polynomials keyed ``left = (z, zc)`` and
-    ``right`` whose z-exponent surpluses cancel, and their weights.
+def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
+    """The term pairs whose z-exponent surpluses cancel and their weights.
 
     The right terms are sorted by their packed surplus and each left term
     finds its matches by binary search.  The matches are counted first, and
@@ -267,21 +265,20 @@ def _join(left: tuple, right: tuple, n: int) -> tuple[np.ndarray, ...]:
     (li, ri) of one (2, pairs) int32 array, the distinct weights, and each
     pair's index among them in the smallest unsigned type.
     """
-    (lz, lzc), (rz, rzc) = left, right
-    want = lz - lzc
-    surplus = rzc - rz
+    want = left.z - left.zc
+    surplus = right.zc - right.z
     order = surplus.argsort(kind="stable").astype(np.int32)
     surplus = surplus[order]
     lo = surplus.searchsorted(want, "left")
     hits = surplus.searchsorted(want, "right") - lo
-    check_budget(int(hits.sum()), f"a Wick join of {len(lz)} x {len(rz)} terms")
+    check_budget(int(hits.sum()), f"a Wick join of {len(left.z)} x {len(right.z)} terms")
     li = np.arange(len(want), dtype=np.int32).repeat(hits)
     pairs = np.stack((li, order[np.arange(len(li)) + (lo - hits.cumsum() + hits).repeat(hits)]))
     weights = np.empty(len(li))
     for s in range(0, len(li), _JOIN_BLOCK):
         l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
-        key_sum(lzc[l], rzc[r])
-        weights[s : s + _JOIN_BLOCK] = _weights(key_sum(lz[l], rz[r]), n)
+        key_sum(left.zc[l], right.zc[r])
+        weights[s : s + _JOIN_BLOCK] = _weights(key_sum(left.z[l], right.z[r]), left.n)
     table, index = np.unique(weights, return_inverse=True)
     return pairs, table, index.astype(np.min_scalar_type(len(table)))
 
@@ -289,7 +286,7 @@ def _join(left: tuple, right: tuple, n: int) -> tuple[np.ndarray, ...]:
 def join_plan(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
     """The ``_join`` of two polynomials, planned once per pair of layouts."""
     key = layout_key("pair", left.layout, right.layout)
-    return cached_by_shape(key, lambda: _join((left.z, left.zc), (right.z, right.zc), left.n))
+    return cached_by_shape(key, lambda: _join(left, right))
 
 
 def join_sum(plan: tuple, lr, li, rr, ri, imag: bool = True):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from complexchaos import Kernel, chaos, cli, hermite, kernels, oracle, suites
+from complexchaos import ChaosPolynomial, Kernel, chaos, cli, hermite, kernels, oracle, suites
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ("_product_program", "_squares_program", "_isometry_program")
@@ -148,7 +148,7 @@ class TestJoinBudget:
     def sizes(f):
         poly = chaos.expand(f)
         square = poly * poly.conjugate()
-        join = oracle._join((square.z, square.zc), (square.z, square.zc), f.n)[0]
+        join = oracle._join(square, square)[0]
         return len(poly.re) ** 2, join.shape[1]
 
     def test_hypercontractivity_join_is_refused_before_it_runs(self, cache, monkeypatch):
@@ -167,12 +167,14 @@ class TestJoinBudget:
             chaos.hypercontractivity_check(f)
 
     def test_join_budget_is_inclusive(self, monkeypatch):
-        keys = (np.zeros(12, np.int64),) * 2  # 12 x 1 terms, every pair joins
+        # 12 x 1 terms, every pair joins.
+        x = ChaosPolynomial(1, {((k,), (k,)): 1.0 for k in range(12)})
+        y = ChaosPolynomial(1, {((0,), (0,)): 1.0})
         monkeypatch.setattr(oracle, "MAX_TERM_PAIRS", 11)
         with pytest.raises(chaos.WorkBudgetError, match="a Wick join of 12 x 1 terms forms 12"):
-            oracle._join(keys, (np.zeros(1, np.int64),) * 2, 1)
+            oracle._join(x, y)
         monkeypatch.setattr(oracle, "MAX_TERM_PAIRS", 12)
-        assert oracle._join(keys, (np.zeros(1, np.int64),) * 2, 1)[0].shape == (2, 12)
+        assert oracle._join(x, y)[0].shape == (2, 12)
 
     def test_run_past_the_join_budget_exits_2(self, cache, tmp_path, capsys, monkeypatch):
         f = kernels.random_kernel(2, 2, 2, np.random.default_rng(4))
