@@ -514,6 +514,11 @@ def _shape(layout: tuple) -> ChaosPolynomial:
             keys = _product_plan(*parts)[1][0]
         else:
             keys = _sum_keys([(x, 1) for x in parts], layout)[0]
+    return _keyed(n, keys, layout)
+
+
+def _keyed(n: int, keys: tuple, layout: tuple) -> ChaosPolynomial:
+    """Coefficient-free polynomial of the key rows ``keys`` and ``layout``."""
     poly = ChaosPolynomial.__new__(ChaosPolynomial)
     poly._set(n, keys[0], keys[1], None, None, layout)
     return poly
@@ -545,8 +550,8 @@ def _square_plan(n: int, p: int, q: int) -> tuple:
     for an (n, p, q) kernel f."""
     e = ("expand", n, p, q)
     x, y = _shape(e), _shape(("conj", e))
-    layout, (_, group) = _product_plan(x, y)
-    return _shape(layout), len(x.z) * len(y.z), group
+    layout, (keys, group) = _product_plan(x, y)
+    return _keyed(n, keys, layout), len(x.z) * len(y.z), group
 
 
 def _square(x: tuple, group) -> tuple:
@@ -582,8 +587,7 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
     def build():
         ef, eg = ("expand", n, a, b), ("expand", n, *g.order)
         x, y = _shape(ef), _shape(("conj", eg) if conjugated else eg)
-        lhs_layout, (_, lhs_group) = _product_plan(x, y)
-        lhs = _shape(lhs_layout)
+        lhs_layout, (lhs_keys, lhs_group) = _product_plan(x, y)
         c, d = right
         terms, parts = [], []
         for i in range(min(a, d) + 1):
@@ -593,8 +597,8 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
                 terms.append((ContractionSpec(i, j), w, _kernel_plan(n, *order)))
                 parts.append((_shape(("expand", n, *order)), w))
         rhs_layout = layout_key("sum", *(x.layout for x, _ in parts))
-        rhs_group = _sum_keys(parts, rhs_layout)[1]
-        rhs = _shape(rhs_layout)
+        rhs_keys, rhs_group = _sum_keys(parts, rhs_layout)
+        lhs, rhs = _keyed(n, lhs_keys, lhs_layout), _keyed(n, rhs_keys, rhs_layout)
         diff_group = _sum_keys([(lhs, 1), (rhs, -1)], ("sum", lhs_layout, rhs_layout))[1]
         pairs = len(x.z) * len(y.z)
         f_plan, g_plan = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
@@ -614,8 +618,8 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
     if conjugated:
         gs = reversed_conjugate(gs)
     parts = []
-    for spec, w, plan in terms:
-        _, (re, im) = _expanded(contract(fs, gs, spec), plan)
+    for spec, w, term_plan in terms:
+        _, (re, im) = _expanded(contract(fs, gs, spec), term_plan)
         parts.append((re, im, w))
     # The composition drops a zero coefficient of lhs, of rhs and of their
     # terms (the constants of the n = 1 pairs often cancel).  Keeping one
