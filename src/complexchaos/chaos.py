@@ -276,7 +276,7 @@ def _group_sums(group, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.n
 def _product_plan(x: ChaosPolynomial, y: ChaosPolynomial) -> tuple:
     """Layout and key plan of ``x * y``, planned once per pair of layouts.
     More than MAX_TERM_PAIRS term pairs raise WorkBudgetError first."""
-    check_budget(len(x.z) * len(y.z), f"a product of {len(x.z)} x {len(y.z)} terms")
+    check_budget(len(x.z) * len(y.z), "a product", len(x.z), len(y.z))
     layout = layout_key("mul", x.layout, y.layout)
     return layout, cached_by_shape(layout, lambda: _product_keys(x, y))
 

@@ -61,12 +61,14 @@ class WorkBudgetError(ValueError):
     refused before anything is allocated."""
 
 
-def check_budget(pairs: int, what: str) -> None:
-    """Raise WorkBudgetError if ``what`` forms more than MAX_TERM_PAIRS term
-    pairs; the bound is inclusive."""
+def check_budget(pairs: int, what: str, left: int, right: int) -> None:
+    """Raise WorkBudgetError if ``what`` ("a product", "a Wick join") of
+    ``left`` x ``right`` terms forms more than MAX_TERM_PAIRS term pairs;
+    the bound is inclusive."""
     if pairs > MAX_TERM_PAIRS:
         raise WorkBudgetError(
-            f"{what} forms {pairs} term pairs, past the work budget of {MAX_TERM_PAIRS}"
+            f"{what} of {left} x {right} terms forms {pairs} term pairs, "
+            f"past the work budget of {MAX_TERM_PAIRS}"
         )
 
 
@@ -271,7 +273,7 @@ def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray
     surplus = surplus[order]
     lo = surplus.searchsorted(want, "left")
     hits = surplus.searchsorted(want, "right") - lo
-    check_budget(int(hits.sum()), f"a Wick join of {len(left.z)} x {len(right.z)} terms")
+    check_budget(int(hits.sum()), "a Wick join", len(left.z), len(right.z))
     li = np.arange(len(want), dtype=np.int32).repeat(hits)
     pairs = np.stack((li, order[np.arange(len(li)) + (lo - hits.cumsum() + hits).repeat(hits)]))
     weights = np.empty(len(li))
