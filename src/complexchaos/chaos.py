@@ -622,7 +622,7 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
         _, (re, im) = _expanded(contract(fs, gs, spec), term_plan)
         parts.append((re, im, w))
     # The composition drops a zero coefficient of lhs, of rhs and of their
-    # terms (the constants of the n = 1 pairs often cancel).  Keeping one
+    # terms (the weighted terms of rhs often cancel exactly).  Keeping one
     # changes no residual: it adds a +-0.0 to per-key sums that start at
     # +0.0 (a term of the weighted sum: w * +0.0 is +0.0), and a 0.0 to the
     # maxima of moduli.  Only the expansions of f and g must hold no zero,
