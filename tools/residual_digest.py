@@ -63,7 +63,7 @@ def _reports(seed: int, small: bool):
 
 
 def digests(seed: int, small: bool = False) -> list[str]:
-    hashes: dict[str, hashlib._Hash] = {}
+    hashes: dict = {}
     counts: dict[str, int] = {}
     for kind, report in _reports(seed, small):
         values = [report.residual] + [v for v in report.metadata.values() if isinstance(v, float)]
