@@ -49,9 +49,8 @@ from .kernels import (
     orbit_table,
     reversed_conjugate,
 )
-from .oracle import (  # the work budget is oracle's, shared by products and joins
+from .oracle import (  # the work budget, oracle.MAX_TERM_PAIRS, bounds products and joins
     MAX_EXPONENT,
-    MAX_TERM_PAIRS,
     WorkBudgetError,
     check_budget,
     cmul,
@@ -66,7 +65,6 @@ from .oracle import (  # the work budget is oracle's, shared by products and joi
 )
 
 __all__ = [
-    "MAX_TERM_PAIRS",
     "ChaosPolynomial",
     "CovarianceComparison",
     "DiagnosticsRow",
@@ -275,7 +273,8 @@ def _group_sums(group, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _product_plan(x: ChaosPolynomial, y: ChaosPolynomial) -> tuple:
     """Layout and key plan of ``x * y``, planned once per pair of layouts.
-    More than MAX_TERM_PAIRS term pairs raise WorkBudgetError first."""
+    More than ``oracle.MAX_TERM_PAIRS`` term pairs raise WorkBudgetError
+    first."""
     check_budget(len(x.z) * len(y.z), "a product", len(x.z), len(y.z))
     layout = layout_key("mul", x.layout, y.layout)
     return layout, cached_by_shape(layout, lambda: _product_keys(x, y))
@@ -546,12 +545,55 @@ def _symmetrized(f: Kernel, plan: tuple, sums: tuple) -> Kernel:
 
 
 def _square_plan(n: int, p: int, q: int) -> tuple:
-    """Layout, term pairs and group of ``expand(f) * expand(f).conjugate()``
-    for an (n, p, q) kernel f."""
+    """Stand-in and group of ``expand(f) * expand(f).conjugate()`` for an
+    (n, p, q) kernel f."""
     e = ("expand", n, p, q)
-    x, y = _shape(e), _shape(("conj", e))
-    layout, (keys, group) = _product_plan(x, y)
-    return _keyed(n, keys, layout), len(x.z) * len(y.z), group
+    layout, (keys, group) = _product_plan(_shape(e), _shape(("conj", e)))
+    return _keyed(n, keys, layout), group
+
+
+def _square_degrees(p: int, q: int) -> range:
+    """The degrees L of the keys (A, B) of the square of a (p, q)
+    expansion: |A| = |B| = L.  The expansion's keys are every pair (a, b)
+    of exponent vectors with |a| = p - r and |b| = q - r for r in
+    0..min(p, q), since every Hermite term of every orbit has a nonzero
+    weight; so the square's keys are every pair of equal degree in this
+    range."""
+    m = min(p, q)
+    return range(max(p, q) - m, p + q + 1)
+
+
+def _square_keys(n: int, p: int, q: int) -> int:
+    """How many keys the square of an (n, p, q) expansion has."""
+    return sum(math.comb(d + n - 1, n - 1) ** 2 for d in _square_degrees(p, q))
+
+
+def _square_join_pairs(n: int, f: tuple[int, int], g: tuple[int, int]) -> int:
+    """Term pairs of the Wick join of the squares of an (n, *f) and an
+    (n, *g) expansion, counted from the orders alone.
+
+    Keys (A, B) and (A', B') join where A + A' = B + B'.  Cell by cell that
+    is A_k <= B_k + B'_k, which fixes A'_k, so the join has as many pairs as
+    there are triples (A, B, B') within those bounds with |A| = |B| in f's
+    ``_square_degrees`` and |B'| in g's.  ``counts[a, b, c]`` counts the
+    triples over the cells so far of degrees a, b and c; within the caps
+    every count stays below 2**63."""
+    degrees = _square_degrees(*f), _square_degrees(*g)
+    top = max(degrees[0][-1], degrees[1][-1])
+    counts = np.zeros((top + 1,) * 3, dtype=np.int64)
+    counts[0, 0, 0] = 1
+    for _ in range(n):
+        below = counts.cumsum(axis=0)
+        added = np.zeros_like(counts)
+        for m in range(2 * top + 1):  # m = B_k + B'_k
+            window = below.copy()  # the counts of degree a - A_k, A_k in 0..m
+            if m < top:
+                window[m + 1 :] -= below[: top - m]
+            for b in range(max(0, m - top), min(m, top) + 1):
+                c = m - b
+                added[:, b:, c:] += window[:, : top + 1 - b, : top + 1 - c]
+        counts = added
+    return int(sum(counts[d, d, e] for d in degrees[0] for e in degrees[1]))
 
 
 def _square(x: tuple, group) -> tuple:
@@ -561,22 +603,19 @@ def _square(x: tuple, group) -> tuple:
 
 
 def _planned(key: tuple, build, *kernels: Kernel) -> tuple | None:
-    """The check plan ``build()`` under ``key``, whose first item is the
-    most term pairs one of its products forms, or None if the check must run
-    its composition.  A plan past the work budget is refused with
+    """The check plan ``build()`` under ``key``, or None if the check must
+    run its composition.  A plan past the work budget is refused with
     WorkBudgetError, as the composition refuses it, unless the expansion of
     one of the kernels drops a zero coefficient: the composition then works
     on fewer terms and decides."""
     try:
-        plan = cached_by_shape(key, build)
+        return cached_by_shape(key, build)
     except WorkBudgetError:
         for f in kernels:
             ids, terms = orbit_table(f.n, f.p, f.q)[0], _orbit_terms(f.n, f.p, f.q)
             if not _live(*_expansion(orbit_sums(f, ids), terms)):
                 return None
         raise
-    # A budget lowered since planning: the composition refuses the product.
-    return plan if plan[0] <= oracle.MAX_TERM_PAIRS else None
 
 
 def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
@@ -600,15 +639,14 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
         rhs_keys, rhs_group = _sum_keys(parts, rhs_layout)
         lhs, rhs = _keyed(n, lhs_keys, lhs_layout), _keyed(n, rhs_keys, rhs_layout)
         diff_group = _sum_keys([(lhs, 1), (rhs, -1)], ("sum", lhs_layout, rhs_layout))[1]
-        pairs = len(x.z) * len(y.z)
         f_plan, g_plan = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
-        return pairs, f_plan, g_plan, lhs_group, tuple(terms), rhs_group, diff_group
+        return f_plan, g_plan, lhs_group, tuple(terms), rhs_group, diff_group
 
     key = ("check", "product-conjugated" if conjugated else "product", n, a, b, *g.order)
     plan = _planned(key, build, f, g)
     if plan is None:
         return None
-    _, f_plan, g_plan, lhs_group, terms, rhs_group, diff_group = plan
+    f_plan, g_plan, lhs_group, terms, rhs_group, diff_group = plan
     f_sums, x = _expanded(f, f_plan)
     g_sums, y = _expanded(g, g_plan)
     if not (_live(*x) and _live(*y)):
@@ -635,20 +673,28 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
 def _squares_program(kernels: tuple[Kernel, ...]) -> tuple | None:
     """For one kernel f: E[|I(f)|^2] and E[|I(f)|^4]; for two, f and g:
     E[|I(f)|^2 |I(g)|^2], E[|I(f)|^2] and E[|I(g)|^2].  Real parts only."""
+    n, orders = kernels[0].n, [f.order for f in kernels]
 
     def build():
-        squares = [_square_plan(f.n, f.p, f.q) for f in kernels]
-        left, right = squares[0][0], squares[-1][0]
-        join = join_plan(left, right)
-        plans = tuple((_kernel_plan(f.n, f.p, f.q), group) for f, (_, _, group) in zip(kernels, squares))
-        diagonals = tuple(expectation_plan(sq) for sq, _, _ in squares)
-        return max(pairs for _, pairs, _ in squares), plans, join, diagonals
+        # The budget in the composition's order: each square's product, then
+        # the join, counted before any square is planned.
+        for p, q in orders:
+            terms = len(_orbit_terms(n, p, q)[2][0])
+            check_budget(terms * terms, "a product", terms, terms)
+        sizes = _square_keys(n, *orders[0]), _square_keys(n, *orders[-1])
+        if sizes[0] * sizes[1] > oracle.MAX_TERM_PAIRS:
+            check_budget(_square_join_pairs(n, orders[0], orders[-1]), "a Wick join", *sizes)
+        squares = [_square_plan(n, p, q) for p, q in orders]
+        join = join_plan(squares[0][0], squares[-1][0])
+        plans = tuple((_kernel_plan(n, *order), group) for order, (_, group) in zip(orders, squares))
+        diagonals = tuple(expectation_plan(sq) for sq, _ in squares)
+        return plans, join, diagonals
 
-    key = ("check", "squares", kernels[0].n, *[k for f in kernels for k in (f.p, f.q)])
+    key = ("check", "squares", n, *[k for order in orders for k in order])
     plan = _planned(key, build, *kernels)
     if plan is None:
         return None
-    _, plans, join, diagonals = plan
+    plans, join, diagonals = plan
     squares = []
     for f, (kernel_plan, group) in zip(kernels, plans):
         x = _expanded(f, kernel_plan)[1]
@@ -667,12 +713,12 @@ def _isometry_program(f: Kernel) -> tuple | None:
 
     def build():
         e = ("expand", f.n, f.p, f.q)
-        return 0, _kernel_plan(f.n, f.p, f.q), join_plan(_shape(e), _shape(("conj", e)))
+        return _kernel_plan(f.n, f.p, f.q), join_plan(_shape(e), _shape(("conj", e)))
 
     plan = _planned(("check", "isometry", f.n, f.p, f.q), build, f)
     if plan is None:
         return None
-    _, kernel_plan, join = plan
+    kernel_plan, join = plan
     sums, (re, im) = _expanded(f, kernel_plan)
     if not _live(re, im):
         return None

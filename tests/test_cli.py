@@ -322,7 +322,7 @@ class TestRun:
     def test_square_past_the_work_budget_exits_2(self, tmp_path, capsys):
         # A (3, 3) kernel on the 8-cell cap with one entry in each of 4,500
         # orbits expands to at least 4,500 terms; squaring it would form over
-        # 20M term pairs, past chaos.MAX_TERM_PAIRS.
+        # 20M term pairs, past oracle.MAX_TERM_PAIRS.
         blocks = list(itertools.combinations_with_replacement(range(8), 3))
         orbits = itertools.islice(itertools.product(blocks, blocks), 4500)
         entries = [{"idx": list(a + b), "re": 1.0, "im": 0.5} for a, b in orbits]

@@ -163,8 +163,30 @@ class TestJoinBudget:
         monkeypatch.setattr(oracle, "MAX_TERM_PAIRS", join_pairs - 1)
         monkeypatch.setattr(oracle, "_weights", fails)
         monkeypatch.setattr(chaos, "cmul", fails)
+        monkeypatch.setattr(chaos, "_product_keys", fails)
         with pytest.raises(chaos.WorkBudgetError, match="Wick join .* work budget"):
             chaos.hypercontractivity_check(f)
+
+    @pytest.mark.parametrize("n, order, pairs", [(5, (6, 2), 76_070_331), (6, (3, 3), 27_653_474)])
+    def test_largest_squares_are_refused_before_they_are_formed(self, cache, monkeypatch, n, order, pairs):
+        f = kernels.random_kernel(*order, n, np.random.default_rng(1))
+
+        def fails(*args):
+            raise AssertionError("the square or the join was planned")
+
+        monkeypatch.setattr(chaos, "_product_keys", fails)
+        monkeypatch.setattr(oracle, "_join", fails)
+        with pytest.raises(chaos.WorkBudgetError, match=f"Wick join .* forms {pairs} term pairs"):
+            chaos.hypercontractivity_check(f)
+
+    def test_square_join_counts_match_the_joins(self, cache):
+        for n, top in ((1, 6), (2, 6), (3, 6), (4, 4)):
+            for a, b, c, d in hermite.order_tuples(top):
+                left, right = chaos._square_plan(n, a, b)[0], chaos._square_plan(n, c, d)[0]
+                assert chaos._square_keys(n, a, b) == len(left.z)
+                assert chaos._square_keys(n, c, d) == len(right.z)
+                joined = oracle.join_plan(left, right)[0].shape[1]
+                assert chaos._square_join_pairs(n, (a, b), (c, d)) == joined, (n, a, b, c, d)
 
     def test_join_budget_is_inclusive(self, monkeypatch):
         # 12 x 1 terms, every pair joins.
