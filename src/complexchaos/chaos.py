@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -357,11 +357,6 @@ def worst_of(*values: float, pick=max) -> float:
     return math.nan
 
 
-def relative_residual(lhs: ChaosPolynomial, rhs: ChaosPolynomial) -> float:
-    """Max coefficient deviation over the larger of the two magnitude scales."""
-    return lhs.max_diff(rhs) / max(1.0, lhs.max_abs(), rhs.max_abs())
-
-
 @dataclass(frozen=True)
 class KernelSequence:
     """Named sequence of kernels of one fixed order and cell count."""
@@ -489,38 +484,32 @@ def _expansion(sums: tuple, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
 # objects), not on arithmetic.  A check program runs the same arithmetic, in
 # the same order and through the same array helpers, on bare coefficient
 # arrays, with every plan it needs fetched in one lookup per (check, cell
-# count, orders).  It forms only the parts the check reads.  Where an
-# intermediate that feeds a product or a Wick join would drop a zero
-# coefficient (its layout, and so the plan, would change), the program
-# returns None and the check runs the composition, which stays the
-# reference.
+# count, orders).  It forms only the parts the check reads.  The expansions
+# of the input kernels drop their zero coefficients, as ``expand`` does (see
+# ``_program``); every later intermediate keeps them.
 
 
-def _shape(layout: tuple) -> ChaosPolynomial:
-    """Coefficient-free polynomial with the keys and layout of ``layout``,
-    one built from expansions by products, conjugates and sums, for
-    planning; the plans it builds on the way are the operations' own."""
-    kind, *args = layout
-    if kind == "expand":
-        n, keys = args[0], _orbit_terms(*args)[2]
-    elif kind == "conj":
-        x = _shape(args[0])
-        n, keys = x.n, (x.zc, x.z)
-    else:
-        parts = [_shape(arg) for arg in args]
-        n = parts[0].n
-        if kind == "mul":
-            keys = _product_plan(*parts)[1][0]
-        else:
-            keys = _sum_keys([(x, 1) for x in parts], layout)[0]
-    return _keyed(n, keys, layout)
-
-
-def _keyed(n: int, keys: tuple, layout: tuple) -> ChaosPolynomial:
+def _keyed(n: int, keys: tuple, layout: tuple | None) -> ChaosPolynomial:
     """Coefficient-free polynomial of the key rows ``keys`` and ``layout``."""
     poly = ChaosPolynomial.__new__(ChaosPolynomial)
     poly._set(n, keys[0], keys[1], None, None, layout)
     return poly
+
+
+def _shape(n: int, p: int, q: int, live: np.ndarray | None = None) -> ChaosPolynomial:
+    """Coefficient-free stand-in of the expansion of an (n, p, q) kernel,
+    for planning: with all its keys and layout ``("expand", n, p, q)``, or
+    with the keys that ``live`` marks and layout None, as ``expand`` gives
+    it where it drops the others' zero coefficients."""
+    keys = _orbit_terms(n, p, q)[2]
+    if live is None:
+        return _keyed(n, keys, ("expand", n, p, q))
+    return _keyed(n, keys[:, live], None)
+
+
+def _conjugated(x: ChaosPolynomial) -> ChaosPolynomial:
+    """Stand-in of ``x.conjugate()`` for the stand-in x."""
+    return _keyed(x.n, (x.zc, x.z), layout_key("conj", x.layout))
 
 
 def _kernel_plan(n: int, p: int, q: int) -> tuple:
@@ -544,12 +533,39 @@ def _symmetrized(f: Kernel, plan: tuple, sums: tuple) -> Kernel:
     return f if sizes is None else orbit_mean(f, ids, sizes, sums)
 
 
-def _square_plan(n: int, p: int, q: int) -> tuple:
-    """Stand-in and group of ``expand(f) * expand(f).conjugate()`` for an
-    (n, p, q) kernel f."""
-    e = ("expand", n, p, q)
-    layout, (keys, group) = _product_plan(_shape(e), _shape(("conj", e)))
-    return _keyed(n, keys, layout), group
+def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
+    """The plan of a check on ``kernels``, and per kernel its ``orbit_sums``
+    and the coefficients of its expansion.
+
+    ``build(shapes)`` plans the check from the ``_shape`` of each kernel's
+    expansion; its plan starts with the kernels' ``_kernel_plan``s.  The
+    plan of the full expansions is fetched under ``key`` in one lookup.
+    Where an expansion drops a zero coefficient, the call is planned again,
+    uncached, from the keys that are kept, and the coefficients are those
+    of the kept keys.  A plan of the full expansions past the work budget
+    is refused with WorkBudgetError only if no expansion drops one."""
+    refused = None
+    try:
+        plan = cached_by_shape(key, lambda: build([_shape(f.n, f.p, f.q) for f in kernels]))
+        kernel_plans = plan[0]
+    except WorkBudgetError as error:
+        refused, kernel_plans = error, [_kernel_plan(f.n, f.p, f.q) for f in kernels]
+    parts = [_expanded(f, kernel_plan) for f, kernel_plan in zip(kernels, kernel_plans)]
+    live = [np.logical_or(re, im) for _, (re, im) in parts]
+    if all(np.count_nonzero(kept) == len(kept) for kept in live):
+        if refused is not None:
+            raise refused
+        return plan, parts
+    shapes = [_shape(f.n, f.p, f.q, kept) for f, kept in zip(kernels, live)]
+    parts = [(sums, (re[kept], im[kept])) for (sums, (re, im)), kept in zip(parts, live)]
+    return build(shapes), parts
+
+
+def _square_plan(x: ChaosPolynomial) -> tuple:
+    """Stand-in and group of ``e * e.conjugate()`` for an expansion's
+    stand-in x."""
+    layout, (keys, group) = _product_plan(x, _conjugated(x))
+    return _keyed(x.n, keys, layout), group
 
 
 def _square_degrees(p: int, q: int) -> range:
@@ -602,31 +618,16 @@ def _square(x: tuple, group) -> tuple:
     return _product_values(x, (x[0], -x[1]), group)
 
 
-def _planned(key: tuple, build, *kernels: Kernel) -> tuple | None:
-    """The check plan ``build()`` under ``key``, or None if the check must
-    run its composition.  A plan past the work budget is refused with
-    WorkBudgetError, as the composition refuses it, unless the expansion of
-    one of the kernels drops a zero coefficient: the composition then works
-    on fewer terms and decides."""
-    try:
-        return cached_by_shape(key, build)
-    except WorkBudgetError:
-        for f in kernels:
-            ids, terms = orbit_table(f.n, f.p, f.q)[0], _orbit_terms(f.n, f.p, f.q)
-            if not _live(*_expansion(orbit_sums(f, ids), terms)):
-                return None
-        raise
-
-
-def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
-    """``relative_residual`` of the (plain or conjugated) product check."""
+def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
+    """Relative residual of the (plain or conjugated) product formula: the
+    largest coefficient deviation of its two sides over the larger of 1.0
+    and their largest coefficient moduli."""
     (a, b), right = f.order, (g.q, g.p) if conjugated else g.order
     n = f.n
 
-    def build():
-        ef, eg = ("expand", n, a, b), ("expand", n, *g.order)
-        x, y = _shape(ef), _shape(("conj", eg) if conjugated else eg)
-        lhs_layout, (lhs_keys, lhs_group) = _product_plan(x, y)
+    def build(shapes):
+        x, y = shapes
+        lhs_layout, (lhs_keys, lhs_group) = _product_plan(x, _conjugated(y) if conjugated else y)
         c, d = right
         terms, parts = [], []
         for i in range(min(a, d) + 1):
@@ -634,23 +635,17 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
                 order = (a + c - i - j, b + d - i - j)
                 w = hermite.pairing_weight(a, b, c, d, i, j)
                 terms.append((ContractionSpec(i, j), w, _kernel_plan(n, *order)))
-                parts.append((_shape(("expand", n, *order)), w))
+                parts.append((_shape(n, *order), w))
         rhs_layout = layout_key("sum", *(x.layout for x, _ in parts))
         rhs_keys, rhs_group = _sum_keys(parts, rhs_layout)
         lhs, rhs = _keyed(n, lhs_keys, lhs_layout), _keyed(n, rhs_keys, rhs_layout)
-        diff_group = _sum_keys([(lhs, 1), (rhs, -1)], ("sum", lhs_layout, rhs_layout))[1]
-        f_plan, g_plan = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
-        return f_plan, g_plan, lhs_group, tuple(terms), rhs_group, diff_group
+        diff_group = _sum_keys([(lhs, 1), (rhs, -1)], layout_key("sum", lhs_layout, rhs_layout))[1]
+        kernel_plans = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
+        return kernel_plans, lhs_group, tuple(terms), rhs_group, diff_group
 
     key = ("check", "product-conjugated" if conjugated else "product", n, a, b, *g.order)
-    plan = _planned(key, build, f, g)
-    if plan is None:
-        return None
-    f_plan, g_plan, lhs_group, terms, rhs_group, diff_group = plan
-    f_sums, x = _expanded(f, f_plan)
-    g_sums, y = _expanded(g, g_plan)
-    if not (_live(*x) and _live(*y)):
-        return None
+    plan, ((f_sums, x), (g_sums, y)) = _program(key, build, (f, g))
+    (f_plan, g_plan), lhs_group, terms, rhs_group, diff_group = plan
     lhs = _product_values(x, (y[0], -y[1]) if conjugated else y, lhs_group)
     fs, gs = _symmetrized(f, f_plan, f_sums), _symmetrized(g, g_plan, g_sums)
     if conjugated:
@@ -659,69 +654,61 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float | None:
     for spec, w, term_plan in terms:
         _, (re, im) = _expanded(contract(fs, gs, spec), term_plan)
         parts.append((re, im, w))
-    # The composition drops a zero coefficient of lhs, of rhs and of their
-    # terms (the weighted terms of rhs often cancel exactly).  Keeping one
-    # changes no residual: it adds a +-0.0 to per-key sums that start at
-    # +0.0 (a term of the weighted sum: w * +0.0 is +0.0), and a 0.0 to the
-    # maxima of moduli.  Only the expansions of f and g must hold no zero,
-    # since their products with an inf coefficient would be NaN.
+    # The composition of ChaosPolynomial operations would drop the zero
+    # coefficients of lhs, of rhs and of their terms (the weighted terms of
+    # rhs often cancel exactly).  Keeping them changes no residual: they add
+    # a +-0.0 to per-key sums that start at +0.0 (a term of the weighted
+    # sum: w * +0.0 is +0.0), and a 0.0 to the maxima of moduli.  Only the
+    # expansions of f and g must hold no zero, since their products with an
+    # inf coefficient would be NaN.
     rhs = _group_sums(rhs_group, *_sum_values(parts))
     diff = _diff_modulus(diff_group, *_difference(lhs, rhs))
     return diff / max(1.0, _max_modulus(*lhs), _max_modulus(*rhs))
 
 
-def _squares_program(kernels: tuple[Kernel, ...]) -> tuple | None:
-    """For one kernel f: E[|I(f)|^2] and E[|I(f)|^4]; for two, f and g:
-    E[|I(f)|^2 |I(g)|^2], E[|I(f)|^2] and E[|I(g)|^2].  Real parts only."""
+def _squares_program(kernels: tuple[Kernel, ...]) -> tuple:
+    """For one kernel f: E[|I(f)|^4] and E[|I(f)|^2]; for two, f and g:
+    E[|I(f)|^2 |I(g)|^2], E[|I(f)|^2] and E[|I(g)|^2].  Real parts only.
+
+    The squares keep their zero coefficients, which the composition of
+    ChaosPolynomial operations would drop: their products add +-0.0 to the
+    oracle's exact sums, which changes none.  (Where another coefficient of
+    the squares is inf, they add NaN, not inf; the check fails on either.)"""
     n, orders = kernels[0].n, [f.order for f in kernels]
 
-    def build():
+    def build(shapes):
         # The budget in the composition's order: each square's product, then
-        # the join, counted before any square is planned.
-        for p, q in orders:
-            terms = len(_orbit_terms(n, p, q)[2][0])
-            check_budget(terms * terms, "a product", terms, terms)
+        # the join, counted before any square is planned where the squares
+        # have every key (see ``_square_join_pairs``).
+        for x in shapes:
+            check_budget(len(x.z) ** 2, "a product", len(x.z), len(x.z))
         sizes = _square_keys(n, *orders[0]), _square_keys(n, *orders[-1])
-        if sizes[0] * sizes[1] > oracle.MAX_TERM_PAIRS:
+        full = None not in (shapes[0].layout, shapes[-1].layout)
+        if full and sizes[0] * sizes[1] > oracle.MAX_TERM_PAIRS:
             check_budget(_square_join_pairs(n, orders[0], orders[-1]), "a Wick join", *sizes)
-        squares = [_square_plan(n, p, q) for p, q in orders]
+        squares = [_square_plan(x) for x in shapes]
         join = join_plan(squares[0][0], squares[-1][0])
-        plans = tuple((_kernel_plan(n, *order), group) for order, (_, group) in zip(orders, squares))
-        diagonals = tuple(expectation_plan(sq) for sq, _ in squares)
-        return plans, join, diagonals
+        kernel_plans = tuple(_kernel_plan(n, *order) for order in orders)
+        groups = tuple(group for _, group in squares)
+        return kernel_plans, groups, join, tuple(expectation_plan(sq) for sq, _ in squares)
 
     key = ("check", "squares", n, *[k for order in orders for k in order])
-    plan = _planned(key, build, *kernels)
-    if plan is None:
-        return None
-    plans, join, diagonals = plan
-    squares = []
-    for f, (kernel_plan, group) in zip(kernels, plans):
-        x = _expanded(f, kernel_plan)[1]
-        if not _live(*x):
-            return None
-        sq = _square(x, group)
-        if not _live(*sq):
-            return None
-        squares.append(sq)
+    (_, groups, join, diagonals), parts = _program(key, build, kernels)
+    squares = [_square(x, group) for (_, x), group in zip(parts, groups)]
     moments = [diagonal_sum(sq[0], d) for sq, d in zip(squares, diagonals)]
     return (join_sum(join, *squares[0], *squares[-1], imag=False), *moments)
 
 
-def _isometry_program(f: Kernel) -> tuple | None:
-    """The second moment and the symmetrized kernel of the isometry check."""
+def _isometry_program(f: Kernel) -> tuple:
+    """The second moment E[|I(f)|^2] and the symmetrized kernel of the
+    isometry check."""
 
-    def build():
-        e = ("expand", f.n, f.p, f.q)
-        return _kernel_plan(f.n, f.p, f.q), join_plan(_shape(e), _shape(("conj", e)))
+    def build(shapes):
+        x = shapes[0]
+        return (_kernel_plan(f.n, f.p, f.q),), join_plan(x, _conjugated(x))
 
-    plan = _planned(("check", "isometry", f.n, f.p, f.q), build, f)
-    if plan is None:
-        return None
-    kernel_plan, join = plan
-    sums, (re, im) = _expanded(f, kernel_plan)
-    if not _live(re, im):
-        return None
+    key = ("check", "isometry", f.n, f.p, f.q)
+    ((kernel_plan,), join), ((sums, (re, im)),) = _program(key, build, (f,))
     return join_sum(join, re, im, re, -im, imag=False), _symmetrized(f, kernel_plan, sums)
 
 
@@ -752,11 +739,7 @@ def integral_conjugate(f: Kernel, tolerance: float = STRUCTURAL_TOL) -> Verifica
 
 def isometry_check(f: Kernel, tolerance: float = STRUCTURAL_TOL) -> VerificationReport:
     """Second moment equals p! q! times the squared symmetrized norm."""
-    program = _isometry_program(f)
-    if program is None:
-        poly = expand(f)
-        program = oracle.pair_expectation(poly, poly.conjugate()).real, ito_symmetrize(f)
-    second_moment, symmetrized = program
+    second_moment, symmetrized = _isometry_program(f)
     target = math.factorial(f.p) * math.factorial(f.q) * norm(symmetrized) ** 2
     residual = abs(second_moment - target) / max(1.0, abs(target))
     return VerificationReport(
@@ -824,32 +807,13 @@ def product_conjugated(f: Kernel, g: Kernel) -> list[ProductTerm]:
     return _product_terms(ito_symmetrize(f), reversed_conjugate(ito_symmetrize(g)))
 
 
-def _combination_expand(terms: Iterable[ProductTerm], n: int) -> ChaosPolynomial:
-    return _sum_of(n, [(expand(term.kernel), term.weight) for term in terms])
-
-
-def _product_residual(f: Kernel, g: Kernel, conjugated: bool) -> float:
-    """Relative residual of the (plain or conjugated) product formula: the
-    check program where it runs, else the composition."""
-    if f.n == g.n and f.p + f.q + g.p + g.q <= MAX_TOTAL_ORDER:
-        residual = _product_program(f, g, conjugated)
-        if residual is not None:
-            return residual
-    if conjugated:
-        lhs = expand(f) * expand(g).conjugate()
-        rhs = _combination_expand(product_conjugated(f, g), f.n)
-    else:
-        lhs = expand(f) * expand(g)
-        rhs = _combination_expand(product(f, g), f.n)
-    return relative_residual(lhs, rhs)
-
-
 def product_check(
     f: Kernel, g: Kernel, tolerance: float = IDENTITY_TOL
 ) -> VerificationReport:
+    _check_pair(f, g)
     return VerificationReport(
         name="product-formula",
-        residual=_product_residual(f, g, conjugated=False),
+        residual=_product_program(f, g, conjugated=False),
         tolerance=tolerance,
         metadata={"orders": f"{f.order}x{g.order}", "cells": f.n},
     )
@@ -858,9 +822,10 @@ def product_check(
 def product_conjugated_check(
     f: Kernel, g: Kernel, tolerance: float = IDENTITY_TOL
 ) -> VerificationReport:
+    _check_pair(f, g)
     return VerificationReport(
         name="product-conjugated-formula",
-        residual=_product_residual(f, g, conjugated=True),
+        residual=_product_program(f, g, conjugated=True),
         tolerance=tolerance,
         metadata={"orders": f"{f.order}x{g.order}", "cells": f.n},
     )
@@ -922,17 +887,8 @@ def _covariance_formula(f: Kernel, g: Kernel) -> float:
 
 
 def _covariance_oracle(f: Kernel, g: Kernel) -> float:
-    if f.n == g.n:
-        program = _squares_program((f, g))
-        if program is not None:
-            joint, e_f, e_g = program
-            return joint - e_f * e_g
-    pf = expand(f)
-    pg = expand(g)
-    sq_f = pf * pf.conjugate()
-    sq_g = pg * pg.conjugate()
-    joint = oracle.pair_expectation(sq_f, sq_g).real
-    return joint - oracle.expectation(sq_f).real * oracle.expectation(sq_g).real
+    joint, e_f, e_g = _squares_program((f, g))
+    return joint - e_f * e_g
 
 
 @dataclass(frozen=True)
@@ -1118,10 +1074,7 @@ def asymptotic_diagnostics(seqs: Sequence[KernelSequence]) -> list[DiagnosticsRo
                         covariance=_covariance_oracle(kernels[i], kernels[j]),
                     )
                 )
-        moments = []
-        for k in kernels:
-            poly = expand(k)
-            moments.append(oracle.pair_expectation(poly, poly.conjugate()).real)
+        moments = [_isometry_program(k)[0] for k in kernels]
         rows.append(
             DiagnosticsRow(index=t, pairs=tuple(pairs), second_moments=tuple(moments))
         )
@@ -1150,12 +1103,7 @@ def hypercontractivity_check(
 ) -> VerificationReport:
     """Fourth-moment hypercontractivity: the L4 norm of the integral is at
     most 3**((p+q)/2) times its L2 norm.  Residual is the positive excess."""
-    program = _squares_program((f,))
-    if program is None:
-        poly = expand(f)
-        sq = poly * poly.conjugate()
-        program = oracle.pair_expectation(sq, sq).real, oracle.expectation(sq).real
-    m4, m2 = program
+    m4, m2 = _squares_program((f,))
     lhs = max(m4, 0.0) ** 0.25
     rhs = 3.0 ** ((f.p + f.q) / 2.0) * max(m2, 0.0) ** 0.5
     residual = worst_of(0.0, lhs - rhs)

@@ -206,7 +206,8 @@ class TestExpansion:
     def test_combination_matches_reference(self, kernels, weights):
         terms = [chaos.ProductTerm(w, f) for w, f in zip(weights, kernels)]
         ref = dict_combination((t.weight, t.kernel) for t in terms)
-        assert same_values(chaos._combination_expand(terms, kernels[0].n), ref)
+        combination = chaos._sum_of(kernels[0].n, [(chaos.expand(t.kernel), t.weight) for t in terms])
+        assert same_values(combination, ref)
 
 
 class TestDigitLimit:

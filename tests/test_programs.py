@@ -3,9 +3,9 @@
 Every check that has a program (product, conjugated product, the oracle side
 of the covariance of squared moduli, hypercontractivity, isometry) must give
 the report the composition gives, bit for bit: cold, warm and with a shape
-cache that keeps one entry.  The composition runs when the programs are
-switched off, which is also what a check does where an intermediate would
-drop a zero coefficient.
+cache that keeps one entry.  The composition, written here over the public
+operations, is the reference: the ``composed`` fixture patches it in for
+the programs.
 """
 
 import json
@@ -19,7 +19,40 @@ import pytest
 from complexchaos import ChaosPolynomial, Kernel, chaos, cli, hermite, kernels, oracle, suites
 
 ROOT = Path(__file__).resolve().parent.parent
-PROGRAMS = ("_product_program", "_squares_program", "_isometry_program")
+
+
+def composed_product(f, g, conjugated):
+    """Relative residual of the product formula: the largest coefficient
+    deviation of the two sides over the larger of 1.0 and their scales."""
+    if conjugated:
+        lhs, terms = chaos.expand(f) * chaos.expand(g).conjugate(), chaos.product_conjugated(f, g)
+    else:
+        lhs, terms = chaos.expand(f) * chaos.expand(g), chaos.product(f, g)
+    rhs = chaos._sum_of(f.n, [(chaos.expand(t.kernel), t.weight) for t in terms])
+    return lhs.max_diff(rhs) / max(1.0, lhs.max_abs(), rhs.max_abs())
+
+
+def composed_squares(fs):
+    """E[|I(f)|^2 |I(g)|^2], E[|I(f)|^2], E[|I(g)|^2] for fs = (f, g), and
+    E[|I(f)|^4], E[|I(f)|^2] for fs = (f,)."""
+    squares = []
+    for f in fs:
+        poly = chaos.expand(f)
+        squares.append(poly * poly.conjugate())
+    joint = oracle.pair_expectation(squares[0], squares[-1]).real
+    return (joint, *[oracle.expectation(sq).real for sq in squares])
+
+
+def composed_isometry(f):
+    poly = chaos.expand(f)
+    return oracle.pair_expectation(poly, poly.conjugate()).real, kernels.ito_symmetrize(f)
+
+
+COMPOSITION = {
+    "_product_program": composed_product,
+    "_squares_program": composed_squares,
+    "_isometry_program": composed_isometry,
+}
 
 
 def fingerprint(report) -> tuple:
@@ -46,6 +79,9 @@ def cases():
         for n in (1, 2, 3):
             for kind in ("dense", "masked", "basis"):
                 out.append((kernel_of(kind, a, b, n, rng), kernel_of(kind, c, d, n, rng)))
+    # Every expansion coefficient is kept, but the square has an exact zero.
+    f = Kernel(1, 1, 2, [[1, -1], [1, 1]])
+    out += [(f, Kernel.scalar(1.0, 2)), (f, kernels.random_kernel(1, 1, 2, rng))]
     return out
 
 
@@ -75,14 +111,19 @@ def cache(monkeypatch):
     return fresh
 
 
-@pytest.fixture(scope="module")
-def composed():
-    """The composition's reports, programs off."""
+def composed_reports(pairs) -> list:
+    """``reports`` with the composition in place of the programs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_SHAPE_CACHE", kernels._ShapeCache())
-        for name in PROGRAMS:
-            patch.setattr(chaos, name, lambda *args: None)
-        return reports(CASES)
+        for name, reference in COMPOSITION.items():
+            patch.setattr(chaos, name, reference)
+        return reports(pairs)
+
+
+@pytest.fixture(scope="module")
+def composed():
+    """The composition's reports."""
+    return composed_reports(CASES)
 
 
 class TestCheckPrograms:
@@ -97,35 +138,36 @@ class TestCheckPrograms:
         assert reports(CASES[::7]) == composed[::7]
         assert len(cache) == 1
 
-    def test_programs_run_and_fall_back(self, cache, monkeypatch):
-        ran, fell_back = set(), set()
-
-        def counted(name):
-            program = getattr(chaos, name)
-
-            def run(*args):
-                result = program(*args)
-                (ran if result is not None else fell_back).add(name)
-                return result
-
-            return run
-
-        for name in PROGRAMS:
-            monkeypatch.setattr(chaos, name, counted(name))
-        reports(CASES[::4])
-        assert ran == set(PROGRAMS)
-        # Masked and basis kernels have zero-sum orbits: their expansions
-        # drop coefficients and the checks run the composition.
-        assert fell_back == set(PROGRAMS)
-
-    def test_fallback_on_a_dropped_expansion_coefficient(self, cache):
+    def test_dropped_expansion_coefficients_are_planned_per_call(self, cache, monkeypatch):
         # The constant terms of the two diagonal orbits cancel.
         f = Kernel(1, 1, 2, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
         assert chaos.expand(f).layout is None
         g = kernels.random_kernel(1, 0, 2, np.random.default_rng(5))
-        assert chaos._product_program(f, g, False) is None
-        assert chaos._squares_program((f,)) is None
-        assert chaos._isometry_program(f) is None
+        pairs = [(f, g), (g, f), (f, Kernel.scalar(2.0, 2))]
+        expected = composed_reports(pairs)
+
+        def fails(*args):
+            raise AssertionError("the composition ran")
+
+        monkeypatch.setattr(ChaosPolynomial, "__mul__", fails)
+        monkeypatch.setattr(oracle, "pair_expectation", fails)
+        monkeypatch.setattr(oracle, "expectation", fails)
+        assert reports(pairs) == expected
+        cached = set(cache)
+        assert reports(pairs) == expected
+        assert set(cache) == cached  # the plans of the kept keys are not kept
+
+    def test_product_pair_is_validated_before_it_is_expanded(self, cache):
+        rng = np.random.default_rng(3)
+        f, g = kernels.random_kernel(4, 4, 5, rng), kernels.random_kernel(4, 4, 5, rng)
+        h = kernels.random_kernel(1, 0, 4, rng)
+        for check in (chaos.product_check, chaos.product_conjugated_check):
+            with pytest.raises(ValueError, match="combined order exceeds cap") as error:
+                check(f, g)
+            assert type(error.value) is ValueError  # not WorkBudgetError
+            with pytest.raises(ValueError, match="cell count mismatch: 5 vs 4"):
+                check(f, h)
+        assert len(cache) == 0
 
     def test_one_plan_per_check_and_shape(self, cache):
         rng = np.random.default_rng(8)
@@ -182,7 +224,8 @@ class TestJoinBudget:
     def test_square_join_counts_match_the_joins(self, cache):
         for n, top in ((1, 6), (2, 6), (3, 6), (4, 4)):
             for a, b, c, d in hermite.order_tuples(top):
-                left, right = chaos._square_plan(n, a, b)[0], chaos._square_plan(n, c, d)[0]
+                left = chaos._square_plan(chaos._shape(n, a, b))[0]
+                right = chaos._square_plan(chaos._shape(n, c, d))[0]
                 assert chaos._square_keys(n, a, b) == len(left.z)
                 assert chaos._square_keys(n, c, d) == len(right.z)
                 joined = oracle.join_plan(left, right)[0].shape[1]
@@ -226,6 +269,14 @@ def test_residual_digest_is_repeatable():
     first, second = (subprocess.run(argv, capture_output=True, text=True, check=True) for _ in range(2))
     lines = first.stdout.splitlines()
     kinds = [line.split()[0] for line in lines]
-    assert kinds == ["product", "product-conjugated", "covariance", "hypercontractivity", "isometry", "conjugate"]
+    assert kinds == [
+        "product",
+        "product-conjugated",
+        "covariance",
+        "hypercontractivity",
+        "isometry",
+        "conjugate",
+        "zero-orbit",
+    ]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert first.stdout == second.stdout

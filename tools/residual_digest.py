@@ -9,11 +9,17 @@ hypercontractivity at SEED+8 with its two anchors (criterion 8), all drawn
 through ``suites._grid`` as the batteries draw them, so seed 101 gives the
 acceptance grids.  Then one random kernel of every high-order shape, drawn
 from a generator seeded with SEED, goes through the isometry and the
-conjugate-lemma checks.  Each output line is ``kind sha256 values``; the
+conjugate-lemma checks.  Last, the zero-orbit kind runs the five checks
+that have check programs (product, conjugated product, covariance,
+hypercontractivity, isometry) on kernels whose expansions drop zero
+coefficients: masked random kernels and basis tensors on 1 to 3 cells,
+drawn from a generator seeded with (SEED, 0), for every order tuple of
+total <= 6 (hypercontractivity and isometry for every order of total
+<= 4).  Each output line is ``kind sha256 values``; the
 hash covers ``float.hex`` of the residual and of every float metadata value,
 in check order.  Equal output from two checkouts means bit-identical
-residuals.  ``--small`` runs one trial per order tuple and only the 3-cell
-high-order shapes.
+residuals.  ``--small`` runs one trial per order tuple, only the 3-cell
+high-order shapes and only the 2-cell zero-orbit kernels.
 
 The checkout's own ``src`` is imported, whatever PYTHONPATH says.
 """
@@ -60,6 +66,26 @@ def _reports(seed: int, small: bool):
         f = random_kernel(p, q, n, rng)
         yield "isometry", chaos.isometry_check(f)
         yield "conjugate", chaos.integral_conjugate(f)
+    rng = np.random.default_rng((seed, 0))
+    for n in (2,) if small else (1, 2, 3):
+        for masked in (True, False):
+            for a, b, c, d in hermite.order_tuples(6):
+                f, g = _zero_orbit_kernel(a, b, n, rng, masked), _zero_orbit_kernel(c, d, n, rng, masked)
+                yield "zero-orbit", chaos.product_check(f, g)
+                yield "zero-orbit", chaos.product_conjugated_check(f, g)
+                yield "zero-orbit", chaos.covariance_squares(f, g).report
+                if a + b <= 4 and c + d == 0:
+                    yield "zero-orbit", chaos.hypercontractivity_check(f)
+                    yield "zero-orbit", chaos.isometry_check(f)
+
+
+def _zero_orbit_kernel(p: int, q: int, n: int, rng, masked: bool) -> Kernel:
+    """A kernel with zero-sum orbits: random on some of the n cells, or a
+    basis tensor."""
+    if masked:
+        cells = tuple(sorted(set(rng.integers(0, n, size=max(1, n - 1)).tolist())))
+        return suites._masked_random_kernel(p, q, n, cells, rng)
+    return Kernel.basis(p, q, tuple(rng.integers(0, n, size=p + q).tolist()), n)
 
 
 def digests(seed: int, small: bool = False) -> list[str]:
