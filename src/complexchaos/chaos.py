@@ -551,11 +551,11 @@ def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
     except WorkBudgetError as error:
         refused, kernel_plans = error, [_kernel_plan(f.n, f.p, f.q) for f in kernels]
     parts = [_expanded(f, kernel_plan) for f, kernel_plan in zip(kernels, kernel_plans)]
-    live = [np.logical_or(re, im) for _, (re, im) in parts]
-    if all(np.count_nonzero(kept) == len(kept) for kept in live):
+    if all(_live(*x) for _, x in parts):
         if refused is not None:
             raise refused
         return plan, parts
+    live = [np.logical_or(*x) for _, x in parts]
     shapes = [_shape(f.n, f.p, f.q, kept) for f, kept in zip(kernels, live)]
     parts = [(sums, (re[kept], im[kept])) for (sums, (re, im)), kept in zip(parts, live)]
     return build(shapes), parts
