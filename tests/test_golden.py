@@ -1,8 +1,11 @@
 """Golden reports: the CLI must reproduce the committed report files byte for
-byte.  Any change to a residual, a metadata value or the report layout shows
-up here; a change that is meant must regenerate the file and say why."""
+byte, and ``tools/residual_digest.py 101 --small`` its committed output.  Any
+change to a residual, a metadata value or the report layout shows up here; a
+change that is meant must regenerate the file and say why."""
 
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +29,11 @@ def test_report_matches_golden(golden, tmp_path, monkeypatch, capsys):
     assert cli.main(CASES[golden] + ["--report", str(report)]) == 0
     capsys.readouterr()
     assert report.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_residual_digest_matches_golden():
+    # One SHA-256 per check kind over every residual bit of the small seed-101
+    # grids: a change to any residual of any check kind fails here.
+    tool = ROOT / "tools" / "residual_digest.py"
+    run = subprocess.run([sys.executable, str(tool), "101", "--small"], capture_output=True, text=True, check=True)
+    assert run.stdout == (GOLDEN / "residual_digest_101_small.txt").read_text()
