@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -40,14 +42,18 @@ from .kernels import (
     MAX_TOTAL_ORDER,
     ContractionSpec,
     Kernel,
+    _contraction_plan,
+    _norm,
     cached_by_shape,
     contract,
+    contraction,
     ito_symmetrize,
     norm,
     orbit_mean,
     orbit_sums,
     orbit_table,
     reversed_conjugate,
+    reversed_conjugate_of,
 )
 from .oracle import (  # the work budget, oracle.MAX_TERM_PAIRS, bounds products and joins
     MAX_EXPONENT,
@@ -96,11 +102,15 @@ STRUCTURAL_TOL = 1e-12
 
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
+# Key plans of more terms store their groups as int32, which halves the largest
+# plans kept; others as intp, which ``np.bincount`` reads without converting.
+_INT32_GROUPS = 1 << 16
+
+
 def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key plan of terms keyed ``z`` and ``zc``: the distinct keys in order
     of first occurrence, as the rows of one (2, keys) array, and every
-    term's group, the index of its key there, as int32 (which halves the
-    plans that ``cached_by_shape`` keeps)."""
+    term's group, the index of its key there."""
     order = np.lexsort((zc, z))  # stable
     sz, szc = z[order], zc[order]
     new = np.empty(len(z), dtype=bool)
@@ -113,7 +123,8 @@ def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     label = np.empty(len(first), dtype=np.intp)
     label[rank] = np.arange(len(first))
     first = first[rank]
-    return np.stack((z[first], zc[first])), label[group].astype(np.int32)
+    group = label[group]
+    return np.stack((z[first], zc[first])), group.astype(np.int32) if len(z) > _INT32_GROUPS else group
 
 
 class ChaosPolynomial:
@@ -131,8 +142,10 @@ class ChaosPolynomial:
     ``("expand", n, p, q)`` for the expansion of a kernel, ``("constant", n)``
     for a nonzero constant, ``("mul", A, B)`` for a product, ``("conj", A)``
     for a conjugate and ``("sum", A, B, ...)`` for a sum of operands of
-    layouts A, B, ...; scaling keeps it.  It is None for any other polynomial
-    built from a mapping and for a result that dropped a zero coefficient.
+    layouts A, B, ...; scaling keeps it.  A result of layout A that drops
+    zero coefficients has layout ``("kept", A, mask)``, where ``mask`` is
+    the ``np.packbits`` bytes of the kept keys among A's.  It is None for
+    any other polynomial built from a mapping and for any result of one.
     Key work that depends only on layouts (groupings, product keys, oracle
     joins) is planned once per layout and cached with
     ``kernels.cached_by_shape``.  A product of more than
@@ -171,11 +184,12 @@ class ChaosPolynomial:
 
     @classmethod
     def _of(cls, n: int, z, zc, re, im, layout) -> "ChaosPolynomial":
-        """Polynomial of distinct keys; zero coefficients are dropped, and
-        with them the layout."""
+        """Polynomial of distinct keys of layout ``layout``; zero
+        coefficients are dropped, which makes the layout a kept-key one."""
         if not _live(re, im):
             live = np.logical_or(re, im)
-            z, zc, re, im, layout = z[live], zc[live], re[live], im[live], None
+            z, zc, re, im = z[live], zc[live], re[live], im[live]
+            layout = layout_key("kept", layout, np.packbits(live).tobytes())
         poly = cls.__new__(cls)
         poly._set(n, z, zc, re, im, layout)
         return poly
@@ -251,7 +265,7 @@ class ChaosPolynomial:
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
         group = _sum_keys([(self, 1), (other, -1)], layout_key("sum", self.layout, other.layout))[1]
-        return _diff_modulus(group, *_difference((self.re, self.im), (other.re, other.im)))
+        return _diff_modulus(group, *_sum_values(((self.re, self.im, 1), (other.re, other.im, -1))))
 
 
 # -- array arithmetic shared by the polynomial operations and the check programs
@@ -322,15 +336,9 @@ def _sum_values(parts: Sequence[tuple]) -> tuple[np.ndarray, ...]:
     )
 
 
-def _difference(x: tuple, y: tuple) -> tuple[np.ndarray, ...]:
-    """The terms of x - y from the parts of x's and y's coefficients: adding
-    -y rounds exactly as subtracting y does."""
-    return _sum_values(((*x, 1), (*y, -1)))
-
-
 def _diff_modulus(group: np.ndarray, re: np.ndarray, im: np.ndarray) -> float:
-    """``max_diff`` from the terms of a ``_difference`` and the group of its
-    key plan."""
+    """``max_diff`` from the terms of x - y (x's, then y's times -1) and the
+    group of its key plan."""
     return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
 
@@ -460,7 +468,7 @@ def expand(f: Kernel) -> ChaosPolynomial:
     match the diagonal-free continuum integral.
     """
     terms = _orbit_terms(f.n, f.p, f.q)
-    re, im = _expansion(orbit_sums(f, orbit_table(f.n, f.p, f.q)[0]), terms)
+    re, im = _expansion(orbit_sums(f.coeffs, orbit_table(f.n, f.p, f.q)[0]), terms)
     keys = terms[2]
     return ChaosPolynomial._of(f.n, keys[0], keys[1], re, im, ("expand", f.n, f.p, f.q))
 
@@ -499,12 +507,12 @@ def _keyed(n: int, keys: tuple, layout: tuple | None) -> ChaosPolynomial:
 def _shape(n: int, p: int, q: int, live: np.ndarray | None = None) -> ChaosPolynomial:
     """Coefficient-free stand-in of the expansion of an (n, p, q) kernel,
     for planning: with all its keys and layout ``("expand", n, p, q)``, or
-    with the keys that ``live`` marks and layout None, as ``expand`` gives
-    it where it drops the others' zero coefficients."""
-    keys = _orbit_terms(n, p, q)[2]
+    with the keys that ``live`` marks and the kept-key layout that
+    ``expand`` gives it where it drops the others' zero coefficients."""
+    keys, layout = _orbit_terms(n, p, q)[2], ("expand", n, p, q)
     if live is None:
-        return _keyed(n, keys, ("expand", n, p, q))
-    return _keyed(n, keys[:, live], None)
+        return _keyed(n, keys, layout)
+    return _keyed(n, keys[:, live], ("kept", layout, np.packbits(live).tobytes()))
 
 
 def _conjugated(x: ChaosPolynomial) -> ChaosPolynomial:
@@ -520,45 +528,50 @@ def _kernel_plan(n: int, p: int, q: int) -> tuple:
     return ids, (sizes if max(p, q) > 1 else None), _orbit_terms(n, p, q)
 
 
-def _expanded(f: Kernel, plan: tuple) -> tuple:
-    """f's ``orbit_sums`` and the coefficients of ``expand(f)`` before its
-    zero test."""
-    sums = orbit_sums(f, plan[0])
-    return sums, _expansion(sums, plan[2])
-
-
-def _symmetrized(f: Kernel, plan: tuple, sums: tuple) -> Kernel:
-    """``ito_symmetrize(f)`` from f's orbit sums."""
+def _symmetrized(coeffs: np.ndarray, plan: tuple, sums: tuple) -> np.ndarray:
+    """The coefficients of ``ito_symmetrize`` from a kernel's coefficients,
+    its ``_kernel_plan`` and its ``orbit_sums``."""
     ids, sizes, _ = plan
-    return f if sizes is None else orbit_mean(f, ids, sizes, sums)
+    return coeffs if sizes is None else orbit_mean(coeffs, ids, sizes, sums)
 
 
-def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
-    """The plan of a check on ``kernels``, and per kernel its ``orbit_sums``
-    and the coefficients of its expansion.
+def _program(key: tuple, build, kernels: Sequence[Kernel], symmetrized: bool = False) -> tuple:
+    """The plan of a check on ``kernels``, and per kernel a tensor, its
+    ``orbit_sums`` and the coefficients of its expansion.  The tensor is
+    the kernel's coefficients, or with ``symmetrized`` those of its
+    ``ito_symmetrize``.
 
-    ``build(shapes)`` plans the check from the ``_shape`` of each kernel's
+    ``build(shapes)`` plans the check from the ``_shape`` of each tensor's
     expansion; its plan starts with the kernels' ``_kernel_plan``s.  The
     plan of the full expansions is fetched under ``key`` in one lookup.
-    Where an expansion drops a zero coefficient, the call is planned again,
-    uncached, from the keys that are kept, and the coefficients are those
-    of the kept keys.  A plan of the full expansions past the work budget
-    is refused with WorkBudgetError only if no expansion drops one."""
+    Where an expansion drops a zero coefficient, the plan of the kept keys
+    is fetched under ``key + ("kept", masks)``, with the ``np.packbits``
+    mask of each expansion's kept keys (None where it keeps all), and the
+    coefficients are those of the kept keys.  A plan of the full expansions
+    past the work budget is refused with WorkBudgetError only if no
+    expansion drops one."""
     refused = None
     try:
         plan = cached_by_shape(key, lambda: build([_shape(f.n, f.p, f.q) for f in kernels]))
         kernel_plans = plan[0]
     except WorkBudgetError as error:
         refused, kernel_plans = error, [_kernel_plan(f.n, f.p, f.q) for f in kernels]
-    parts = [_expanded(f, kernel_plan) for f, kernel_plan in zip(kernels, kernel_plans)]
-    if all(_live(*x) for _, x in parts):
+    parts = []
+    for f, (ids, sizes, terms) in zip(kernels, kernel_plans):
+        coeffs, sums = f.coeffs, orbit_sums(f.coeffs, ids)
+        if symmetrized and sizes is not None:
+            coeffs = orbit_mean(coeffs, ids, sizes, sums)
+            sums = orbit_sums(coeffs, ids)
+        parts.append((coeffs, sums, _expansion(sums, terms)))
+    if all(_live(*x) for _, _, x in parts):
         if refused is not None:
             raise refused
         return plan, parts
-    live = [np.logical_or(*x) for _, x in parts]
+    live = [None if _live(*x) else np.logical_or(*x) for _, _, x in parts]
+    masks = tuple(None if kept is None else np.packbits(kept).tobytes() for kept in live)
     shapes = [_shape(f.n, f.p, f.q, kept) for f, kept in zip(kernels, live)]
-    parts = [(sums, (re[kept], im[kept])) for (sums, (re, im)), kept in zip(parts, live)]
-    return build(shapes), parts
+    parts = [part if kept is None else (*part[:2], (part[2][0][kept], part[2][1][kept])) for part, kept in zip(parts, live)]
+    return cached_by_shape(key + ("kept", masks), lambda: build(shapes)), parts
 
 
 def _square_plan(x: ChaosPolynomial) -> tuple:
@@ -612,12 +625,6 @@ def _square_join_pairs(n: int, f: tuple[int, int], g: tuple[int, int]) -> int:
     return int(sum(counts[d, d, e] for d in degrees[0] for e in degrees[1]))
 
 
-def _square(x: tuple, group) -> tuple:
-    """Coefficients of an expansion times its conjugate, from the parts
-    ``x`` of the expansion's coefficients."""
-    return _product_values(x, (x[0], -x[1]), group)
-
-
 def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
     """Relative residual of the (plain or conjugated) product formula: the
     largest coefficient deviation of its two sides over the larger of 1.0
@@ -629,87 +636,107 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
         x, y = shapes
         lhs_layout, (lhs_keys, lhs_group) = _product_plan(x, _conjugated(y) if conjugated else y)
         c, d = right
-        terms, parts = [], []
+        contractions, terms, parts = [], [], []
         for i in range(min(a, d) + 1):
             for j in range(min(b, c) + 1):
                 order = (a + c - i - j, b + d - i - j)
-                w = hermite.pairing_weight(a, b, c, d, i, j)
-                terms.append((ContractionSpec(i, j), w, _kernel_plan(n, *order)))
-                parts.append((_shape(n, *order), w))
+                contractions.append((_contraction_plan(a, b, c, d, i, j), orbit_table(n, *order)[0]))
+                terms.append((len(orbit_table(n, *order)[1]), _orbit_terms(n, *order)))
+                parts.append((_shape(n, *order), hermite.pairing_weight(a, b, c, d, i, j)))
+        # The terms' expansions as one: orbits and keys offset term by term.
+        orbits = np.cumsum([0] + [count for count, _ in terms])
+        keys = np.cumsum([0] + [t[2].shape[1] for _, t in terms])
+        fused = (
+            np.concatenate([t[0] + start for (_, t), start in zip(terms, orbits)]),
+            np.concatenate([t[1] for _, t in terms]),
+            None,
+            np.concatenate([t[3] + start for (_, t), start in zip(terms, keys)]),
+        )
+        weights = np.repeat([-float(w) for _, w in parts], np.diff(keys))  # for -rhs
         rhs_layout = layout_key("sum", *(x.layout for x, _ in parts))
         rhs_keys, rhs_group = _sum_keys(parts, rhs_layout)
         lhs, rhs = _keyed(n, lhs_keys, lhs_layout), _keyed(n, rhs_keys, rhs_layout)
         diff_group = _sum_keys([(lhs, 1), (rhs, -1)], layout_key("sum", lhs_layout, rhs_layout))[1]
         kernel_plans = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
-        return kernel_plans, lhs_group, tuple(terms), rhs_group, diff_group
+        return kernel_plans, lhs_group, tuple(contractions), fused, weights, rhs_group, diff_group
 
     key = ("check", "product-conjugated" if conjugated else "product", n, a, b, *g.order)
-    plan, ((f_sums, x), (g_sums, y)) = _program(key, build, (f, g))
-    (f_plan, g_plan), lhs_group, terms, rhs_group, diff_group = plan
+    plan, ((_, f_sums, x), (_, g_sums, y)) = _program(key, build, (f, g))
+    (f_plan, g_plan), lhs_group, contractions, fused, weights, rhs_group, diff_group = plan
     lhs = _product_values(x, (y[0], -y[1]) if conjugated else y, lhs_group)
-    fs, gs = _symmetrized(f, f_plan, f_sums), _symmetrized(g, g_plan, g_sums)
+    fs, gs = _symmetrized(f.coeffs, f_plan, f_sums), _symmetrized(g.coeffs, g_plan, g_sums)
     if conjugated:
-        gs = reversed_conjugate(gs)
-    parts = []
-    for spec, w, term_plan in terms:
-        _, (re, im) = _expanded(contract(fs, gs, spec), term_plan)
-        parts.append((re, im, w))
+        gs = reversed_conjugate_of(gs, g.p)
+    # Each contraction is freed after its orbit sums; the rest is one pass.
+    sums = [orbit_sums(contraction(fs, gs, n, cp), ids) for cp, ids in contractions]
+    re, im = _expansion((np.concatenate([s[0] for s in sums]), np.concatenate([s[1] for s in sums])), fused)
     # The composition of ChaosPolynomial operations would drop the zero
     # coefficients of lhs, of rhs and of their terms (the weighted terms of
     # rhs often cancel exactly).  Keeping them changes no residual: they add
     # a +-0.0 to per-key sums that start at +0.0 (a term of the weighted
     # sum: w * +0.0 is +0.0), and a 0.0 to the maxima of moduli.  Only the
     # expansions of f and g must hold no zero, since their products with an
-    # inf coefficient would be NaN.
-    rhs = _group_sums(rhs_group, *_sum_values(parts))
-    diff = _diff_modulus(diff_group, *_difference(lhs, rhs))
-    return diff / max(1.0, _max_modulus(*lhs), _max_modulus(*rhs))
+    # inf coefficient would be NaN.  Every term is weighted (x * 1.0 is x),
+    # by -w: the sums of -rhs differ from those of rhs * -1 only in the
+    # signs of zeros, which the sums over keys make +0.0.
+    terms = _sum_values(((*lhs, 1), (*_group_sums(rhs_group, re * weights, im * weights), 1)))
+    diff = _diff_modulus(diff_group, *terms)
+    return diff / max(1.0, _max_modulus(*lhs), _max_modulus(*(t[len(lhs[0]) :] for t in terms)))
 
 
-def _squares_program(kernels: tuple[Kernel, ...]) -> tuple:
+def _squares_plan(n: int, orders: Sequence[tuple[int, int]], shapes) -> tuple:
+    """The plan of ``_squares_values`` for kernels of ``orders`` on n cells,
+    from the ``_shape``s of their expansions."""
+    # The budget in the composition's order: each square's product, then
+    # the join, counted before any square is planned where the squares
+    # have every key (see ``_square_join_pairs``).
+    for x in shapes:
+        check_budget(len(x.z) ** 2, "a product", len(x.z), len(x.z))
+    sizes = _square_keys(n, *orders[0]), _square_keys(n, *orders[-1])
+    full = shapes[0].layout[0] == shapes[-1].layout[0] == "expand"
+    if full and sizes[0] * sizes[1] > oracle.MAX_TERM_PAIRS:
+        check_budget(_square_join_pairs(n, orders[0], orders[-1]), "a Wick join", *sizes)
+    squares = [_square_plan(x) for x in shapes]
+    join = join_plan(squares[0][0], squares[-1][0])
+    kernel_plans = tuple(_kernel_plan(n, *order) for order in orders)
+    groups = tuple(group for _, group in squares)
+    return kernel_plans, groups, join, tuple(expectation_plan(sq) for sq, _ in squares)
+
+
+def _squares_values(plan: tuple, parts: list) -> tuple:
     """For one kernel f: E[|I(f)|^4] and E[|I(f)|^2]; for two, f and g:
-    E[|I(f)|^2 |I(g)|^2], E[|I(f)|^2] and E[|I(g)|^2].  Real parts only.
+    E[|I(f)|^2 |I(g)|^2], E[|I(f)|^2] and E[|I(g)|^2].  Real parts only,
+    from a plan that starts with a ``_squares_plan`` and the kernels'
+    ``_program`` parts.
 
     The squares keep their zero coefficients, which the composition of
     ChaosPolynomial operations would drop: their products add +-0.0 to the
     oracle's exact sums, which changes none.  (Where another coefficient of
     the squares is inf, they add NaN, not inf; the check fails on either.)"""
-    n, orders = kernels[0].n, [f.order for f in kernels]
-
-    def build(shapes):
-        # The budget in the composition's order: each square's product, then
-        # the join, counted before any square is planned where the squares
-        # have every key (see ``_square_join_pairs``).
-        for x in shapes:
-            check_budget(len(x.z) ** 2, "a product", len(x.z), len(x.z))
-        sizes = _square_keys(n, *orders[0]), _square_keys(n, *orders[-1])
-        full = None not in (shapes[0].layout, shapes[-1].layout)
-        if full and sizes[0] * sizes[1] > oracle.MAX_TERM_PAIRS:
-            check_budget(_square_join_pairs(n, orders[0], orders[-1]), "a Wick join", *sizes)
-        squares = [_square_plan(x) for x in shapes]
-        join = join_plan(squares[0][0], squares[-1][0])
-        kernel_plans = tuple(_kernel_plan(n, *order) for order in orders)
-        groups = tuple(group for _, group in squares)
-        return kernel_plans, groups, join, tuple(expectation_plan(sq) for sq, _ in squares)
-
-    key = ("check", "squares", n, *[k for order in orders for k in order])
-    (_, groups, join, diagonals), parts = _program(key, build, kernels)
-    squares = [_square(x, group) for (_, x), group in zip(parts, groups)]
+    _, groups, join, diagonals = plan[:4]
+    squares = [_product_values(x, (x[0], -x[1]), group) for (_, _, x), group in zip(parts, groups)]
     moments = [diagonal_sum(sq[0], d) for sq, d in zip(squares, diagonals)]
     return (join_sum(join, *squares[0], *squares[-1], imag=False), *moments)
 
 
+def _squares_program(kernels: tuple[Kernel, ...]) -> tuple:
+    """``_squares_values`` of one or two kernels."""
+    n, orders = kernels[0].n, [f.order for f in kernels]
+    key = ("check", "squares", n, *[k for order in orders for k in order])
+    return _squares_values(*_program(key, lambda shapes: _squares_plan(n, orders, shapes), kernels))
+
+
 def _isometry_program(f: Kernel) -> tuple:
-    """The second moment E[|I(f)|^2] and the symmetrized kernel of the
-    isometry check."""
+    """The second moment E[|I(f)|^2] and the norm of the symmetrized kernel
+    of the isometry check."""
 
     def build(shapes):
         x = shapes[0]
         return (_kernel_plan(f.n, f.p, f.q),), join_plan(x, _conjugated(x))
 
     key = ("check", "isometry", f.n, f.p, f.q)
-    ((kernel_plan,), join), ((sums, (re, im)),) = _program(key, build, (f,))
-    return join_sum(join, re, im, re, -im, imag=False), _symmetrized(f, kernel_plan, sums)
+    ((kernel_plan,), join), ((coeffs, sums, (re, im)),) = _program(key, build, (f,))
+    return join_sum(join, re, im, re, -im, imag=False), _norm(_symmetrized(coeffs, kernel_plan, sums))
 
 
 def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:
@@ -739,8 +766,8 @@ def integral_conjugate(f: Kernel, tolerance: float = STRUCTURAL_TOL) -> Verifica
 
 def isometry_check(f: Kernel, tolerance: float = STRUCTURAL_TOL) -> VerificationReport:
     """Second moment equals p! q! times the squared symmetrized norm."""
-    second_moment, symmetrized = _isometry_program(f)
-    target = math.factorial(f.p) * math.factorial(f.q) * norm(symmetrized) ** 2
+    second_moment, symmetrized_norm = _isometry_program(f)
+    target = math.factorial(f.p) * math.factorial(f.q) * symmetrized_norm**2
     residual = abs(second_moment - target) / max(1.0, abs(target))
     return VerificationReport(
         name="isometry",
@@ -839,9 +866,10 @@ def product_conjugated_check(
 COVARIANCE_VARIANT = "proof-step binomials; same-order contraction terms grouped"
 
 
-def _covariance_formula(f: Kernel, g: Kernel) -> float:
-    """Exact covariance of |integral(f)|^2 and |integral(g)|^2 assembled from
-    contraction norms of the (already symmetrized) kernels.
+def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
+    """Exact covariance of |integral(f)|^2 and |integral(g)|^2, assembled from
+    contraction norms of the symmetrized kernels (the formula) and from the
+    Wick oracle on their expansions.
 
     The fourth-moment side groups contraction terms with equal total pairing
     count s = i + j before applying the isometry: those terms share a chaos
@@ -849,41 +877,44 @@ def _covariance_formula(f: Kernel, g: Kernel) -> float:
     term-by-term would undercount.  The zero-pairing term minus the product
     of second moments re-expands, by a permutation counting identity, into
     plain contraction norms against g with the proof's binomial pattern.
+    The formula runs the arithmetic of ``contract``, ``Kernel`` and
+    ``ito_symmetrize`` on bare arrays; ``_norm`` reads a contraction in
+    memory order, as it would read the ``Kernel``.
     """
-    a, b = f.order
-    c, d = g.order
-    h = reversed_conjugate(g)
-    parts: list[float] = []
-    # Grouped fourth-moment terms with s >= 1 pairings against h.
-    for s in range(1, min(a, c) + min(b, d) + 1):
-        group: Kernel | None = None
-        for i in range(min(a, c, s), -1, -1):
-            j = s - i
-            if j > min(b, d):
-                continue
-            w = hermite.pairing_weight(a, b, d, c, i, j)
-            piece = w * contract(f, h, ContractionSpec(i, j))
-            group = piece if group is None else group + piece
-        if group is None:
-            continue
-        weight = math.factorial(a + d - s) * math.factorial(b + c - s)
-        parts.append(weight * norm(ito_symmetrize(group)) ** 2)
-    # Re-expanded zero-pairing remainder: plain norms against g.
-    base = (
-        math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
-    )
-    for i in range(min(a, d) + 1):
-        for j in range(min(b, c) + 1):
-            if i + j == 0:
-                continue
-            w = (
-                math.comb(a, i)
-                * math.comb(d, i)
-                * math.comb(b, j)
-                * math.comb(c, j)
+    (a, b), (c, d), n = f.order, g.order, f.n
+
+    def build(shapes):
+        groups = []
+        for s in range(1, min(a, c) + min(b, d) + 1):
+            pieces = tuple(
+                (hermite.pairing_weight(a, b, d, c, i, s - i), _contraction_plan(a, b, d, c, i, s - i))
+                for i in range(min(a, c, s), -1, -1)
+                if s - i <= min(b, d)
             )
-            parts.append(w * base * norm(contract(f, g, ContractionSpec(i, j))) ** 2)
-    return math.fsum(parts)
+            p, q = a + d - s, b + c - s
+            ids, sizes = orbit_table(n, p, q)[:2]
+            groups.append((pieces, ids, sizes if max(p, q) > 1 else None, math.factorial(p) * math.factorial(q)))
+        base = math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
+        remainder = tuple(
+            (math.comb(a, i) * math.comb(d, i) * math.comb(b, j) * math.comb(c, j) * base, _contraction_plan(a, b, c, d, i, j))
+            for i in range(min(a, d) + 1)
+            for j in range(min(b, c) + 1)
+            if i + j
+        )
+        return _squares_plan(n, (f.order, g.order), shapes) + (tuple(groups), remainder)
+
+    plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (f, g), symmetrized=True)
+    (fs, _, _), (gs, _, _) = parts
+    h = reversed_conjugate_of(gs, c)
+    norms = []
+    for pieces, ids, sizes, weight in plan[-2]:
+        group = reduce(add, (contraction(fs, h, n, cp) * complex(w) for w, cp in pieces))
+        if sizes is not None:
+            group = orbit_mean(group, ids, sizes, orbit_sums(group, ids))
+        norms.append(weight * _norm(group) ** 2)
+    norms += [w * _norm(contraction(fs, gs, n, cp)) ** 2 for w, cp in plan[-1]]
+    joint, e_f, e_g = _squares_values(plan, parts)
+    return math.fsum(norms), joint - e_f * e_g
 
 
 def _covariance_oracle(f: Kernel, g: Kernel) -> float:
@@ -907,10 +938,7 @@ def covariance_squares(
     non-negative correlation of squared moduli as a side effect.
     """
     _check_pair(f, g)
-    fs = ito_symmetrize(f)
-    gs = ito_symmetrize(g)
-    formula = _covariance_formula(fs, gs)
-    exact = _covariance_oracle(fs, gs)
+    formula, exact = _covariance_program(f, g)
     residual = abs(formula - exact) / max(1.0, abs(exact))
     report = VerificationReport(
         name="covariance-squares",

@@ -325,19 +325,19 @@ def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     return cached_by_shape(("orbits", n, p, q), build)
 
 
-def orbit_sums(f: Kernel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the sums of f's entries over the orbits
-    labelled by ``ids`` (see ``orbit_table``)."""
+def orbit_sums(coeffs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the sums of the entries of ``coeffs``
+    over the orbits labelled by ``ids`` (see ``orbit_table``)."""
     # Raveling the parts, not the tensor, copies half as much from a view.
-    return np.bincount(ids, f.coeffs.real.ravel()), np.bincount(ids, f.coeffs.imag.ravel())
+    return np.bincount(ids, coeffs.real.ravel()), np.bincount(ids, coeffs.imag.ravel())
 
 
-def orbit_mean(f: Kernel, ids: np.ndarray, sizes: np.ndarray, sums: tuple) -> Kernel:
-    """f with every entry replaced by the mean over its orbit, from the
-    orbit table's ``ids`` and ``sizes`` and f's ``orbit_sums``."""
+def orbit_mean(coeffs: np.ndarray, ids: np.ndarray, sizes: np.ndarray, sums: tuple) -> np.ndarray:
+    """``coeffs`` with every entry replaced by the mean over its orbit, from
+    the orbit table's ``ids`` and ``sizes`` and its ``orbit_sums``."""
     re, im = sums
     mean = (re.astype(complex) + 1j * im) / sizes
-    return Kernel._adopt(f.p, f.q, f.n, mean[ids].reshape(f.coeffs.shape))
+    return mean[ids].reshape(coeffs.shape)
 
 
 def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
@@ -346,7 +346,7 @@ def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
     if max(p, q) <= 1:
         return f
     ids, sizes, _, _ = orbit_table(f.n, p, q)
-    return orbit_mean(f, ids, sizes, orbit_sums(f, ids))
+    return Kernel._adopt(f.p, f.q, f.n, orbit_mean(f.coeffs, ids, sizes, orbit_sums(f.coeffs, ids)))
 
 
 def ito_symmetrize(f: Kernel) -> Kernel:
@@ -364,8 +364,13 @@ def ordinary_symmetrize(f: Kernel) -> Kernel:
 def reversed_conjugate(f: Kernel) -> Kernel:
     """Conjugate the coefficients and swap the two slot blocks, giving an
     order-(q, p) kernel.  Applying twice is the identity."""
-    perm = tuple(range(f.p, f.p + f.q)) + tuple(range(f.p))
-    return Kernel._adopt(f.q, f.p, f.n, np.conj(f.coeffs).transpose(perm))
+    return Kernel._adopt(f.q, f.p, f.n, reversed_conjugate_of(f.coeffs, f.p))
+
+
+def reversed_conjugate_of(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """The coefficients of ``reversed_conjugate`` from those of a kernel
+    whose first block has p slots: a transposed view of their conjugate."""
+    return np.conj(coeffs).transpose(tuple(range(p, coeffs.ndim)) + tuple(range(p)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,13 +421,19 @@ def contract(f: Kernel, g: Kernel, spec: ContractionSpec) -> Kernel:
     out_q = q1 + q2 - i - j
     if i > min(p1, q2) or j > min(q1, p2):
         return Kernel.zeros(max(out_p, 0), max(out_q, 0), f.n)
-    f_perm, g_perm, f_free, paired, g_free, interleave = _contraction_plan(p1, q1, p2, q2, i, j)
-    n = f.n
+    plan = _contraction_plan(p1, q1, p2, q2, i, j)
+    return Kernel._adopt(out_p, out_q, f.n, contraction(f.coeffs, g.coeffs, f.n, plan))
+
+
+def contraction(f: np.ndarray, g: np.ndarray, n: int, plan: tuple) -> np.ndarray:
+    """The contraction of the tensors f and g on n cells that
+    ``_contraction_plan`` planned: a transposed view of one ``np.dot``."""
+    f_perm, g_perm, f_free, paired, g_free, interleave = plan
     out = np.dot(
-        f.coeffs.transpose(f_perm).reshape(n**f_free, n**paired),
-        g.coeffs.transpose(g_perm).reshape(n**paired, n**g_free),
+        f.transpose(f_perm).reshape(n**f_free, n**paired),
+        g.transpose(g_perm).reshape(n**paired, n**g_free),
     )
-    return Kernel._adopt(out_p, out_q, n, out.reshape((n,) * (out_p + out_q)).transpose(interleave))
+    return out.reshape((n,) * len(interleave)).transpose(interleave)
 
 
 def _norm(arr: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import ChaosPolynomial, Kernel, chaos, kernels
+from complexchaos import ChaosPolynomial, Kernel, chaos, kernels, oracle
 from complexchaos.montecarlo import SamplePlan, evaluate_polynomial, sample_coordinates
 from complexchaos.oracle import MAX_EXPONENT, expectation, pair_expectation
 from conftest import DictPolynomial, dict_combination, dict_expand
@@ -257,7 +257,8 @@ class TestDigitLimit:
 
 class TestPlans:
     """Keys, groupings and joins are planned once per operand layout; the
-    plans must not change a bit of any result, and a result whose keys the
+    plans must not change a bit of any result, a result that drops keys must
+    get a layout that fixes the keys it keeps, and one whose keys the
     layouts do not fix must not get a layout."""
 
     @pytest.fixture
@@ -308,11 +309,15 @@ class TestPlans:
         assert ("mul", power[64].layout, power[64].layout) not in cache
         assert ("pair", square.layout, square.layout) not in cache
 
-    def test_dropped_coefficient_drops_the_layout(self, cache):
+    def test_dropped_coefficient_keeps_a_kept_key_layout(self, cache, monkeypatch):
         # The constant terms of the two diagonal orbits cancel.
         f = Kernel(1, 1, 2, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
         x, rx = chaos.expand(f), dict_expand(f)
-        assert x.layout is None and same_values(x, rx)
+        keys = chaos._orbit_terms(2, 1, 1)[2]
+        kind, layout, mask = x.layout
+        kept = np.unpackbits(np.frombuffer(mask, np.uint8), count=keys.shape[1]).astype(bool)
+        assert (kind, layout) == ("kept", ("expand", 2, 1, 1)) and not kept.all()
+        assert np.array_equal(keys[:, kept], np.stack((x.z, x.zc))) and same_values(x, rx)
         z = chaos.expand(Kernel(1, 0, 2, [1.0, 1j]))
         assert z.layout == ("expand", 2, 1, 0)
         rz = DictPolynomial(2, dict(z.terms))
@@ -320,14 +325,28 @@ class TestPlans:
         assert None not in (s.layout, d.layout)
         rs, rd = rz + rz.conjugate(), rz - rz.conjugate()
         prod, rprod = s * d, rs * rd  # z zbar cancels
-        assert prod.layout is None and same_values(prod, rprod)
-        assert (d - d).layout is None and not (d - d).terms
-        for left, ref in ((prod, rprod), (x, rx)):
-            assert same_values(left * s, ref * rs)
-            assert same_values(left + s, ref + rs)
-            assert left.max_diff(s) == ref.max_diff(rs)
-            assert expectation(left * s) == (ref * rs).expectation()
-            assert pair_expectation(left, s) == ref.pair_expectation(rs)
+        assert prod.layout[:2] == ("kept", ("mul", s.layout, d.layout)) and same_values(prod, rprod)
+        assert (d - d).layout[0] == "kept" and not (d - d).terms
+
+        def operations():
+            for left, ref in ((prod, rprod), (x, rx)):
+                assert same_values(left * s, ref * rs)
+                assert same_values(left + s, ref + rs)
+                assert left.max_diff(s) == ref.max_diff(rs)
+                assert expectation(left * s) == (ref * rs).expectation()
+                assert pair_expectation(left, s) == ref.pair_expectation(rs)
+
+        operations()
+        assert ("mul", prod.layout, s.layout) in cache and ("pair", x.layout, s.layout) in cache
+
+        def fails(*args):
+            raise AssertionError("planned again")
+
+        # The second time every plan is a cache hit.
+        monkeypatch.setattr(chaos, "_groups", fails)
+        monkeypatch.setattr(oracle, "_join", fails)
+        monkeypatch.setattr(oracle, "_diagonal", fails)
+        operations()
 
     def test_constants_have_a_layout(self):
         one = ChaosPolynomial.constant(1.0, 3)

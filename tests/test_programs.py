@@ -1,14 +1,16 @@
 """Check programs against the ChaosPolynomial composition they replace.
 
-Every check that has a program (product, conjugated product, the oracle side
-of the covariance of squared moduli, hypercontractivity, isometry) must give
-the report the composition gives, bit for bit: cold, warm and with a shape
-cache that keeps one entry.  The composition, written here over the public
-operations, is the reference: the ``composed`` fixture patches it in for
-the programs.
+Every check that has a program (product, conjugated product, the covariance
+of squared moduli, hypercontractivity, isometry) must give the report the
+composition gives, bit for bit: cold, warm and with a shape cache that keeps
+one entry.  The composition, written here over the public operations, is
+the reference: the ``composed`` fixture patches it in for the programs.  The
+covariance formula's reference is its sum of contraction norms over
+``Kernel`` operations.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -45,13 +47,54 @@ def composed_squares(fs):
 
 def composed_isometry(f):
     poly = chaos.expand(f)
-    return oracle.pair_expectation(poly, poly.conjugate()).real, kernels.ito_symmetrize(f)
+    return oracle.pair_expectation(poly, poly.conjugate()).real, kernels.norm(kernels.ito_symmetrize(f))
+
+
+def covariance_formula(f, g):
+    """Exact covariance of |integral(f)|^2 and |integral(g)|^2 assembled from
+    contraction norms of the (already symmetrized) kernels: contraction
+    terms of equal total pairing count s = i + j grouped before the
+    isometry, then the zero-pairing remainder re-expanded into plain
+    contraction norms against g."""
+    a, b = f.order
+    c, d = g.order
+    h = kernels.reversed_conjugate(g)
+    parts = []
+    for s in range(1, min(a, c) + min(b, d) + 1):
+        group = None
+        for i in range(min(a, c, s), -1, -1):
+            j = s - i
+            if j > min(b, d):
+                continue
+            w = hermite.pairing_weight(a, b, d, c, i, j)
+            piece = w * kernels.contract(f, h, kernels.ContractionSpec(i, j))
+            group = piece if group is None else group + piece
+        if group is None:
+            continue
+        weight = math.factorial(a + d - s) * math.factorial(b + c - s)
+        parts.append(weight * kernels.norm(kernels.ito_symmetrize(group)) ** 2)
+    base = math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
+    for i in range(min(a, d) + 1):
+        for j in range(min(b, c) + 1):
+            if i + j == 0:
+                continue
+            w = math.comb(a, i) * math.comb(d, i) * math.comb(b, j) * math.comb(c, j)
+            parts.append(w * base * kernels.norm(kernels.contract(f, g, kernels.ContractionSpec(i, j))) ** 2)
+    return math.fsum(parts)
+
+
+def composed_covariance(f, g):
+    """The formula and the composed Wick oracle on the symmetrized kernels."""
+    fs, gs = kernels.ito_symmetrize(f), kernels.ito_symmetrize(g)
+    joint, e_f, e_g = composed_squares((fs, gs))
+    return covariance_formula(fs, gs), joint - e_f * e_g
 
 
 COMPOSITION = {
     "_product_program": composed_product,
     "_squares_program": composed_squares,
     "_isometry_program": composed_isometry,
+    "_covariance_program": composed_covariance,
 }
 
 
@@ -138,24 +181,30 @@ class TestCheckPrograms:
         assert reports(CASES[::7]) == composed[::7]
         assert len(cache) == 1
 
-    def test_dropped_expansion_coefficients_are_planned_per_call(self, cache, monkeypatch):
+    def test_dropped_expansion_coefficients_are_planned_once(self, cache, monkeypatch):
         # The constant terms of the two diagonal orbits cancel.
         f = Kernel(1, 1, 2, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
-        assert chaos.expand(f).layout is None
+        assert chaos.expand(f).layout[0] == "kept"
         g = kernels.random_kernel(1, 0, 2, np.random.default_rng(5))
         pairs = [(f, g), (g, f), (f, Kernel.scalar(2.0, 2))]
         expected = composed_reports(pairs)
 
         def fails(*args):
-            raise AssertionError("the composition ran")
+            raise AssertionError("the composition ran or a plan was built again")
 
         monkeypatch.setattr(ChaosPolynomial, "__mul__", fails)
         monkeypatch.setattr(oracle, "pair_expectation", fails)
         monkeypatch.setattr(oracle, "expectation", fails)
         assert reports(pairs) == expected
+        kept = [key for key in cache if key[0] == "check" and "kept" in key]
+        assert {key[1] for key in kept} == {"product", "product-conjugated", "covariance", "squares", "isometry"}
+        # The second time every plan of the kept keys is a cache hit.
+        monkeypatch.setattr(chaos, "_groups", fails)
+        monkeypatch.setattr(oracle, "_join", fails)
+        monkeypatch.setattr(oracle, "_diagonal", fails)
         cached = set(cache)
         assert reports(pairs) == expected
-        assert set(cache) == cached  # the plans of the kept keys are not kept
+        assert set(cache) == cached
 
     def test_product_pair_is_validated_before_it_is_expanded(self, cache):
         rng = np.random.default_rng(3)
@@ -168,6 +217,46 @@ class TestCheckPrograms:
             with pytest.raises(ValueError, match="cell count mismatch: 5 vs 4"):
                 check(f, h)
         assert len(cache) == 0
+
+    def test_covariance_formula_is_the_references(self, cache):
+        # Every order tuple of total <= 6, (0,0) factors included, on 1-3
+        # cells, with dense, masked and basis kernels.
+        for f, g in CASES:
+            formula = chaos._covariance_program(f, g)[0]
+            assert formula.hex() == covariance_formula(kernels.ito_symmetrize(f), kernels.ito_symmetrize(g)).hex()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_covariance_of_a_non_finite_kernel_fails(self, cache, bad):
+        rng = np.random.default_rng(12)
+        for a, b, c, d, n in [(2, 1, 1, 1, 2), (1, 1, 2, 2, 3), (2, 2, 0, 0, 2), (1, 0, 0, 1, 1)]:
+            coeffs = kernels.random_kernel(a, b, n, rng).coeffs.copy()
+            coeffs.flat[1 % coeffs.size] = bad
+            f, g = Kernel(a, b, n, coeffs), kernels.random_kernel(c, d, n, rng)
+            for left, right in ((f, g), (g, f)):
+                with np.errstate(all="ignore"):
+                    report = chaos.covariance_squares(left, right).report
+                    expected = composed_reports([(left, right)])[0][2]
+                assert not report.passed and fingerprint(report) == expected
+
+    def test_product_term_of_order_zero(self, cache):
+        # (1,0)x(0,1) and (1,1)x(1,1) pair every slot in one term, whose
+        # contraction is a (0,0) kernel; the conjugated product of (1,0)x(1,0)
+        # too.
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3):
+            for orders, check in [
+                ((1, 0, 0, 1), chaos.product_check),
+                ((1, 1, 1, 1), chaos.product_check),
+                ((1, 0, 1, 0), chaos.product_conjugated_check),
+            ]:
+                a, b, c, d = orders
+                f, g = kernels.random_kernel(a, b, n, rng), kernels.random_kernel(c, d, n, rng)
+                report = check(f, g)
+                kind = "product" if check is chaos.product_check else "product-conjugated"
+                contractions = cache[("check", kind, n, *orders)][0][2]
+                assert any(plan[5] == () for plan, _ in contractions)
+                conjugated = check is chaos.product_conjugated_check
+                assert report.residual.hex() == composed_product(f, g, conjugated).hex()
 
     def test_one_plan_per_check_and_shape(self, cache):
         rng = np.random.default_rng(8)
