@@ -673,15 +673,14 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
     # The composition of ChaosPolynomial operations would drop the zero
     # coefficients of lhs, of rhs and of their terms (the weighted terms of
     # rhs often cancel exactly).  Keeping them changes no residual: they add
-    # a +-0.0 to per-key sums that start at +0.0 (a term of the weighted
-    # sum: w * +0.0 is +0.0), and a 0.0 to the maxima of moduli.  Only the
-    # expansions of f and g must hold no zero, since their products with an
-    # inf coefficient would be NaN.  Every term is weighted (x * 1.0 is x),
-    # by -w: the sums of -rhs differ from those of rhs * -1 only in the
-    # signs of zeros, which the sums over keys make +0.0.
-    terms = _sum_values(((*lhs, 1), (*_group_sums(rhs_group, re * weights, im * weights), 1)))
-    diff = _diff_modulus(diff_group, *terms)
-    return diff / max(1.0, _max_modulus(*lhs), _max_modulus(*(t[len(lhs[0]) :] for t in terms)))
+    # a +-0.0 to per-key sums that start at +0.0, and a 0.0 to the maxima of
+    # moduli.  Only the expansions of f and g must hold no zero, since their
+    # products with an inf coefficient would be NaN.  Every term is weighted
+    # (x * 1.0 is x), by -w: the sums are those of -rhs, which the difference
+    # adds, up to the signs of zeros.
+    difference = _sum_values(((*lhs, 1), (*_group_sums(rhs_group, re * weights, im * weights), 1)))
+    diff = _diff_modulus(diff_group, *difference)
+    return diff / max(1.0, _max_modulus(*lhs), _max_modulus(*(t[len(lhs[0]) :] for t in difference)))
 
 
 def _squares_plan(n: int, orders: Sequence[tuple[int, int]], shapes) -> tuple:
