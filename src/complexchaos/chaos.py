@@ -877,8 +877,7 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
     of second moments re-expands, by a permutation counting identity, into
     plain contraction norms against g with the proof's binomial pattern.
     The formula runs the arithmetic of ``contract``, ``Kernel`` and
-    ``ito_symmetrize`` on bare arrays; ``_norm`` reads a contraction in
-    memory order, as it would read the ``Kernel``.
+    ``ito_symmetrize`` on bare arrays (``_norm`` reads them in memory order).
     """
     (a, b), (c, d), n = f.order, g.order, f.n
 
