@@ -218,7 +218,7 @@ class TestCheckPrograms:
                 check(f, h)
         assert len(cache) == 0
 
-    def test_covariance_formula_is_the_references(self, cache):
+    def test_covariance_formula_matches_the_reference(self, cache):
         # Every order tuple of total <= 6, (0,0) factors included, on 1-3
         # cells, with dense, masked and basis kernels.
         for f, g in CASES:
