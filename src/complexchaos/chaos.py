@@ -102,15 +102,11 @@ STRUCTURAL_TOL = 1e-12
 
 ExponentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
-# Key plans of more terms store their groups as int32, which halves the largest
-# plans kept; others as intp, which ``np.bincount`` reads without converting.
-_INT32_GROUPS = 1 << 16
-
-
 def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key plan of terms keyed ``z`` and ``zc``: the distinct keys in order
     of first occurrence, as the rows of one (2, keys) array, and every
-    term's group, the index of its key there."""
+    term's group, the index of its key there, as int32 (which halves the
+    plans that ``cached_by_shape`` keeps)."""
     order = np.lexsort((zc, z))  # stable
     sz, szc = z[order], zc[order]
     new = np.empty(len(z), dtype=bool)
@@ -123,8 +119,7 @@ def _groups(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     label = np.empty(len(first), dtype=np.intp)
     label[rank] = np.arange(len(first))
     first = first[rank]
-    group = label[group]
-    return np.stack((z[first], zc[first])), group.astype(np.int32) if len(z) > _INT32_GROUPS else group
+    return np.stack((z[first], zc[first])), label[group].astype(np.int32)
 
 
 class ChaosPolynomial:
@@ -265,7 +260,8 @@ class ChaosPolynomial:
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
         group = _sum_keys([(self, 1), (other, -1)], layout_key("sum", self.layout, other.layout))[1]
-        return _diff_modulus(group, *_sum_values(((self.re, self.im, 1), (other.re, other.im, -1))))
+        re, im = _sum_values(((self.re, self.im, 1), (other.re, other.im, -1)))
+        return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
 
 # -- array arithmetic shared by the polynomial operations and the check programs
@@ -334,12 +330,6 @@ def _sum_values(parts: Sequence[tuple]) -> tuple[np.ndarray, ...]:
         np.concatenate([re * w if w != 1 else re for re, _, w in parts]),
         np.concatenate([im * w if w != 1 else im for _, im, w in parts]),
     )
-
-
-def _diff_modulus(group: np.ndarray, re: np.ndarray, im: np.ndarray) -> float:
-    """``max_diff`` from the terms of x - y (x's, then y's times -1) and the
-    group of its key plan."""
-    return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
 
 def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
@@ -528,6 +518,13 @@ def _kernel_plan(n: int, p: int, q: int) -> tuple:
     return ids, (sizes if max(p, q) > 1 else None), _orbit_terms(n, p, q)
 
 
+def _expanded(f: Kernel, plan: tuple) -> tuple:
+    """f's ``orbit_sums`` and the coefficients of ``expand(f)`` before its
+    zero test."""
+    sums = orbit_sums(f.coeffs, plan[0])
+    return sums, _expansion(sums, plan[2])
+
+
 def _symmetrized(coeffs: np.ndarray, plan: tuple, sums: tuple) -> np.ndarray:
     """The coefficients of ``ito_symmetrize`` from a kernel's coefficients,
     its ``_kernel_plan`` and its ``orbit_sums``."""
@@ -535,13 +532,11 @@ def _symmetrized(coeffs: np.ndarray, plan: tuple, sums: tuple) -> np.ndarray:
     return coeffs if sizes is None else orbit_mean(coeffs, ids, sizes, sums)
 
 
-def _program(key: tuple, build, kernels: Sequence[Kernel], symmetrized: bool = False) -> tuple:
-    """The plan of a check on ``kernels``, and per kernel a tensor, its
-    ``orbit_sums`` and the coefficients of its expansion.  The tensor is
-    the kernel's coefficients, or with ``symmetrized`` those of its
-    ``ito_symmetrize``.
+def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
+    """The plan of a check on ``kernels``, and per kernel its ``orbit_sums``
+    and the coefficients of its expansion.
 
-    ``build(shapes)`` plans the check from the ``_shape`` of each tensor's
+    ``build(shapes)`` plans the check from the ``_shape`` of each kernel's
     expansion; its plan starts with the kernels' ``_kernel_plan``s.  The
     plan of the full expansions is fetched under ``key`` in one lookup.
     Where an expansion drops a zero coefficient, the plan of the kept keys
@@ -556,21 +551,15 @@ def _program(key: tuple, build, kernels: Sequence[Kernel], symmetrized: bool = F
         kernel_plans = plan[0]
     except WorkBudgetError as error:
         refused, kernel_plans = error, [_kernel_plan(f.n, f.p, f.q) for f in kernels]
-    parts = []
-    for f, (ids, sizes, terms) in zip(kernels, kernel_plans):
-        coeffs, sums = f.coeffs, orbit_sums(f.coeffs, ids)
-        if symmetrized and sizes is not None:
-            coeffs = orbit_mean(coeffs, ids, sizes, sums)
-            sums = orbit_sums(coeffs, ids)
-        parts.append((coeffs, sums, _expansion(sums, terms)))
-    if all(_live(*x) for _, _, x in parts):
+    parts = [_expanded(f, kernel_plan) for f, kernel_plan in zip(kernels, kernel_plans)]
+    if all(_live(*x) for _, x in parts):
         if refused is not None:
             raise refused
         return plan, parts
-    live = [None if _live(*x) else np.logical_or(*x) for _, _, x in parts]
+    live = [None if _live(*x) else np.logical_or(*x) for _, x in parts]
     masks = tuple(None if kept is None else np.packbits(kept).tobytes() for kept in live)
     shapes = [_shape(f.n, f.p, f.q, kept) for f, kept in zip(kernels, live)]
-    parts = [part if kept is None else (*part[:2], (part[2][0][kept], part[2][1][kept])) for part, kept in zip(parts, live)]
+    parts = [part if kept is None else (part[0], (part[1][0][kept], part[1][1][kept])) for part, kept in zip(parts, live)]
     return cached_by_shape(key + ("kept", masks), lambda: build(shapes)), parts
 
 
@@ -634,53 +623,66 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
 
     def build(shapes):
         x, y = shapes
-        lhs_layout, (lhs_keys, lhs_group) = _product_plan(x, _conjugated(y) if conjugated else y)
+        lhs_keys, lhs_group = _product_plan(x, _conjugated(y) if conjugated else y)[1]
         c, d = right
-        contractions, terms, parts = [], [], []
-        for i in range(min(a, d) + 1):
-            for j in range(min(b, c) + 1):
-                order = (a + c - i - j, b + d - i - j)
-                contractions.append((_contraction_plan(a, b, c, d, i, j), orbit_table(n, *order)[0]))
-                terms.append((len(orbit_table(n, *order)[1]), _orbit_terms(n, *order)))
-                parts.append((_shape(n, *order), hermite.pairing_weight(a, b, c, d, i, j)))
-        # The terms' expansions as one: orbits and keys offset term by term.
-        orbits = np.cumsum([0] + [count for count, _ in terms])
-        keys = np.cumsum([0] + [t[2].shape[1] for _, t in terms])
-        fused = (
-            np.concatenate([t[0] + start for (_, t), start in zip(terms, orbits)]),
-            np.concatenate([t[1] for _, t in terms]),
-            None,
-            np.concatenate([t[3] + start for (_, t), start in zip(terms, keys)]),
+        pairs = [(i, j) for i in range(min(a, d) + 1) for j in range(min(b, c) + 1)]
+        orders = tuple((a + c - i - j, b + d - i - j) for i, j in pairs)
+        contractions = tuple(
+            (_contraction_plan(a, b, c, d, i, j), orbit_table(n, *order)[0]) for (i, j), order in zip(pairs, orders)
         )
-        weights = np.repeat([-float(w) for _, w in parts], np.diff(keys))  # for -rhs
-        rhs_layout = layout_key("sum", *(x.layout for x, _ in parts))
-        rhs_keys, rhs_group = _sum_keys(parts, rhs_layout)
-        lhs, rhs = _keyed(n, lhs_keys, lhs_layout), _keyed(n, rhs_keys, rhs_layout)
-        diff_group = _sum_keys([(lhs, 1), (rhs, -1)], layout_key("sum", lhs_layout, rhs_layout))[1]
+        terms, counts = _fused_terms(n, orders)
+        weights = np.repeat([-float(hermite.pairing_weight(a, b, c, d, *ij)) for ij in pairs], counts)  # for -rhs
+        # The keys of lhs - rhs: lhs's, in order, then the terms' other keys.
+        keys, group = _groups(*np.concatenate([lhs_keys] + [_orbit_terms(n, *order)[2] for order in orders], axis=1))
         kernel_plans = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
-        return kernel_plans, lhs_group, tuple(contractions), fused, weights, rhs_group, diff_group
+        return kernel_plans, lhs_group, contractions, terms, weights, group[lhs_keys.shape[1] :].copy(), keys.shape[1]
 
     key = ("check", "product-conjugated" if conjugated else "product", n, a, b, *g.order)
-    plan, ((_, f_sums, x), (_, g_sums, y)) = _program(key, build, (f, g))
-    (f_plan, g_plan), lhs_group, contractions, fused, weights, rhs_group, diff_group = plan
+    plan, ((f_sums, x), (g_sums, y)) = _program(key, build, (f, g))
+    (f_plan, g_plan), lhs_group, contractions, terms, weights, rhs_group, size = plan
     lhs = _product_values(x, (y[0], -y[1]) if conjugated else y, lhs_group)
     fs, gs = _symmetrized(f.coeffs, f_plan, f_sums), _symmetrized(g.coeffs, g_plan, g_sums)
     if conjugated:
         gs = reversed_conjugate_of(gs, g.p)
     # Each contraction is freed after its orbit sums; the rest is one pass.
     sums = [orbit_sums(contraction(fs, gs, n, cp), ids) for cp, ids in contractions]
-    re, im = _expansion((np.concatenate([s[0] for s in sums]), np.concatenate([s[1] for s in sums])), fused)
+    re, im = _expansion((np.concatenate([s[0] for s in sums]), np.concatenate([s[1] for s in sums])), terms)
     # The composition of ChaosPolynomial operations would drop the zero
     # coefficients of lhs, of rhs and of their terms (the weighted terms of
     # rhs often cancel exactly).  Keeping them changes no residual: they add
     # a +-0.0 to per-key sums that start at +0.0, and a 0.0 to the maxima of
     # moduli.  Only the expansions of f and g must hold no zero, since their
     # products with an inf coefficient would be NaN.  Every term is weighted
-    # (x * 1.0 is x), by -w: the sums are those of -rhs, which the difference
-    # adds, up to the signs of zeros.
-    difference = _sum_values(((*lhs, 1), (*_group_sums(rhs_group, re * weights, im * weights), 1)))
-    diff = _diff_modulus(diff_group, *difference)
-    return diff / max(1.0, _max_modulus(*lhs), _max_modulus(*(t[len(lhs[0]) :] for t in difference)))
+    # (x * 1.0 is x), by -w, and summed straight onto the keys of lhs - rhs:
+    # each key's sum is that of -rhs, up to the sign of a zero, and +0.0 on
+    # a key of lhs alone.  Adding lhs then gives max_diff's sums, whose
+    # bincount adds the same two terms to 0.0.
+    re, im = np.bincount(rhs_group, re * weights, size), np.bincount(rhs_group, im * weights, size)
+    rhs_max = _max_modulus(re, im)
+    re[: len(lhs[0])] += lhs[0]
+    im[: len(lhs[0])] += lhs[1]
+    return worst_of(0.0, _max_modulus(re, im)) / max(1.0, _max_modulus(*lhs), rhs_max)
+
+
+def _fused_terms(n: int, orders: tuple) -> tuple:
+    """The ``_orbit_terms`` of kernels of ``orders`` on n cells as those of
+    one kernel whose orbits and keys run term by term, and each term's
+    count of keys; shared by the product checks whose contraction terms
+    have these orders."""
+
+    def build():
+        terms = [_orbit_terms(n, *order) for order in orders]
+        counts = [t[2].shape[1] for t in terms]
+        orbits = np.cumsum([0] + [len(orbit_table(n, *order)[1]) for order in orders]).tolist()
+        keys = np.cumsum([0] + counts).tolist()
+        return (
+            np.concatenate([t[0] + start for t, start in zip(terms, orbits)]),
+            np.concatenate([t[1] for t in terms]),
+            None,
+            np.concatenate([t[3] + start for t, start in zip(terms, keys)]),
+        ), counts
+
+    return cached_by_shape(("fused-terms", n, orders), build)
 
 
 def _squares_plan(n: int, orders: Sequence[tuple[int, int]], shapes) -> tuple:
@@ -713,7 +715,7 @@ def _squares_values(plan: tuple, parts: list) -> tuple:
     oracle's exact sums, which changes none.  (Where another coefficient of
     the squares is inf, they add NaN, not inf; the check fails on either.)"""
     _, groups, join, diagonals = plan[:4]
-    squares = [_product_values(x, (x[0], -x[1]), group) for (_, _, x), group in zip(parts, groups)]
+    squares = [_product_values(x, (x[0], -x[1]), group) for (_, x), group in zip(parts, groups)]
     moments = [diagonal_sum(sq[0], d) for sq, d in zip(squares, diagonals)]
     return (join_sum(join, *squares[0], *squares[-1], imag=False), *moments)
 
@@ -734,8 +736,8 @@ def _isometry_program(f: Kernel) -> tuple:
         return (_kernel_plan(f.n, f.p, f.q),), join_plan(x, _conjugated(x))
 
     key = ("check", "isometry", f.n, f.p, f.q)
-    ((kernel_plan,), join), ((coeffs, sums, (re, im)),) = _program(key, build, (f,))
-    return join_sum(join, re, im, re, -im, imag=False), _norm(_symmetrized(coeffs, kernel_plan, sums))
+    ((kernel_plan,), join), ((sums, (re, im)),) = _program(key, build, (f,))
+    return join_sum(join, re, im, re, -im, imag=False), _norm(_symmetrized(f.coeffs, kernel_plan, sums))
 
 
 def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:
@@ -901,16 +903,16 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
         )
         return _squares_plan(n, (f.order, g.order), shapes) + (tuple(groups), remainder)
 
-    plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (f, g), symmetrized=True)
-    (fs, _, _), (gs, _, _) = parts
-    h = reversed_conjugate_of(gs, c)
+    fs, gs = ito_symmetrize(f), ito_symmetrize(g)
+    plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (fs, gs))
+    h = reversed_conjugate_of(gs.coeffs, c)
     norms = []
     for pieces, ids, sizes, weight in plan[-2]:
-        group = reduce(add, (contraction(fs, h, n, cp) * complex(w) for w, cp in pieces))
+        group = reduce(add, (contraction(fs.coeffs, h, n, cp) * complex(w) for w, cp in pieces))
         if sizes is not None:
             group = orbit_mean(group, ids, sizes, orbit_sums(group, ids))
         norms.append(weight * _norm(group) ** 2)
-    norms += [w * _norm(contraction(fs, gs, n, cp)) ** 2 for w, cp in plan[-1]]
+    norms += [w * _norm(contraction(fs.coeffs, gs.coeffs, n, cp)) ** 2 for w, cp in plan[-1]]
     joint, e_f, e_g = _squares_values(plan, parts)
     return math.fsum(norms), joint - e_f * e_g
 

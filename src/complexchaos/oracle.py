@@ -265,8 +265,7 @@ def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray
     sums pass MAX_EXPONENT; such a pair raises ValueError.  Returned
     compactly, since ``cached_by_shape`` keeps it: the pairs as the rows
     (li, ri) of one (2, pairs) int32 array, the distinct weights, and each
-    pair's index among them in the smallest unsigned type; a join of at most
-    ``_JOIN_BLOCK`` pairs keeps every pair's weight instead, and index None.
+    pair's index among them in the smallest unsigned type.
     """
     want = left.z - left.zc
     surplus = right.zc - right.z
@@ -282,8 +281,6 @@ def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray
         l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
         key_sum(left.zc[l], right.zc[r])
         weights[s : s + _JOIN_BLOCK] = _weights(key_sum(left.z[l], right.z[r]), left.n)
-    if len(li) <= _JOIN_BLOCK:
-        return pairs, weights, None
     table, index = np.unique(weights, return_inverse=True)
     return pairs, table, index.astype(np.min_scalar_type(len(table)))
 
@@ -300,11 +297,11 @@ def join_sum(plan: tuple, lr, li, rr, ri, imag: bool = True):
     real and imaginary parts of every joined term pair's product times its
     weight, or with ``imag=False`` the real sum alone."""
     pairs, table, index = plan
-    re = np.empty(pairs.shape[1])
-    im = np.empty(pairs.shape[1]) if imag else None
-    for s in range(0, pairs.shape[1], _JOIN_BLOCK):
+    re = np.empty(len(index))
+    im = np.empty(len(index)) if imag else None
+    for s in range(0, len(index), _JOIN_BLOCK):
         l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
-        w = table[s : s + _JOIN_BLOCK] if index is None else table.take(index[s : s + _JOIN_BLOCK])
+        w = table.take(index[s : s + _JOIN_BLOCK])
         x, y = (lr.take(l), li.take(l)), (rr.take(r), ri.take(r))
         if imag:
             vr, vi = cmul(*x, *y)

@@ -272,6 +272,21 @@ class TestCheckPrograms:
         assert set(cache) == planned
 
 
+    def test_products_with_the_same_terms_share_their_expansion_plan(self, cache):
+        # The conjugated product of (2,1)x(2,1) and the product of (2,1)x(1,2)
+        # contract to terms of the same orders; so do (1,0)x(0,1) and (0,1)x(1,0).
+        rng = np.random.default_rng(21)
+        chaos.product_conjugated_check(kernels.random_kernel(2, 1, 3, rng), kernels.random_kernel(2, 1, 3, rng))
+        chaos.product_check(kernels.random_kernel(2, 1, 3, rng), kernels.random_kernel(1, 2, 3, rng))
+        chaos.product_check(kernels.random_kernel(1, 0, 3, rng), kernels.random_kernel(0, 1, 3, rng))
+        chaos.product_check(kernels.random_kernel(0, 1, 3, rng), kernels.random_kernel(1, 0, 3, rng))
+
+        def terms(kind, *orders):
+            return cache[("check", kind, 3, *orders)][0][3]
+
+        assert terms("product-conjugated", 2, 1, 2, 1) is terms("product", 2, 1, 1, 2)
+        assert terms("product", 1, 0, 0, 1) is terms("product", 0, 1, 1, 0)
+
 class TestJoinBudget:
     """The Wick join counts its pairs before forming them."""
 
