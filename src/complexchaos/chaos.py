@@ -511,18 +511,16 @@ def _conjugated(x: ChaosPolynomial) -> ChaosPolynomial:
 
 
 def _kernel_plan(n: int, p: int, q: int) -> tuple:
-    """What a program needs of an (n, p, q) kernel: its orbit ids, the orbit
-    sizes where ``ito_symmetrize`` is not the identity (else None), and its
-    ``_orbit_terms``."""
+    """An (n, p, q) kernel's orbit ids, and the orbit sizes where
+    ``ito_symmetrize`` is not the identity (else None)."""
     ids, sizes, _, _ = orbit_table(n, p, q)
-    return ids, (sizes if max(p, q) > 1 else None), _orbit_terms(n, p, q)
+    return ids, (sizes if max(p, q) > 1 else None)
 
 
 def _symmetrized(coeffs: np.ndarray, plan: tuple, sums: tuple) -> np.ndarray:
     """The coefficients of ``ito_symmetrize`` from a kernel's coefficients,
     its ``_kernel_plan`` and its ``orbit_sums``."""
-    ids, sizes, _ = plan
-    return coeffs if sizes is None else orbit_mean(coeffs, ids, sizes, sums)
+    return coeffs if plan[1] is None else orbit_mean(coeffs, *plan, sums)
 
 
 def _joined(parts: Sequence[tuple]) -> tuple:
@@ -552,9 +550,7 @@ def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
 
     refused = None
     try:
-        (kernel_plans, (terms, keys)), plan = cached_by_shape(
-            key, lambda: (inputs(), build([_shape(n, *order) for order in orders]))
-        )
+        (kernel_plans, (terms, keys)), plan = cached_by_shape(key, lambda: (inputs(), build([_shape(n, *o) for o in orders])))
     except WorkBudgetError as error:
         refused, (kernel_plans, (terms, keys)) = error, inputs()
     sums = [orbit_sums(f.coeffs, kernel_plan[0]) for f, kernel_plan in zip(kernels, kernel_plans)]
@@ -673,9 +669,8 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
 
 def _fused_terms(n: int, orders: tuple) -> tuple:
     """The ``_orbit_terms`` of kernels of ``orders`` on n cells as those of
-    one kernel whose orbits and keys run kernel by kernel, and where each
-    kernel's keys start among them (then their count); shared by the
-    programs whose kernels, or contraction terms, have these orders."""
+    one whose orbits and keys run kernel by kernel, and where each kernel's
+    keys start (then their count); shared by all programs on these orders."""
     if len(orders) == 1:
         terms = _orbit_terms(n, *orders[0])
         return terms, [0, terms[2].shape[1]]
@@ -899,8 +894,7 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
                 if s - i <= min(b, d)
             )
             p, q = a + d - s, b + c - s
-            ids, sizes = orbit_table(n, p, q)[:2]
-            groups.append((pieces, ids, sizes if max(p, q) > 1 else None, math.factorial(p) * math.factorial(q)))
+            groups.append((pieces, _kernel_plan(n, p, q), math.factorial(p) * math.factorial(q)))
         base = math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
         remainder = tuple(
             (math.comb(a, i) * math.comb(d, i) * math.comb(b, j) * math.comb(c, j) * base, _contraction_plan(a, b, c, d, i, j))
@@ -914,7 +908,7 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
     plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (fs, gs))
     h = reversed_conjugate_of(gs.coeffs, c)
     norms = []
-    for pieces, ids, sizes, weight in plan[-2]:
+    for pieces, (ids, sizes), weight in plan[-2]:
         group = reduce(add, (contraction(fs.coeffs, h, n, cp) * complex(w) for w, cp in pieces))
         if sizes is not None:
             group = orbit_mean(group, ids, sizes, orbit_sums(group, ids))
