@@ -511,59 +511,55 @@ def _conjugated(x: ChaosPolynomial) -> ChaosPolynomial:
 
 
 def _kernel_plan(n: int, p: int, q: int) -> tuple:
-    """An (n, p, q) kernel's orbit ids, and the orbit sizes where
-    ``ito_symmetrize`` is not the identity (else None)."""
+    """What a program needs of an (n, p, q) kernel: its orbit ids, the orbit
+    sizes where ``ito_symmetrize`` is not the identity (else None), and its
+    ``_orbit_terms``."""
     ids, sizes, _, _ = orbit_table(n, p, q)
-    return ids, (sizes if max(p, q) > 1 else None)
+    return ids, (sizes if max(p, q) > 1 else None), _orbit_terms(n, p, q)
+
+
+def _expanded(f: Kernel, plan: tuple) -> tuple:
+    """f's ``orbit_sums`` and the coefficients of ``expand(f)`` before its
+    zero test."""
+    sums = orbit_sums(f.coeffs, plan[0])
+    return sums, _expansion(sums, plan[2])
 
 
 def _symmetrized(coeffs: np.ndarray, plan: tuple, sums: tuple) -> np.ndarray:
     """The coefficients of ``ito_symmetrize`` from a kernel's coefficients,
     its ``_kernel_plan`` and its ``orbit_sums``."""
-    return coeffs if plan[1] is None else orbit_mean(coeffs, *plan, sums)
-
-
-def _joined(parts: Sequence[tuple]) -> tuple:
-    """The ``(re, im)`` parts one after the other."""
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+    ids, sizes, _ = plan
+    return coeffs if sizes is None else orbit_mean(coeffs, ids, sizes, sums)
 
 
 def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
-    """The plan of a check on ``kernels``, and per kernel its
-    ``_kernel_plan``, its ``orbit_sums`` and the coefficients of its
-    expansion.
+    """The plan of a check on ``kernels``, and per kernel its ``orbit_sums``
+    and the coefficients of its expansion.
 
     ``build(shapes)`` plans the check from the ``_shape`` of each kernel's
-    expansion.  The kernels' plans and the check's plan of the full
-    expansions are fetched under ``key`` in one lookup, and the expansions
-    run as one (see ``_fused_terms``).  Where an expansion drops a zero
-    coefficient, the plan of the kept keys is fetched under
-    ``key + ("kept", masks)``, with the ``np.packbits`` mask of each
-    expansion's kept keys (None where it keeps all), and the coefficients
-    are those of the kept keys.  A plan of the full expansions past the
-    work budget is refused with WorkBudgetError only if no expansion drops
-    one."""
-    n, orders = kernels[0].n, tuple(f.order for f in kernels)
-
-    def inputs():
-        return tuple(_kernel_plan(n, *order) for order in orders), _fused_terms(n, orders)
-
+    expansion; its plan starts with the kernels' ``_kernel_plan``s.  The
+    plan of the full expansions is fetched under ``key`` in one lookup.
+    Where an expansion drops a zero coefficient, the plan of the kept keys
+    is fetched under ``key + ("kept", masks)``, with the ``np.packbits``
+    mask of each expansion's kept keys (None where it keeps all), and the
+    coefficients are those of the kept keys.  A plan of the full expansions
+    past the work budget is refused with WorkBudgetError only if no
+    expansion drops one."""
     refused = None
     try:
-        (kernel_plans, (terms, keys)), plan = cached_by_shape(key, lambda: (inputs(), build([_shape(n, *o) for o in orders])))
+        plan = cached_by_shape(key, lambda: build([_shape(f.n, f.p, f.q) for f in kernels]))
+        kernel_plans = plan[0]
     except WorkBudgetError as error:
-        refused, (kernel_plans, (terms, keys)) = error, inputs()
-    sums = [orbit_sums(f.coeffs, kernel_plan[0]) for f, kernel_plan in zip(kernels, kernel_plans)]
-    re, im = _expansion(_joined(sums), terms)
-    parts = [(*x, (re[start:end], im[start:end])) for x, start, end in zip(zip(kernel_plans, sums), keys, keys[1:])]
-    if _live(re, im):
+        refused, kernel_plans = error, [_kernel_plan(f.n, f.p, f.q) for f in kernels]
+    parts = [_expanded(f, kernel_plan) for f, kernel_plan in zip(kernels, kernel_plans)]
+    if all(_live(*x) for _, x in parts):
         if refused is not None:
             raise refused
         return plan, parts
-    live = [None if _live(*x) else np.logical_or(*x) for _, _, x in parts]
+    live = [None if _live(*x) else np.logical_or(*x) for _, x in parts]
     masks = tuple(None if kept is None else np.packbits(kept).tobytes() for kept in live)
-    shapes = [_shape(n, *order, kept) for order, kept in zip(orders, live)]
-    parts = [part if kept is None else (*part[:2], (part[2][0][kept], part[2][1][kept])) for part, kept in zip(parts, live)]
+    shapes = [_shape(f.n, f.p, f.q, kept) for f, kept in zip(kernels, live)]
+    parts = [part if kept is None else (part[0], (part[1][0][kept], part[1][1][kept])) for part, kept in zip(parts, live)]
     return cached_by_shape(key + ("kept", masks), lambda: build(shapes)), parts
 
 
@@ -634,22 +630,23 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
         contractions = tuple(
             (_contraction_plan(a, b, c, d, i, j), orbit_table(n, *order)[0]) for (i, j), order in zip(pairs, orders)
         )
-        terms, starts = _fused_terms(n, orders)
-        weights = np.repeat([-float(hermite.pairing_weight(a, b, c, d, *ij)) for ij in pairs], np.diff(starts))
+        terms, counts = _fused_terms(n, orders)
+        weights = np.repeat([-float(hermite.pairing_weight(a, b, c, d, *ij)) for ij in pairs], counts)  # for -rhs
         # The keys of lhs - rhs: lhs's, in order, then the terms' other keys.
         keys, group = _groups(*np.concatenate([lhs_keys] + [_orbit_terms(n, *order)[2] for order in orders], axis=1))
-        return lhs_group, contractions, terms, weights, group[lhs_keys.shape[1] :].copy(), keys.shape[1]
+        kernel_plans = _kernel_plan(n, a, b), _kernel_plan(n, *g.order)
+        return kernel_plans, lhs_group, contractions, terms, weights, group[lhs_keys.shape[1] :].copy(), keys.shape[1]
 
     key = ("check", "product-conjugated" if conjugated else "product", n, a, b, *g.order)
-    plan, ((f_plan, f_sums, x), (g_plan, g_sums, y)) = _program(key, build, (f, g))
-    lhs_group, contractions, terms, weights, rhs_group, size = plan
+    plan, ((f_sums, x), (g_sums, y)) = _program(key, build, (f, g))
+    (f_plan, g_plan), lhs_group, contractions, terms, weights, rhs_group, size = plan
     lhs = _product_values(x, (y[0], -y[1]) if conjugated else y, lhs_group)
     fs, gs = _symmetrized(f.coeffs, f_plan, f_sums), _symmetrized(g.coeffs, g_plan, g_sums)
     if conjugated:
         gs = reversed_conjugate_of(gs, g.p)
     # Each contraction is freed after its orbit sums; the rest is one pass.
     sums = [orbit_sums(contraction(fs, gs, n, cp), ids) for cp, ids in contractions]
-    re, im = _expansion(_joined(sums), terms)
+    re, im = _expansion((np.concatenate([s[0] for s in sums]), np.concatenate([s[1] for s in sums])), terms)
     # The composition of ChaosPolynomial operations would drop the zero
     # coefficients of lhs, of rhs and of their terms (the weighted terms of
     # rhs often cancel exactly).  Keeping them changes no residual: they add
@@ -669,22 +666,21 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
 
 def _fused_terms(n: int, orders: tuple) -> tuple:
     """The ``_orbit_terms`` of kernels of ``orders`` on n cells as those of
-    one whose orbits and keys run kernel by kernel, and where each kernel's
-    keys start (then their count); shared by all programs on these orders."""
-    if len(orders) == 1:
-        terms = _orbit_terms(n, *orders[0])
-        return terms, [0, terms[2].shape[1]]
+    one kernel whose orbits and keys run term by term, and each term's
+    count of keys; shared by the product checks whose contraction terms
+    have these orders."""
 
     def build():
         terms = [_orbit_terms(n, *order) for order in orders]
+        counts = [t[2].shape[1] for t in terms]
         orbits = np.cumsum([0] + [len(orbit_table(n, *order)[1]) for order in orders]).tolist()
-        keys = np.cumsum([0] + [t[2].shape[1] for t in terms]).tolist()
+        keys = np.cumsum([0] + counts).tolist()
         return (
             np.concatenate([t[0] + start for t, start in zip(terms, orbits)]),
             np.concatenate([t[1] for t in terms]),
             None,
             np.concatenate([t[3] + start for t, start in zip(terms, keys)]),
-        ), keys
+        ), counts
 
     return cached_by_shape(("fused-terms", n, orders), build)
 
@@ -703,8 +699,9 @@ def _squares_plan(n: int, orders: Sequence[tuple[int, int]], shapes) -> tuple:
         check_budget(_square_join_pairs(n, orders[0], orders[-1]), "a Wick join", *sizes)
     squares = [_square_plan(x) for x in shapes]
     join = join_plan(squares[0][0], squares[-1][0])
+    kernel_plans = tuple(_kernel_plan(n, *order) for order in orders)
     groups = tuple(group for _, group in squares)
-    return groups, join, tuple(expectation_plan(sq) for sq, _ in squares)
+    return kernel_plans, groups, join, tuple(expectation_plan(sq) for sq, _ in squares)
 
 
 def _squares_values(plan: tuple, parts: list) -> tuple:
@@ -717,8 +714,8 @@ def _squares_values(plan: tuple, parts: list) -> tuple:
     ChaosPolynomial operations would drop: their products add +-0.0 to the
     oracle's exact sums, which changes none.  (Where another coefficient of
     the squares is inf, they add NaN, not inf; the check fails on either.)"""
-    groups, join, diagonals = plan[:3]
-    squares = [_product_values(x, (x[0], -x[1]), group) for (_, _, x), group in zip(parts, groups)]
+    _, groups, join, diagonals = plan[:4]
+    squares = [_product_values(x, (x[0], -x[1]), group) for (_, x), group in zip(parts, groups)]
     moments = [diagonal_sum(sq[0], d) for sq, d in zip(squares, diagonals)]
     return (join_sum(join, *squares[0], *squares[-1], imag=False), *moments)
 
@@ -735,10 +732,11 @@ def _isometry_program(f: Kernel) -> tuple:
     of the isometry check."""
 
     def build(shapes):
-        return join_plan(shapes[0], _conjugated(shapes[0]))
+        x = shapes[0]
+        return (_kernel_plan(f.n, f.p, f.q),), join_plan(x, _conjugated(x))
 
     key = ("check", "isometry", f.n, f.p, f.q)
-    join, ((kernel_plan, sums, (re, im)),) = _program(key, build, (f,))
+    ((kernel_plan,), join), ((sums, (re, im)),) = _program(key, build, (f,))
     return join_sum(join, re, im, re, -im, imag=False), _norm(_symmetrized(f.coeffs, kernel_plan, sums))
 
 
@@ -894,7 +892,8 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
                 if s - i <= min(b, d)
             )
             p, q = a + d - s, b + c - s
-            groups.append((pieces, _kernel_plan(n, p, q), math.factorial(p) * math.factorial(q)))
+            ids, sizes = orbit_table(n, p, q)[:2]
+            groups.append((pieces, ids, sizes if max(p, q) > 1 else None, math.factorial(p) * math.factorial(q)))
         base = math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
         remainder = tuple(
             (math.comb(a, i) * math.comb(d, i) * math.comb(b, j) * math.comb(c, j) * base, _contraction_plan(a, b, c, d, i, j))
@@ -908,7 +907,7 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
     plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (fs, gs))
     h = reversed_conjugate_of(gs.coeffs, c)
     norms = []
-    for pieces, (ids, sizes), weight in plan[-2]:
+    for pieces, ids, sizes, weight in plan[-2]:
         group = reduce(add, (contraction(fs.coeffs, h, n, cp) * complex(w) for w, cp in pieces))
         if sizes is not None:
             group = orbit_mean(group, ids, sizes, orbit_sums(group, ids))

@@ -253,7 +253,7 @@ class TestCheckPrograms:
                 f, g = kernels.random_kernel(a, b, n, rng), kernels.random_kernel(c, d, n, rng)
                 report = check(f, g)
                 kind = "product" if check is chaos.product_check else "product-conjugated"
-                contractions = cache[("check", kind, n, *orders)][0][1][1]
+                contractions = cache[("check", kind, n, *orders)][0][2]
                 assert any(plan[5] == () for plan, _ in contractions)
                 conjugated = check is chaos.product_conjugated_check
                 assert report.residual.hex() == composed_product(f, g, conjugated).hex()
@@ -282,7 +282,7 @@ class TestCheckPrograms:
         chaos.product_check(kernels.random_kernel(0, 1, 3, rng), kernels.random_kernel(1, 0, 3, rng))
 
         def terms(kind, *orders):
-            return cache[("check", kind, 3, *orders)][0][1][2]
+            return cache[("check", kind, 3, *orders)][0][3]
 
         assert terms("product-conjugated", 2, 1, 2, 1) is terms("product", 2, 1, 1, 2)
         assert terms("product", 1, 0, 0, 1) is terms("product", 0, 1, 1, 0)
