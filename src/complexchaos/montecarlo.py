@@ -10,15 +10,27 @@ result is independent of how chunks might be distributed across workers.
 
 Sampling and evaluation run over the rows in fixed blocks of ``_BLOCK`` rows,
 so that every temporary of a block stays in cache.  Each row goes through the
-same operations in the same order whatever the block size, and Philox hands
-out the same stream in the same order when drawn block by block, so the
-blocks change no bit of any result.  The reduction grid ``_CHUNK`` is another
+same operations in the same order whatever the block size, so the blocks
+change no bit of any result.  The reduction grid ``_CHUNK`` is another
 matter: changing it does change the bits of the mean and the spread.
+
+The sampler's blocks are shared among ``_WORKERS`` workers (one per CPU the
+process may run on: the caller plus helper threads), each with its own
+temporaries, writing disjoint rows of the output.  A block draws from its own
+Philox generator keyed with the plan seed and moved to the block's place in
+the stream: the ``start * n * 2`` uniforms drawn before it are skipped with
+``advance(skip // 4)`` (Philox4x64 hands out four 64-bit draws per counter
+step, one per uniform) and ``skip % 4`` discarded draws.  So a block gets the
+same uniforms as in one sequential stream, and no bit depends on the block
+size or on how many workers run.  The evaluator stays on one thread: its
+multiplies are bound by the L2 cache, and two threads ran slower than one.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -45,6 +57,11 @@ _CHUNK = 1 << 14
 
 # Rows per block of sampling and evaluation; any size gives the same bits.
 _BLOCK = 1 << 13
+
+# Sampler workers: the caller plus one helper thread per further CPU.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 @dataclass(frozen=True)
@@ -76,13 +93,54 @@ class Estimate:
 def sample_coordinates(plan: SamplePlan) -> np.ndarray:
     """Array of shape (samples, n): iid standard complex Gaussians, i.e. real
     and imaginary parts independent with variance 1/2 each."""
-    gen = np.random.Generator(np.random.Philox(key=plan.seed))
     out = np.empty((plan.samples, plan.n), dtype=np.complex128)
-    for start in range(0, plan.samples, _BLOCK):
-        block = out[start : start + _BLOCK]
-        u = gen.random((len(block), plan.n, 2))
-        radius = np.sqrt(-np.log1p(-u[..., 0]))  # 1 - u in (0, 1], log stays finite
-        np.multiply(radius, np.exp(2j * math.pi * u[..., 1]), out=block)
+    starts = range(0, plan.samples, _BLOCK)
+    workers = min(_WORKERS, len(starts))
+    rows = min(_BLOCK, plan.samples)
+    # Each worker's temporaries are allocated here, in the caller's thread.
+    buffers = [
+        (
+            np.empty((rows, plan.n, 2)),
+            np.empty((rows, plan.n)),
+            np.empty((rows, plan.n), dtype=np.complex128),
+        )
+        for _ in range(workers)
+    ]
+    errors: list[BaseException] = []
+
+    def work(worker: int) -> None:
+        for start in starts[worker::workers]:
+            block = out[start : start + _BLOCK]
+            u, radius, phase = (buffer[: len(block)] for buffer in buffers[worker])
+            bits = np.random.Philox(key=plan.seed)
+            skip = start * plan.n * 2  # uniforms drawn before this block
+            bits.advance(skip // 4)
+            bits.random_raw(skip % 4)
+            np.random.Generator(bits).random(out=u)
+            np.negative(u[..., 0], out=radius)
+            np.log1p(radius, out=radius)  # 1 - u in (0, 1], log stays finite
+            np.negative(radius, out=radius)
+            np.sqrt(radius, out=radius)
+            np.multiply(2j * math.pi, u[..., 1], out=phase)
+            np.exp(phase, out=phase)
+            np.multiply(radius, phase, out=block)
+
+    def helper(worker: int) -> None:
+        try:
+            work(worker)
+        except BaseException as exc:  # handed to the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -123,8 +181,11 @@ def evaluate_polynomial(poly: "ChaosPolynomial", samples: np.ndarray) -> np.ndar
                 out += coeff
                 continue
             term, spare = buffers[:, : len(out)]
-            term.fill(coeff)
-            for f in factors:
+            # A numpy complex128 scalar first: the same bits as filling the
+            # term with it and multiplying, and a complex128 product even
+            # for complex64 samples.
+            np.multiply(np.complex128(coeff), values[factors[0]], out=term)
+            for f in factors[1:]:
                 np.multiply(term, values[f], out=spare)
                 term, spare = spare, term
             out += term

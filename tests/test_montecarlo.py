@@ -1,5 +1,8 @@
 """Seeded sampling: determinism, moment sanity, oracle agreement."""
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +179,58 @@ class TestBlockSize:
             assert at_point2 == at_point
         point = np.array([[0.3 - 1.2j, 0.7j, -1.1]])
         assert at_point == complex(reference_evaluate_polynomial(poly, point)[0])
+
+
+class TestParallelSampler:
+    """Blocks drawn by several workers from Philox offsets, against the
+    unblocked single-stream reference, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8192])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference(self, monkeypatch, n, block, workers):
+        # Offsets start * n * 2 that are not a multiple of 4 draws are
+        # included (odd n and odd block sizes).
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        plan = SamplePlan(seed=2**63 + n, samples=3 * block + 2, n=n)
+        assert_same_bits(sample_coordinates(plan), reference_sample_coordinates(plan))
+
+    def test_concurrent_callers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK", 5)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+        plans = [SamplePlan(seed=40 + k, samples=97 + k, n=1 + k) for k in range(4)]
+        results = [None] * len(plans)
+
+        def caller(k):
+            results[k] = sample_coordinates(plans[k])
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(plans))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for plan, got in zip(plans, results):
+            assert_same_bits(got, reference_sample_coordinates(plan))
+
+    @pytest.mark.parametrize("in_helper", [False, True])
+    def test_worker_error_reaches_caller(self, monkeypatch, in_helper):
+        """The third log1p call raises, or the first one in a helper thread."""
+        monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+        log1p, calls, lock = np.log1p, itertools.count(1), threading.Lock()
+        caller = threading.current_thread()
+
+        def failing_log1p(*args, **kwargs):
+            with lock:
+                call = next(calls)
+            if (threading.current_thread() is not caller) if in_helper else call == 3:
+                raise RuntimeError("block failed")
+            return log1p(*args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", failing_log1p)
+        with pytest.raises(RuntimeError, match="block failed"):
+            sample_coordinates(SamplePlan(seed=1, samples=40, n=2))
 
 
 class TestOracleAgreement:
