@@ -1,6 +1,7 @@
 """Seeded sampling: determinism, moment sanity, oracle agreement."""
 
 import itertools
+import sys
 import threading
 
 import numpy as np
@@ -197,19 +198,26 @@ class TestParallelSampler:
         assert_same_bits(sample_coordinates(plan), reference_sample_coordinates(plan))
 
     def test_concurrent_callers(self, monkeypatch):
+        """Four callers with three workers each, switching threads often."""
         monkeypatch.setattr(montecarlo, "_BLOCK", 5)
         monkeypatch.setattr(montecarlo, "_WORKERS", 3)
-        plans = [SamplePlan(seed=40 + k, samples=97 + k, n=1 + k) for k in range(4)]
+        plans = [SamplePlan(seed=40 + k, samples=997 + k, n=1 + k) for k in range(4)]
         results = [None] * len(plans)
 
         def caller(k):
             results[k] = sample_coordinates(plans[k])
 
         threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(plans))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         for plan, got in zip(plans, results):
             assert_same_bits(got, reference_sample_coordinates(plan))
 
