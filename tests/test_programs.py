@@ -381,6 +381,7 @@ def test_residual_digest_is_repeatable():
         "isometry",
         "conjugate",
         "zero-orbit",
+        "independence",
     ]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert first.stdout == second.stdout

@@ -15,11 +15,18 @@ hypercontractivity, isometry) on kernels whose expansions drop zero
 coefficients: masked random kernels and basis tensors on 1 to 3 cells,
 drawn from a generator seeded with (SEED, 0), for every order tuple of
 total <= 6 (hypercontractivity and isometry for every order of total
-<= 4).  Each output line is ``kind sha256 values``; the
-hash covers ``float.hex`` of the residual and of every float metadata value,
-in check order.  Equal output from two checkouts means bit-identical
-residuals.  ``--small`` runs one trial per order tuple, only the 3-cell
-high-order shapes and only the 2-cell zero-orbit kernels.
+<= 4).  Then the independence kind runs the independence check on the
+covariance grid's pairs of non-degenerate orders and on the zero-orbit
+pairs, and ``asymptotic_diagnostics`` on the coupled-decay pair of the
+selftest and, for every order tuple of total <= 6 and cell count, on two
+sequences of a dense, a masked and a basis kernel, drawn from a generator
+seeded with (SEED, 1).  Each output line is ``kind sha256 values``; the
+hash covers ``float.hex`` of the residual and of every float metadata value
+(of an asymptotic row: every pair's contraction norm and covariance, then
+the second moments), in check order.  Equal output from two checkouts
+means bit-identical residuals.  ``--small`` runs one trial per order
+tuple, only the 3-cell high-order shapes and only the 2-cell zero-orbit
+and asymptotic kernels.
 
 The checkout's own ``src`` is imported, whatever PYTHONPATH says.
 """
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -66,17 +74,38 @@ def _reports(seed: int, small: bool):
         f = random_kernel(p, q, n, rng)
         yield "isometry", chaos.isometry_check(f)
         yield "conjugate", chaos.integral_conjugate(f)
+    cells = (2,) if small else (1, 2, 3)
     rng = np.random.default_rng((seed, 0))
-    for n in (2,) if small else (1, 2, 3):
+    zero_orbit = []
+    for n in cells:
         for masked in (True, False):
             for a, b, c, d in hermite.order_tuples(6):
                 f, g = _zero_orbit_kernel(a, b, n, rng, masked), _zero_orbit_kernel(c, d, n, rng, masked)
+                zero_orbit.append((f, g))
                 yield "zero-orbit", chaos.product_check(f, g)
                 yield "zero-orbit", chaos.product_conjugated_check(f, g)
                 yield "zero-orbit", chaos.covariance_squares(f, g).report
                 if a + b <= 4 and c + d == 0:
                     yield "zero-orbit", chaos.hypercontractivity_check(f)
                     yield "zero-orbit", chaos.isometry_check(f)
+    pairs = itertools.chain(suites._grid(seed + 5, hermite.order_tuples(6), 3, trials), zero_orbit)
+    for f, g in pairs:
+        if f.p + f.q and g.p + g.q:
+            yield "independence", chaos.independence_check(f, g)
+    rng = np.random.default_rng((seed, 1))
+    families = [chaos.coupled_decay_sequences(16)]
+    for n in cells:
+        for orders in hermite.order_tuples(6):
+            families.append(
+                [
+                    chaos.KernelSequence("", tuple(kernel_of(p, q, n, rng) for kernel_of in KINDS))
+                    for p, q in (orders[:2], orders[2:])
+                ]
+            )
+    for seqs in families:
+        for row in chaos.asymptotic_diagnostics(seqs):
+            values = [v for pair in row.pairs for v in (pair.max_contraction_norm, pair.covariance)]
+            yield "independence", values + list(row.second_moments)
 
 
 def _zero_orbit_kernel(p: int, q: int, n: int, rng, masked: bool) -> Kernel:
@@ -88,11 +117,22 @@ def _zero_orbit_kernel(p: int, q: int, n: int, rng, masked: bool) -> Kernel:
     return Kernel.basis(p, q, tuple(rng.integers(0, n, size=p + q).tolist()), n)
 
 
+# A dense, a masked and a basis kernel of order (p, q) on n cells.
+KINDS = (
+    lambda p, q, n, rng: random_kernel(p, q, n, rng),
+    lambda p, q, n, rng: _zero_orbit_kernel(p, q, n, rng, True),
+    lambda p, q, n, rng: _zero_orbit_kernel(p, q, n, rng, False),
+)
+
+
 def digests(seed: int, small: bool = False) -> list[str]:
     hashes: dict = {}
     counts: dict[str, int] = {}
-    for kind, report in _reports(seed, small):
-        values = [report.residual] + [v for v in report.metadata.values() if isinstance(v, float)]
+    for kind, item in _reports(seed, small):
+        if isinstance(item, list):  # an asymptotic row's values
+            values = item
+        else:
+            values = [item.residual] + [v for v in item.metadata.values() if isinstance(v, float)]
         h = hashes.setdefault(kind, hashlib.sha256())
         for v in values:
             h.update(v.hex().encode() + b"\n")
@@ -103,7 +143,7 @@ def digests(seed: int, small: bool = False) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seed", type=int)
-    parser.add_argument("--small", action="store_true", help="one trial per tuple, 3-cell shapes only")
+    parser.add_argument("--small", action="store_true", help="one trial per tuple, fewer shapes and cells")
     args = parser.parse_args(argv)
     for line in digests(args.seed, args.small):
         print(line)
