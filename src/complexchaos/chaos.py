@@ -48,7 +48,6 @@ from .kernels import (
     contract,
     contraction,
     ito_symmetrize,
-    norm,
     orbit_mean,
     orbit_sums,
     orbit_table,
@@ -867,10 +866,13 @@ def product_conjugated_check(
 COVARIANCE_VARIANT = "proof-step binomials; same-order contraction terms grouped"
 
 
-def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
+def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float, dict]:
     """Exact covariance of |integral(f)|^2 and |integral(g)|^2, assembled from
     contraction norms of the symmetrized kernels (the formula) and from the
-    Wick oracle on their expansions.
+    Wick oracle on their expansions, and the norm of every contraction the
+    formula forms: of every admissible (i, j) with i + j >= 1, keyed
+    ``("kernel", i, j)`` against g and ``("reversed", i, j)`` against g's
+    reversed conjugate.
 
     The fourth-moment side groups contraction terms with equal total pairing
     count s = i + j before applying the isometry: those terms share a chaos
@@ -887,16 +889,20 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
         groups = []
         for s in range(1, min(a, c) + min(b, d) + 1):
             pieces = tuple(
-                (hermite.pairing_weight(a, b, d, c, i, s - i), _contraction_plan(a, b, d, c, i, s - i))
-                for i in range(min(a, c, s), -1, -1)
-                if s - i <= min(b, d)
+                (("reversed", i, j), hermite.pairing_weight(a, b, d, c, i, j), _contraction_plan(a, b, d, c, i, j))
+                for i, j in ((i, s - i) for i in range(min(a, c, s), -1, -1))
+                if j <= min(b, d)
             )
             p, q = a + d - s, b + c - s
             ids, sizes = orbit_table(n, p, q)[:2]
             groups.append((pieces, ids, sizes if max(p, q) > 1 else None, math.factorial(p) * math.factorial(q)))
         base = math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
         remainder = tuple(
-            (math.comb(a, i) * math.comb(d, i) * math.comb(b, j) * math.comb(c, j) * base, _contraction_plan(a, b, c, d, i, j))
+            (
+                ("kernel", i, j),
+                math.comb(a, i) * math.comb(d, i) * math.comb(b, j) * math.comb(c, j) * base,
+                _contraction_plan(a, b, c, d, i, j),
+            )
             for i in range(min(a, d) + 1)
             for j in range(min(b, c) + 1)
             if i + j
@@ -906,20 +912,19 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float]:
     fs, gs = ito_symmetrize(f), ito_symmetrize(g)
     plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (fs, gs))
     h = reversed_conjugate_of(gs.coeffs, c)
-    norms = []
+    norms, terms = {}, []
     for pieces, ids, sizes, weight in plan[-2]:
-        group = reduce(add, (contraction(fs.coeffs, h, n, cp) * complex(w) for w, cp in pieces))
+        contractions = [(key, w, contraction(fs.coeffs, h, n, cp)) for key, w, cp in pieces]
+        norms.update((key, _norm(x)) for key, _, x in contractions)
+        group = reduce(add, (x * complex(w) for _, w, x in contractions))
         if sizes is not None:
             group = orbit_mean(group, ids, sizes, orbit_sums(group, ids))
-        norms.append(weight * _norm(group) ** 2)
-    norms += [w * _norm(contraction(fs.coeffs, gs.coeffs, n, cp)) ** 2 for w, cp in plan[-1]]
+        terms.append(weight * _norm(group) ** 2)
+    for key, w, cp in plan[-1]:
+        norms[key] = _norm(contraction(fs.coeffs, gs.coeffs, n, cp))
+        terms.append(w * norms[key] ** 2)
     joint, e_f, e_g = _squares_values(plan, parts)
-    return math.fsum(norms), joint - e_f * e_g
-
-
-def _covariance_oracle(f: Kernel, g: Kernel) -> float:
-    joint, e_f, e_g = _squares_program((f, g))
-    return joint - e_f * e_g
+    return math.fsum(terms), joint - e_f * e_g, norms
 
 
 @dataclass(frozen=True)
@@ -938,7 +943,7 @@ def covariance_squares(
     non-negative correlation of squared moduli as a side effect.
     """
     _check_pair(f, g)
-    formula, exact = _covariance_program(f, g)
+    formula, exact, _ = _covariance_program(f, g)
     residual = abs(formula - exact) / max(1.0, abs(exact))
     report = VerificationReport(
         name="covariance-squares",
@@ -970,21 +975,18 @@ def independence_check(
     """
     if f.p + f.q == 0 or g.p + g.q == 0:
         raise ValueError("independence criterion needs non-degenerate orders")
-    fs = ito_symmetrize(f)
-    gs = ito_symmetrize(g)
-    h = reversed_conjugate(gs)
+    _check_pair(f, g)
+    formula, exact, contractions = _covariance_program(f, g)
     norms = {
-        "with-kernel-10": norm(contract(fs, gs, ContractionSpec(1, 0))),
-        "with-kernel-01": norm(contract(fs, gs, ContractionSpec(0, 1))),
-        "with-reversed-10": norm(contract(fs, h, ContractionSpec(1, 0))),
-        "with-reversed-01": norm(contract(fs, h, ContractionSpec(0, 1))),
+        f"with-{against}-{i}{j}": contractions.get((against, i, j), 0.0)
+        for against in ("kernel", "reversed")
+        for i, j in ((1, 0), (0, 1))
     }
-    comparison = covariance_squares(f, g)
     metadata: dict[str, object] = {
         "orders": f"{f.order}x{g.order}",
         "cells": f.n,
-        "covariance_formula": comparison.formula,
-        "covariance_oracle": comparison.oracle,
+        "covariance_formula": formula,
+        "covariance_oracle": exact,
     }
     metadata.update(norms)
     return VerificationReport(
@@ -1047,24 +1049,6 @@ class DiagnosticsRow:
     second_moments: tuple[float, ...]
 
 
-def _max_cross_contraction(f: Kernel, g: Kernel) -> float:
-    a, b = f.order
-    c, d = g.order
-    h = reversed_conjugate(g)
-    worst = 0.0
-    for r in range(min(a, d) + 1):
-        for s in range(min(b, c) + 1):
-            if r + s == 0:
-                continue
-            worst = worst_of(worst, norm(contract(f, g, ContractionSpec(r, s))))
-    for r in range(min(a, c) + 1):
-        for s in range(min(b, d) + 1):
-            if r + s == 0:
-                continue
-            worst = worst_of(worst, norm(contract(f, h, ContractionSpec(r, s))))
-    return worst
-
-
 def asymptotic_diagnostics(seqs: Sequence[KernelSequence]) -> list[DiagnosticsRow]:
     """Per-index decoupling diagnostics for a family of kernel sequences.
 
@@ -1087,22 +1071,14 @@ def asymptotic_diagnostics(seqs: Sequence[KernelSequence]) -> list[DiagnosticsRo
             raise ValueError(f"cell counts differ at index {t}")
     rows = []
     for t in range(length):
-        kernels = [ito_symmetrize(s.entries[t]) for s in seqs]
+        kernels = [s.entries[t] for s in seqs]
         pairs = []
-        for i in range(len(seqs)):
-            for j in range(len(seqs)):
-                if i == j:
-                    continue
-                pairs.append(
-                    PairDiagnostics(
-                        pair=(i, j),
-                        max_contraction_norm=_max_cross_contraction(
-                            kernels[i], kernels[j]
-                        ),
-                        covariance=_covariance_oracle(kernels[i], kernels[j]),
-                    )
-                )
-        moments = [_isometry_program(k)[0] for k in kernels]
+        for i, f in enumerate(kernels):
+            for j, g in enumerate(kernels):
+                if i != j:
+                    _, covariance, norms = _covariance_program(f, g)
+                    pairs.append(PairDiagnostics((i, j), worst_of(0.0, *norms.values()), covariance))
+        moments = [_isometry_program(ito_symmetrize(k))[0] for k in kernels]
         rows.append(
             DiagnosticsRow(index=t, pairs=tuple(pairs), second_moments=tuple(moments))
         )

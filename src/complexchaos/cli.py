@@ -20,11 +20,12 @@ Kernel entries are sparse (omitted multi-indices are zero); complex numbers
 are {re, im} pairs; multi-indices are 0-based integer arrays of length p+q.
 Indicator-coordinate kernels are rescaled by the product of sqrt cell masses
 at ingestion and the report records both norms.  Every number must be a
-finite JSON number, never a bool or a string: seed in 0..2**64-1, samples
-in 2..MAX_SAMPLES (also for the --samples flags), positive tolerance and
-max_sigma, grid max_total in 0..--max-order and max_cells in 1..--max-cells
-(the run's caps, at most MAX_TOTAL_ORDER and MAX_CELLS) and trials >= 1,
-hermite-product max_total in 0..2*MAX_TOTAL_ORDER.
+finite JSON number, never a bool or a string: seed in 0..2**64-1 (also for
+the --seed flags), samples in 2..MAX_SAMPLES (also for the --samples
+flags), positive tolerance and max_sigma, grid max_total in 0..--max-order
+and max_cells in 1..--max-cells (the run's caps, at most MAX_TOTAL_ORDER
+and MAX_CELLS) and trials >= 1, hermite-product max_total in
+0..2*MAX_TOTAL_ORDER.
 
 Check kinds: product, product-conjugated, isometry, conjugate-lemma,
 covariance, independence, asymptotic, hypercontractivity, hermite-product,
@@ -398,6 +399,16 @@ def _emit(body: Mapping, report_path: str | None) -> None:
         print(text)
 
 
+def _writable(report_path: str | None) -> None:
+    """Refuse a --report path that cannot be opened for writing, before any
+    check runs; a missing file is created empty."""
+    if report_path:
+        try:
+            open(report_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _fail("validation-error", f"--report cannot be written: {exc}") from None
+
+
 def _emit_error(exc: ScenarioError, report_path: str | None) -> None:
     body = {"error": {"code": exc.code, "message": str(exc)}}
     text = json.dumps(body, indent=2, sort_keys=True)
@@ -413,9 +424,11 @@ def _emit_error(exc: ScenarioError, report_path: str | None) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     caps = (args.max_order, args.max_cells)
     try:
+        _number(args.seed, "--seed", 0, 2**64 - 1, integer=True)
         _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
         _number(args.max_order, "--max-order", 0, MAX_TOTAL_ORDER, integer=True)
         _number(args.max_cells, "--max-cells", 1, MAX_CELLS, integer=True)
+        _writable(args.report)
         scenario = load_scenario(args.scenario, caps)
         only = set(args.only.split(",")) if args.only else None
         checks = [c for c in scenario.checks if only is None or c["name"] in only]
@@ -456,6 +469,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     try:
         _number(args.seed, "--seed", 0, 2**64 - 1, integer=True)
         _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
+        _writable(args.report)
     except ScenarioError as exc:
         _emit_error(exc, args.report)
         return EXIT_INPUT
@@ -478,6 +492,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_hermite(args: argparse.Namespace) -> int:
+    try:
+        _number(args.max, "--max", 0, 2 * MAX_TOTAL_ORDER, integer=True)
+        if args.hermite_command == "table":
+            _number(args.rho, "--rho", 1, integer=True)
+    except ScenarioError as exc:
+        _emit_error(exc, None)
+        return EXIT_INPUT
     if args.hermite_command == "table":
         rho = args.rho
         for total in range(args.max + 1):
@@ -487,11 +508,6 @@ def cmd_hermite(args: argparse.Namespace) -> int:
                 print(f"J[{m},{n}](z, rho={rho}) = {hermite.format_polynomial(poly)}")
         return EXIT_PASS
     if args.hermite_command == "product-check":
-        try:
-            _number(args.max, "--max", 0, 2 * MAX_TOTAL_ORDER, integer=True)
-        except ScenarioError as exc:
-            _emit_error(exc, None)
-            return EXIT_INPUT
         report = suites.hermite_product_report(max_total=args.max)
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -535,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     herm = sub.add_parser("hermite", help="inspect the complex Hermite layer")
     herm_sub = herm.add_subparsers(dest="hermite_command", required=True)
     table = herm_sub.add_parser("table", help="print the polynomial table")
-    table.add_argument("--max", type=int, default=8, help="max total degree m+n")
-    table.add_argument("--rho", type=int, default=1)
+    table.add_argument("--max", type=int, default=8, help=f"max total degree m+n, 0..{2 * MAX_TOTAL_ORDER}")
+    table.add_argument("--rho", type=int, default=1, help=">= 1")
     check = herm_sub.add_parser("product-check", help="certify the product expansion")
     check.add_argument(
         "--max", type=int, default=8, help=f"max a+b+c+d, 0..{2 * MAX_TOTAL_ORDER}"

@@ -364,6 +364,10 @@ class TestRun:
             ["selftest", "--samples", str(cli.MAX_SAMPLES + 1)],
             ["selftest", "--seed", "-1"],
             ["hermite", "product-check", "--max", str(2 * cli.MAX_TOTAL_ORDER + 1)],
+            ["hermite", "table", "--max", str(2 * cli.MAX_TOTAL_ORDER + 1)],
+            ["hermite", "table", "--max", "-1"],
+            ["hermite", "table", "--rho", "0"],
+            ["run", "SCENARIO", "--seed", "-1"],
         ],
         ids=[
             "run-one-sample",
@@ -374,13 +378,37 @@ class TestRun:
             "selftest-over-cap-samples",
             "selftest-negative-seed",
             "over-cap-hermite-max",
+            "over-cap-table-max",
+            "negative-table-max",
+            "zero-table-rho",
+            "run-negative-seed",
         ],
     )
     def test_out_of_range_flags_exit_two(self, tmp_path, capsys, argv):
         path = write_scenario(tmp_path, DISJOINT)
         assert cli.main([path if a == "SCENARIO" else a for a in argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert json.loads(err)["error"]["code"] == "validation-error"
+        assert out == ""
+
+    def test_run_seed_is_checked_as_a_flag(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, DISJOINT)
+        assert cli.main(["run", path, "--seed", "-1"]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("--seed must be an integer")
+
+    @pytest.mark.parametrize("command", ["run", "selftest"])
+    def test_unwritable_report_exits_two_before_any_check(self, tmp_path, capsys, monkeypatch, command):
+        def fails(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "_run_check", fails)
+        monkeypatch.setattr(cli.suites, "selftest_reports", fails)
+        argv = [command] + ([write_scenario(tmp_path, DISJOINT)] if command == "run" else [])
+        assert cli.main(argv + ["--report", str(tmp_path / "missing" / "out.json")]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "validation-error"
+        assert error["message"].startswith("--report cannot be written")
 
     def test_unknown_kind_rejected(self, tmp_path):
         scenario = dict(DISJOINT, checks=[{"name": "x", "kind": "bogus"}])

@@ -3,10 +3,12 @@
 Every check that has a program (product, conjugated product, the covariance
 of squared moduli, hypercontractivity, isometry) must give the report the
 composition gives, bit for bit: cold, warm and with a shape cache that keeps
-one entry.  The composition, written here over the public operations, is
-the reference: the ``composed`` fixture patches it in for the programs.  The
-covariance formula's reference is its sum of contraction norms over
-``Kernel`` operations.
+one entry; so must the independence check, which reads its contraction
+norms from the covariance program.  The composition, written here over the
+public operations, is the reference: the ``composed`` fixture patches it in
+for the programs.  The covariance formula's reference is its sum of
+contraction norms over ``Kernel`` operations, and the reference of the
+contraction norms is ``kernels.contract`` and ``kernels.norm``.
 """
 
 import json
@@ -84,10 +86,18 @@ def covariance_formula(f, g):
 
 
 def composed_covariance(f, g):
-    """The formula and the composed Wick oracle on the symmetrized kernels."""
+    """The formula, the composed Wick oracle and the norm of every admissible
+    contraction with i + j >= 1, against g and against its reversed
+    conjugate, on the symmetrized kernels."""
     fs, gs = kernels.ito_symmetrize(f), kernels.ito_symmetrize(g)
     joint, e_f, e_g = composed_squares((fs, gs))
-    return covariance_formula(fs, gs), joint - e_f * e_g
+    norms = {}
+    for against, h in (("kernel", gs), ("reversed", kernels.reversed_conjugate(gs))):
+        for i in range(min(fs.p, h.q) + 1):
+            for j in range(min(fs.q, h.p) + 1):
+                if i + j:
+                    norms[against, i, j] = kernels.norm(kernels.contract(fs, h, kernels.ContractionSpec(i, j)))
+    return covariance_formula(fs, gs), joint - e_f * e_g, norms
 
 
 COMPOSITION = {
@@ -144,6 +154,8 @@ def checks(f, g) -> list:
     ]
     if g.p + g.q == 0 and f.p + f.q <= 4:  # the criterion-8 orders, once each
         out += [chaos.hypercontractivity_check(f), chaos.isometry_check(f)]
+    if f.p + f.q and g.p + g.q:
+        out.append(chaos.independence_check(f, g))
     return out
 
 
@@ -224,6 +236,42 @@ class TestCheckPrograms:
         for f, g in CASES:
             formula = chaos._covariance_program(f, g)[0]
             assert formula.hex() == covariance_formula(kernels.ito_symmetrize(f), kernels.ito_symmetrize(g)).hex()
+
+    def test_asymptotic_diagnostics_match_the_reference(self, cache):
+        # Two sequences of a dense, a masked and a basis kernel per order
+        # tuple of total <= 6 and cell count; the largest norm is the fold of
+        # the reference's norms in its order.
+        rng = np.random.default_rng(31)
+        for a, b, c, d in hermite.order_tuples(6):
+            for n in (1, 2, 3):
+                seqs = [
+                    chaos.KernelSequence(label, tuple(kernel_of(kind, p, q, n, rng) for kind in ("dense", "masked", "basis")))
+                    for label, p, q in (("f", a, b), ("g", c, d))
+                ]
+                for row in chaos.asymptotic_diagnostics(seqs):
+                    entries = [s.entries[row.index] for s in seqs]
+                    for pair, (i, j) in zip(row.pairs, ((0, 1), (1, 0)), strict=True):
+                        _, covariance, norms = composed_covariance(entries[i], entries[j])
+                        worst = 0.0
+                        for value in norms.values():
+                            worst = chaos.worst_of(worst, value)
+                        assert pair.pair == (i, j)
+                        assert pair.max_contraction_norm.hex() == worst.hex()
+                        assert pair.covariance.hex() == covariance.hex()
+                    moments = [composed_isometry(kernels.ito_symmetrize(k))[0].hex() for k in entries]
+                    assert [m.hex() for m in row.second_moments] == moments
+
+    def test_inadmissible_first_order_contractions_are_zero(self, cache):
+        # (1,0)x(1,0): no contraction against g is admissible, and against its
+        # reversed conjugate only (1, 0) is.
+        rng = np.random.default_rng(32)
+        f, g = kernels.random_kernel(1, 0, 2, rng), kernels.random_kernel(1, 0, 2, rng)
+        metadata = chaos.independence_check(f, g).metadata
+        assert [metadata[f"with-{key}"] for key in ("kernel-10", "kernel-01", "reversed-01")] == [0.0] * 3
+        reversed_10 = kernels.norm(kernels.contract(f, kernels.reversed_conjugate(g), kernels.ContractionSpec(1, 0)))
+        assert metadata["with-reversed-10"] == reversed_10 > 0
+        row = chaos.asymptotic_diagnostics([chaos.KernelSequence("f", (f,)), chaos.KernelSequence("g", (g,))])[0]
+        assert row.pairs[0].max_contraction_norm == reversed_10
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_covariance_of_a_non_finite_kernel_fails(self, cache, bad):
