@@ -98,7 +98,14 @@ def _reports(seed: int, small: bool):
         for orders in hermite.order_tuples(6):
             families.append(
                 [
-                    chaos.KernelSequence("", tuple(kernel_of(p, q, n, rng) for kernel_of in KINDS))
+                    chaos.KernelSequence(
+                        "",
+                        (
+                            random_kernel(p, q, n, rng),
+                            _zero_orbit_kernel(p, q, n, rng, True),
+                            _zero_orbit_kernel(p, q, n, rng, False),
+                        ),
+                    )
                     for p, q in (orders[:2], orders[2:])
                 ]
             )
@@ -115,14 +122,6 @@ def _zero_orbit_kernel(p: int, q: int, n: int, rng, masked: bool) -> Kernel:
         cells = tuple(sorted(set(rng.integers(0, n, size=max(1, n - 1)).tolist())))
         return suites._masked_random_kernel(p, q, n, cells, rng)
     return Kernel.basis(p, q, tuple(rng.integers(0, n, size=p + q).tolist()), n)
-
-
-# A dense, a masked and a basis kernel of order (p, q) on n cells.
-KINDS = (
-    lambda p, q, n, rng: random_kernel(p, q, n, rng),
-    lambda p, q, n, rng: _zero_orbit_kernel(p, q, n, rng, True),
-    lambda p, q, n, rng: _zero_orbit_kernel(p, q, n, rng, False),
-)
 
 
 def digests(seed: int, small: bool = False) -> list[str]:
