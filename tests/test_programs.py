@@ -430,6 +430,7 @@ def test_residual_digest_is_repeatable():
         "conjugate",
         "zero-orbit",
         "independence",
+        "polynomial",
     ]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert first.stdout == second.stdout

@@ -20,13 +20,21 @@ covariance grid's pairs of non-degenerate orders and on the zero-orbit
 pairs, and ``asymptotic_diagnostics`` on the coupled-decay pair of the
 selftest and, for every order tuple of total <= 6 and cell count, on two
 sequences of a dense, a masked and a basis kernel, drawn from a generator
-seeded with (SEED, 1).  Each output line is ``kind sha256 values``; the
-hash covers ``float.hex`` of the residual and of every float metadata value
-(of an asymptotic row: every pair's contraction norm and covariance, then
-the second moments), in check order.  Equal output from two checkouts
-means bit-identical residuals.  ``--small`` runs one trial per order
-tuple, only the 3-cell high-order shapes and only the 2-cell zero-orbit
-and asymptotic kernels.
+seeded with (SEED, 1).  Last, the polynomial kind runs the checks that
+compose ``ChaosPolynomial`` operations on polynomials built from a mapping,
+on constants, on powers and on zero: ``moment_factorization_gap`` on the
+coupled-decay pairs at indices 0..15 and on pairs of masked kernels of
+every non-degenerate order tuple of total <= 3, drawn from a generator
+seeded with (SEED, 2); every member pair value of
+``hermite_orthogonality_report``, real and imaginary part; and
+``hermite_product_report`` with a perturbation of 1e-3.  Each output line
+is ``kind sha256 values``; the hash covers ``float.hex`` of the residual
+and of every float metadata value (of an asymptotic row: every pair's
+contraction norm and covariance, then the second moments; of a list of
+gaps or pair values: each value), in check order.  Equal output from two
+checkouts means bit-identical residuals.  ``--small`` runs one trial per
+order tuple, only the 3-cell high-order shapes and only the 2-cell
+zero-orbit, asymptotic and masked polynomial kernels.
 
 The checkout's own ``src`` is imported, whatever PYTHONPATH says.
 """
@@ -43,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from complexchaos import chaos, hermite, suites  # noqa: E402
+from complexchaos import chaos, hermite, oracle, suites  # noqa: E402
 from complexchaos.kernels import Kernel, random_kernel  # noqa: E402
 
 # (p, q, cells): every p+q in {7, 8} on 3 cells, then the balanced shapes on
@@ -113,6 +121,18 @@ def _reports(seed: int, small: bool):
         for row in chaos.asymptotic_diagnostics(seqs):
             values = [v for pair in row.pairs for v in (pair.max_contraction_norm, pair.covariance)]
             yield "independence", values + list(row.second_moments)
+    rng = np.random.default_rng((seed, 2))
+    first, second = chaos.coupled_decay_sequences(16)
+    gap_pairs = list(zip(first.entries, second.entries))
+    for n in cells:
+        for a, b, c, d in hermite.order_tuples(3):
+            if a + b and c + d:
+                gap_pairs.append((_zero_orbit_kernel(a, b, n, rng, True), _zero_orbit_kernel(c, d, n, rng, True)))
+    yield "polynomial", [chaos.moment_factorization_gap(f, g) for f, g in gap_pairs]
+    members = [chaos.hermite_to_chaos(hermite.build(m, n, 1), 0, 1) for m, n in hermite.order_tuples(6, 2)]
+    values = [oracle.pair_expectation(left, right.conjugate()) for left in members for right in members]
+    yield "polynomial", [part for v in values for part in (v.real, v.imag)]
+    yield "polynomial", suites.hermite_product_report(perturbation=1e-3)
 
 
 def _zero_orbit_kernel(p: int, q: int, n: int, rng, masked: bool) -> Kernel:
@@ -128,7 +148,7 @@ def digests(seed: int, small: bool = False) -> list[str]:
     hashes: dict = {}
     counts: dict[str, int] = {}
     for kind, item in _reports(seed, small):
-        if isinstance(item, list):  # an asymptotic row's values
+        if isinstance(item, list):  # an asymptotic row's values, gaps or pair values
             values = item
         else:
             values = [item.residual] + [v for v in item.metadata.values() if isinstance(v, float)]
