@@ -64,7 +64,6 @@ from .oracle import (  # the work budget, oracle.MAX_TERM_PAIRS, bounds products
     join_plan,
     join_sum,
     key_sum,
-    layout_key,
     pack,
     unpack,
 )
@@ -133,15 +132,15 @@ class ChaosPolynomial:
     key's coefficient is the sum of its terms in that order, from 0.0.
 
     ``layout`` is a hashable token that fixes the keys and their order:
-    ``("expand", n, p, q)`` for the expansion of a kernel, ``("constant", n)``
-    for a nonzero constant, ``("mul", A, B)`` for a product, ``("conj", A)``
-    for a conjugate and ``("sum", A, B, ...)`` for a sum of operands of
-    layouts A, B, ...; scaling keeps it.  A result of layout A that drops
-    zero coefficients has layout ``("kept", A, mask)``, where ``mask`` is
-    the ``np.packbits`` bytes of the kept keys among A's.  It is None for
-    any other polynomial built from a mapping and for any result of one.
-    Key work that depends only on layouts (groupings, product keys, oracle
-    joins) is planned once per layout and cached with
+    ``("terms", n, z, zc)`` for a polynomial built from a mapping (constants
+    and zero among them), where z and zc are the bytes of its key arrays,
+    ``("expand", n, p, q)`` for the expansion of a kernel, ``("mul", A, B)``
+    for a product, ``("conj", A)`` for a conjugate and ``("sum", A, B, ...)``
+    for a sum of operands of layouts A, B, ...; scaling keeps it.  A result
+    of layout A that drops zero coefficients has layout ``("kept", A,
+    mask)``, where ``mask`` is the ``np.packbits`` bytes of the kept keys
+    among A's.  Key work that depends only on layouts (groupings, product
+    keys, oracle joins) is planned once per layout and cached with
     ``kernels.cached_by_shape``.  A product of more than
     ``oracle.MAX_TERM_PAIRS`` term pairs raises ``WorkBudgetError``.
     ``terms`` is the same polynomial as a read-only mapping
@@ -163,14 +162,9 @@ class ChaosPolynomial:
         if exps.size and not (integers and 0 <= exps.min() and exps.max() <= MAX_EXPONENT):
             raise error
         exps = exps.astype(np.int64)
-        self._set(
-            n,
-            pack(exps[:, :n]),
-            pack(exps[:, n:]),
-            np.array([c.real for _, c in items]),
-            np.array([c.imag for _, c in items]),
-            None,
-        )
+        z, zc = pack(exps[:, :n]), pack(exps[:, n:])
+        re, im = np.array([c.real for _, c in items]), np.array([c.imag for _, c in items])
+        self._set(n, z, zc, re, im, ("terms", n, z.tobytes(), zc.tobytes()))
 
     def _set(self, n: int, z, zc, re, im, layout) -> None:
         self.n, self.z, self.zc, self.re, self.im, self.layout = n, z, zc, re, im, layout
@@ -183,7 +177,7 @@ class ChaosPolynomial:
         if not _live(re, im):
             live = np.logical_or(re, im)
             z, zc, re, im = z[live], zc[live], re[live], im[live]
-            layout = layout_key("kept", layout, np.packbits(live).tobytes())
+            layout = ("kept", layout, np.packbits(live).tobytes())
         poly = cls.__new__(cls)
         poly._set(n, z, zc, re, im, layout)
         return poly
@@ -201,11 +195,7 @@ class ChaosPolynomial:
 
     @classmethod
     def constant(cls, value: complex, n: int) -> "ChaosPolynomial":
-        key = ((0,) * n, (0,) * n)
-        poly = cls(n, {key: complex(value)})
-        if value != 0:  # one zero-exponent key
-            poly.layout = ("constant", n)
-        return poly
+        return cls(n, {((0,) * n, (0,) * n): complex(value)})
 
     @classmethod
     def zero(cls, n: int) -> "ChaosPolynomial":
@@ -247,7 +237,7 @@ class ChaosPolynomial:
         return out
 
     def conjugate(self) -> "ChaosPolynomial":
-        layout = layout_key("conj", self.layout)
+        layout = ("conj", self.layout)
         return ChaosPolynomial._of(self.n, self.zc, self.z, self.re, -self.im, layout)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
@@ -258,7 +248,7 @@ class ChaosPolynomial:
 
     def max_diff(self, other: "ChaosPolynomial") -> float:
         self._check_vars(other)
-        group = _sum_keys([(self, 1), (other, -1)], layout_key("sum", self.layout, other.layout))[1]
+        group = _sum_keys([(self, 1), (other, -1)], ("sum", self.layout, other.layout))[1]
         re, im = _sum_values(((self.re, self.im, 1), (other.re, other.im, -1)))
         return worst_of(0.0, _max_modulus(np.bincount(group, re), np.bincount(group, im)))
 
@@ -285,7 +275,7 @@ def _product_plan(x: ChaosPolynomial, y: ChaosPolynomial) -> tuple:
     More than ``oracle.MAX_TERM_PAIRS`` term pairs raise WorkBudgetError
     first."""
     check_budget(len(x.z) * len(y.z), "a product", len(x.z), len(y.z))
-    layout = layout_key("mul", x.layout, y.layout)
+    layout = ("mul", x.layout, y.layout)
     return layout, cached_by_shape(layout, lambda: _product_keys(x, y))
 
 
@@ -334,7 +324,7 @@ def _sum_values(parts: Sequence[tuple]) -> tuple[np.ndarray, ...]:
 def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPolynomial:
     """Sum of ``poly.scaled(w)`` over the ``(poly, w)`` parts (w nonzero), as
     if each part were scaled and added after the one before."""
-    layout = layout_key("sum", *(poly.layout for poly, _ in parts))
+    layout = ("sum", *(poly.layout for poly, _ in parts))
     keys, group = _sum_keys(parts, layout)
     values = _sum_values([(poly.re, poly.im, w) for poly, w in parts])
     return ChaosPolynomial._of(n, keys[0], keys[1], *_group_sums(group, *values), layout)
@@ -457,9 +447,14 @@ def expand(f: Kernel) -> ChaosPolynomial:
     match the diagonal-free continuum integral.
     """
     terms = _orbit_terms(f.n, f.p, f.q)
-    re, im = _expansion(orbit_sums(f.coeffs, orbit_table(f.n, f.p, f.q)[0]), terms)
+    return _expansion_of(f, terms, _expansion(orbit_sums(f.coeffs, orbit_table(f.n, f.p, f.q)[0]), terms))
+
+
+def _expansion_of(f: Kernel, terms: tuple, coefficients: tuple) -> ChaosPolynomial:
+    """``expand(f)`` from f's ``_orbit_terms`` and the coefficients of its
+    ``_expansion``, whose zeros it drops."""
     keys = terms[2]
-    return ChaosPolynomial._of(f.n, keys[0], keys[1], re, im, ("expand", f.n, f.p, f.q))
+    return ChaosPolynomial._of(f.n, keys[0], keys[1], *coefficients, ("expand", f.n, f.p, f.q))
 
 
 def _expansion(sums: tuple, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -486,27 +481,23 @@ def _expansion(sums: tuple, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
 # ``_program``); every later intermediate keeps them.
 
 
-def _keyed(n: int, keys: tuple, layout: tuple | None) -> ChaosPolynomial:
+def _keyed(n: int, keys: tuple, layout: tuple) -> ChaosPolynomial:
     """Coefficient-free polynomial of the key rows ``keys`` and ``layout``."""
     poly = ChaosPolynomial.__new__(ChaosPolynomial)
     poly._set(n, keys[0], keys[1], None, None, layout)
     return poly
 
 
-def _shape(n: int, p: int, q: int, live: np.ndarray | None = None) -> ChaosPolynomial:
-    """Coefficient-free stand-in of the expansion of an (n, p, q) kernel,
-    for planning: with all its keys and layout ``("expand", n, p, q)``, or
-    with the keys that ``live`` marks and the kept-key layout that
-    ``expand`` gives it where it drops the others' zero coefficients."""
-    keys, layout = _orbit_terms(n, p, q)[2], ("expand", n, p, q)
-    if live is None:
-        return _keyed(n, keys, layout)
-    return _keyed(n, keys[:, live], ("kept", layout, np.packbits(live).tobytes()))
+def _shape(n: int, p: int, q: int) -> ChaosPolynomial:
+    """Coefficient-free stand-in of the expansion of an (n, p, q) kernel
+    that drops no coefficient, for planning: all its keys and layout
+    ``("expand", n, p, q)``."""
+    return _keyed(n, _orbit_terms(n, p, q)[2], ("expand", n, p, q))
 
 
 def _conjugated(x: ChaosPolynomial) -> ChaosPolynomial:
     """Stand-in of ``x.conjugate()`` for the stand-in x."""
-    return _keyed(x.n, (x.zc, x.z), layout_key("conj", x.layout))
+    return _keyed(x.n, (x.zc, x.z), ("conj", x.layout))
 
 
 def _kernel_plan(n: int, p: int, q: int) -> tuple:
@@ -535,15 +526,14 @@ def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
     """The plan of a check on ``kernels``, and per kernel its ``orbit_sums``
     and the coefficients of its expansion.
 
-    ``build(shapes)`` plans the check from the ``_shape`` of each kernel's
-    expansion; its plan starts with the kernels' ``_kernel_plan``s.  The
-    plan of the full expansions is fetched under ``key`` in one lookup.
-    Where an expansion drops a zero coefficient, the plan of the kept keys
-    is fetched under ``key + ("kept", masks)``, with the ``np.packbits``
-    mask of each expansion's kept keys (None where it keeps all), and the
-    coefficients are those of the kept keys.  A plan of the full expansions
-    past the work budget is refused with WorkBudgetError only if no
-    expansion drops one."""
+    ``build(expansions)`` plans the check from the keys and layout of each
+    kernel's expansion; its plan starts with the kernels' ``_kernel_plan``s.
+    The plan of the full expansions is fetched under ``key`` in one lookup,
+    built from their ``_shape``s.  Where an expansion drops a zero
+    coefficient, every expansion is built as ``expand`` builds it, and the
+    plan of their keys is fetched under ``key + ("kept", layouts)``.  A plan
+    of the full expansions past the work budget is refused with
+    WorkBudgetError only if no expansion drops one."""
     refused = None
     try:
         plan = cached_by_shape(key, lambda: build([_shape(f.n, f.p, f.q) for f in kernels]))
@@ -555,11 +545,9 @@ def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
         if refused is not None:
             raise refused
         return plan, parts
-    live = [None if _live(*x) else np.logical_or(*x) for _, x in parts]
-    masks = tuple(None if kept is None else np.packbits(kept).tobytes() for kept in live)
-    shapes = [_shape(f.n, f.p, f.q, kept) for f, kept in zip(kernels, live)]
-    parts = [part if kept is None else (part[0], (part[1][0][kept], part[1][1][kept])) for part, kept in zip(parts, live)]
-    return cached_by_shape(key + ("kept", masks), lambda: build(shapes)), parts
+    polys = [_expansion_of(f, kernel_plan[2], x) for f, kernel_plan, (_, x) in zip(kernels, kernel_plans, parts)]
+    plan = cached_by_shape(key + ("kept", tuple(x.layout for x in polys)), lambda: build(polys))
+    return plan, [(sums, (x.re, x.im)) for (sums, _), x in zip(parts, polys)]
 
 
 def _square_plan(x: ChaosPolynomial) -> tuple:

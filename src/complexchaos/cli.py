@@ -22,7 +22,8 @@ Indicator-coordinate kernels are rescaled by the product of sqrt cell masses
 at ingestion and the report records both norms.  Every number must be a
 finite JSON number, never a bool or a string: seed in 0..2**64-1 (also for
 the --seed flags), samples in 2..MAX_SAMPLES (also for the --samples
-flags), positive tolerance and max_sigma, grid max_total in 0..--max-order
+flags), positive tolerance (also for the --tolerance flag) and max_sigma,
+grid max_total in 0..--max-order
 and max_cells in 1..--max-cells (the run's caps, at most MAX_TOTAL_ORDER
 and MAX_CELLS) and trials >= 1, hermite-product max_total in
 0..2*MAX_TOTAL_ORDER.
@@ -53,7 +54,6 @@ import numpy as np
 from . import __version__, hermite, montecarlo, suites
 from .chaos import (
     IDENTITY_TOL,
-    STRUCTURAL_TOL,
     KernelSequence,
     VerificationReport,
     WorkBudgetError,
@@ -274,6 +274,8 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
     tol = check.get("tolerance")
     if tol is not None:
         tol = read(check, "tolerance", None, _POSITIVE, integer=False)
+    # Each check's own default applies unless the scenario or --tolerance sets one.
+    tolerance = {} if tol is None else {"tolerance": tol}
     seed = read(check, "seed", defaults["seed"], 0, 2**64 - 1)
     record: dict[str, Any] = {"name": check["name"], "kind": kind}
 
@@ -290,23 +292,23 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
                 trials=read(grid, "trials", 20, 1),
                 seed=seed,
                 conjugated=conjugated,
-                tolerance=tol or IDENTITY_TOL,
+                **tolerance,
             )
         else:
             f = _kernel_ref(scenario, check, "f")
             g = _kernel_ref(scenario, check, "g")
             checker = product_conjugated_check if conjugated else product_check
-            report = checker(f, g, tol or IDENTITY_TOL)
+            report = checker(f, g, **tolerance)
     elif kind == "isometry":
-        report = isometry_check(_kernel_ref(scenario, check, "f"), tol or STRUCTURAL_TOL)
+        report = isometry_check(_kernel_ref(scenario, check, "f"), **tolerance)
     elif kind == "conjugate-lemma":
-        report = integral_conjugate(_kernel_ref(scenario, check, "f"), tol or STRUCTURAL_TOL)
+        report = integral_conjugate(_kernel_ref(scenario, check, "f"), **tolerance)
     elif kind == "covariance":
         f, g = _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g")
-        report = covariance_squares(f, g, tol or IDENTITY_TOL).report
+        report = covariance_squares(f, g, **tolerance).report
     elif kind == "independence":
         f, g = _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g")
-        report = independence_check(f, g, tol or STRUCTURAL_TOL)
+        report = independence_check(f, g, **tolerance)
     elif kind == "asymptotic":
         names = check.get("sequences", [])
         if not isinstance(names, list) or len(names) < 2 or not all(
@@ -344,7 +346,7 @@ def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
             for row in rows
         ]
     elif kind == "hypercontractivity":
-        report = hypercontractivity_check(_kernel_ref(scenario, check, "f"), tol or STRUCTURAL_TOL)
+        report = hypercontractivity_check(_kernel_ref(scenario, check, "f"), **tolerance)
     elif kind == "hermite-product":
         max_total = read(check, "max_total", 8, 0, 2 * MAX_TOTAL_ORDER)
         report = suites.hermite_product_report(max_total=max_total)
@@ -425,6 +427,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     caps = (args.max_order, args.max_cells)
     try:
         _number(args.seed, "--seed", 0, 2**64 - 1, integer=True)
+        if args.tolerance is not None:
+            _number(args.tolerance, "--tolerance", _POSITIVE)
         _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
         _number(args.max_order, "--max-order", 0, MAX_TOTAL_ORDER, integer=True)
         _number(args.max_cells, "--max-cells", 1, MAX_CELLS, integer=True)

@@ -232,13 +232,11 @@ def _nbytes(value) -> int:
     return 0
 
 
-def cached_by_shape(key: tuple | None, build: Callable[[], tuple]) -> tuple:
+def cached_by_shape(key: tuple, build: Callable[[], tuple]) -> tuple:
     """``build()``'s tuple, built once per ``key`` and kept under the budget,
-    which counts the arrays in it and in its nested tuples; a key of None
-    caches nothing.  Safe to call from several threads; two may build the
-    same entry."""
-    if key is None:
-        return build()
+    which counts the arrays in it and in its nested tuples, not the bytes a
+    key holds.  Safe to call from several threads; two may build the same
+    entry."""
     cache = _SHAPE_CACHE
     with _CACHE_LOCK:
         hit = cache.get(key)

@@ -82,13 +82,6 @@ def key_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def layout_key(kind: str, *layouts) -> tuple | None:
-    """``(kind, *layouts)``, or None if one of the layouts is None: the layout
-    of a polynomial that ``kind`` builds from operands of these layouts (see
-    ``ChaosPolynomial``), and the cache key of a plan for them."""
-    return None if None in layouts else (kind, *layouts)
-
-
 def unpack(keys: np.ndarray, n: int) -> np.ndarray:
     """(len(keys), n) array of the exponents packed in ``keys``."""
     return keys[:, None] >> _SHIFTS[n] & MAX_EXPONENT
@@ -233,8 +226,7 @@ def _diagonal(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
 
 def expectation_plan(poly: "ChaosPolynomial") -> tuple[np.ndarray, np.ndarray]:
     """The ``_diagonal`` of ``poly``, planned once per layout."""
-    key = layout_key("expectation", poly.layout)
-    return cached_by_shape(key, lambda: _diagonal(poly))
+    return cached_by_shape(("expectation", poly.layout), lambda: _diagonal(poly))
 
 
 def diagonal_sum(values: np.ndarray, plan: tuple) -> float:
@@ -287,8 +279,7 @@ def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray
 
 def join_plan(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
     """The ``_join`` of two polynomials, planned once per pair of layouts."""
-    key = layout_key("pair", left.layout, right.layout)
-    return cached_by_shape(key, lambda: _join(left, right))
+    return cached_by_shape(("pair", left.layout, right.layout), lambda: _join(left, right))
 
 
 def join_sum(plan: tuple, lr, li, rr, ri, imag: bool = True):

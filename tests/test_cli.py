@@ -368,6 +368,9 @@ class TestRun:
             ["hermite", "table", "--max", "-1"],
             ["hermite", "table", "--rho", "0"],
             ["run", "SCENARIO", "--seed", "-1"],
+            ["run", "SCENARIO", "--tolerance", "-1"],
+            ["run", "SCENARIO", "--tolerance", "nan"],
+            ["run", "SCENARIO", "--tolerance", "inf"],
         ],
         ids=[
             "run-one-sample",
@@ -382,10 +385,14 @@ class TestRun:
             "negative-table-max",
             "zero-table-rho",
             "run-negative-seed",
+            "run-negative-tolerance",
+            "run-nan-tolerance",
+            "run-infinite-tolerance",
         ],
     )
     def test_out_of_range_flags_exit_two(self, tmp_path, capsys, argv):
-        path = write_scenario(tmp_path, DISJOINT)
+        # The check sets its own tolerance, so a flag it overrides is still checked.
+        path = write_scenario(tmp_path, dict(DISJOINT, **one_check(tolerance=1e-12)))
         assert cli.main([path if a == "SCENARIO" else a for a in argv]) == 2
         out, err = capsys.readouterr()
         assert json.loads(err)["error"]["code"] == "validation-error"
@@ -396,6 +403,13 @@ class TestRun:
         assert cli.main(["run", path, "--seed", "-1"]) == 2
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message.startswith("--seed must be an integer")
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_run_tolerance_is_checked_as_a_flag(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, DISJOINT)
+        assert cli.main(["run", path, "--tolerance", value]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("--tolerance must be a finite number")
 
     @pytest.mark.parametrize("command", ["run", "selftest"])
     def test_unwritable_report_exits_two_before_any_check(self, tmp_path, capsys, monkeypatch, command):

@@ -8,12 +8,13 @@ occurred; term order is not part of a polynomial's value, so those results
 are compared key by key."""
 
 import json
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import ChaosPolynomial, Kernel, chaos, kernels, oracle
+from complexchaos import ChaosPolynomial, Kernel, chaos, hermite, kernels, oracle
 from complexchaos.montecarlo import SamplePlan, evaluate_polynomial, sample_coordinates
 from complexchaos.oracle import MAX_EXPONENT, expectation, pair_expectation
 from conftest import DictPolynomial, dict_combination, dict_expand
@@ -257,15 +258,30 @@ class TestDigitLimit:
 
 class TestPlans:
     """Keys, groupings and joins are planned once per operand layout; the
-    plans must not change a bit of any result, a result that drops keys must
-    get a layout that fixes the keys it keeps, and one whose keys the
-    layouts do not fix must not get a layout."""
+    plans must not change a bit of any result, every polynomial must get a
+    layout, and a layout must fix the keys and their order: that of a
+    polynomial built from a mapping holds its keys, and that of a result
+    that drops keys the keys it keeps."""
 
     @pytest.fixture
     def cache(self, monkeypatch):
         fresh = kernels._ShapeCache()
         monkeypatch.setattr(kernels, "_SHAPE_CACHE", fresh)
         return fresh
+
+    @staticmethod
+    def planned_once(operations, monkeypatch):
+        """Run ``operations`` twice, the second time with every planning
+        function patched to fail, so that every plan must be a cache hit."""
+        operations()
+
+        def fails(*args):
+            raise AssertionError("planned again")
+
+        monkeypatch.setattr(chaos, "_groups", fails)
+        monkeypatch.setattr(oracle, "_join", fails)
+        monkeypatch.setattr(oracle, "_diagonal", fails)
+        operations()
 
     @staticmethod
     def grid_reports(pairs):
@@ -336,28 +352,63 @@ class TestPlans:
                 assert expectation(left * s) == (ref * rs).expectation()
                 assert pair_expectation(left, s) == ref.pair_expectation(rs)
 
-        operations()
+        self.planned_once(operations, monkeypatch)
         assert ("mul", prod.layout, s.layout) in cache and ("pair", x.layout, s.layout) in cache
 
-        def fails(*args):
-            raise AssertionError("planned again")
+    def test_polynomials_from_mappings_are_planned_once(self, cache, monkeypatch):
+        (x, rx), (y, ry) = (
+            both(2, {((1, 0), (0, 1)): 1 + 2j, ((0, 0), (0, 0)): -0.5, ((1, 1), (1, 0)): 1j}),
+            both(2, {((0, 1), (1, 0)): 2.0, ((1, 0), (0, 1)): -1.0, ((0, 0), (0, 0)): 0.5 - 1j}),
+        )
 
-        # The second time every plan is a cache hit.
-        monkeypatch.setattr(chaos, "_groups", fails)
-        monkeypatch.setattr(oracle, "_join", fails)
-        monkeypatch.setattr(oracle, "_diagonal", fails)
-        operations()
+        def operations():
+            assert same_terms(x * y, rx * ry)
+            assert same_terms(x + y, rx + ry)
+            assert x.max_diff(y) == rx.max_diff(ry)
+            assert expectation(x * y) == (rx * ry).expectation()
+            assert pair_expectation(x, y) == rx.pair_expectation(ry)
+
+        self.planned_once(operations, monkeypatch)
+        assert ("mul", x.layout, y.layout) in cache and ("pair", x.layout, y.layout) in cache
+
+    def test_key_order_is_part_of_a_mapping_layout(self, cache):
+        terms = {((1, 0), (0, 1)): 1.0, ((0, 0), (1, 1)): 2j, ((2, 0), (0, 0)): -1.0}
+        (x, rx), (y, ry) = both(2, terms), both(2, dict(reversed(terms.items())))
+        assert x.layout[0] == y.layout[0] == "terms" and x.layout != y.layout
+        z, rz = both(2, {((0, 0), (1, 1)): 1.0, ((1, 0), (0, 1)): -1.0, ((0, 1), (0, 0)): 3.0})
+        for poly, ref in ((x, rx), (y, ry), (x, rx)):  # each after the other's plans
+            assert same_terms(poly * z, ref * rz)
+            assert same_terms(poly + z, ref + rz)
+            assert pair_expectation(poly, z) == ref.pair_expectation(rz)
 
     def test_constants_have_a_layout(self):
+        key = np.zeros(1, dtype=np.int64).tobytes()  # the zero exponent vector
         one = ChaosPolynomial.constant(1.0, 3)
-        assert one.layout == ("constant", 3)
-        assert ChaosPolynomial.constant(-2j, 3).layout == ("constant", 3)
-        assert ChaosPolynomial.constant(0, 3).layout is None
+        assert one.layout == ("terms", 3, key, key)
+        assert ChaosPolynomial.constant(-2j, 3).layout == one.layout
+        assert ChaosPolynomial.constant(0, 3).layout == ChaosPolynomial.zero(3).layout == ("terms", 3, b"", b"")
         z = chaos.expand(Kernel(1, 0, 3, [1.0, 2.0, 1j]))
         assert z.layout == ("expand", 3, 1, 0)
-        assert (z**0).layout == ("constant", 3)
-        assert (z**2).layout == ("mul", ("mul", ("constant", 3), z.layout), z.layout)
+        assert (z**0).layout == one.layout
+        assert (z**2).layout == ("mul", ("mul", one.layout, z.layout), z.layout)
         assert same_terms(z**2, DictPolynomial(3, dict(z.terms)) * DictPolynomial(3, dict(z.terms)))
+
+    def test_no_polynomial_lacks_a_layout(self):
+        n = 2
+        dropped = Kernel(1, 1, n, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+        built = [
+            ChaosPolynomial(n, {((1, 0), (0, 1)): 1.0, ((0, 1), (1, 0)): -1.0}),
+            ChaosPolynomial.constant(2.0, n),
+            ChaosPolynomial.constant(0, n),
+            ChaosPolynomial.zero(n),
+            chaos.expand(Kernel(1, 0, n, [1.0, 1j])),
+            chaos.expand(dropped),
+            chaos.hermite_to_chaos(hermite.build(2, 1, 1), 0, n),
+        ]
+        for a in built:
+            results = [a.scaled(0.5), a.scaled(0), a.conjugate(), a**0, a**2]
+            results += [op(a, b) for b in built for op in (add, sub, mul)]
+            assert all(r.layout is not None for r in results)
 
     def test_moment_factorization_plans_once(self, cache, monkeypatch):
         rng = np.random.default_rng(3)
