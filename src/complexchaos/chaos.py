@@ -447,7 +447,8 @@ def expand(f: Kernel) -> ChaosPolynomial:
     match the diagonal-free continuum integral.
     """
     terms = _orbit_terms(f.n, f.p, f.q)
-    return _expansion_of(f, terms, _expansion(orbit_sums(f.coeffs, orbit_table(f.n, f.p, f.q)[0]), terms))
+    sums = orbit_sums(f.coeffs, orbit_table(f.n, f.p, f.q)[0])
+    return _expansion_of(f, terms, _expansion(sums, terms))
 
 
 def _expansion_of(f: Kernel, terms: tuple, coefficients: tuple) -> ChaosPolynomial:

@@ -23,10 +23,9 @@ at ingestion and the report records both norms.  Every number must be a
 finite JSON number, never a bool or a string: seed in 0..2**64-1 (also for
 the --seed flags), samples in 2..MAX_SAMPLES (also for the --samples
 flags), positive tolerance (also for the --tolerance flag) and max_sigma,
-grid max_total in 0..--max-order
-and max_cells in 1..--max-cells (the run's caps, at most MAX_TOTAL_ORDER
-and MAX_CELLS) and trials >= 1, hermite-product max_total in
-0..2*MAX_TOTAL_ORDER.
+grid max_total in 0..--max-order and max_cells in 1..--max-cells (the
+run's caps, at most MAX_TOTAL_ORDER and MAX_CELLS) and trials >= 1,
+hermite-product max_total in 0..2*MAX_TOTAL_ORDER.
 
 Check kinds: product, product-conjugated, isometry, conjugate-lemma,
 covariance, independence, asymptotic, hypercontractivity, hermite-product,
