@@ -988,32 +988,24 @@ def independence_check(
 
 def moment_factorization_gap(f: Kernel, g: Kernel, max_degree: int = 6) -> float:
     """Largest deviation of joint mixed moments from the product of marginal
-    moments, over all exponent patterns of total degree <= max_degree."""
-    pf = expand(f)
-    pg = expand(g)
-    pf_c = pf.conjugate()
-    pg_c = pg.conjugate()
-    pow_f: dict[tuple[int, int], ChaosPolynomial] = {}
-    pow_g: dict[tuple[int, int], ChaosPolynomial] = {}
-
-    def mixed(base, base_c, cache, lk):
-        if lk not in cache:
-            cache[lk] = (base ** lk[0]) * (base_c ** lk[1])
-        return cache[lk]
-
+    moments, over all exponent patterns of total degree <= max_degree.  Each
+    power of I and conj(I) is one product down a chain, as ``__pow__`` forms
+    it, and each pattern I**l conj(I)**k one more, with one expectation."""
+    tables = []
+    for base in (expand(f), expand(g)):
+        conj = base.conjugate()
+        z = [ChaosPolynomial.constant(1.0, base.n)]
+        zc = list(z)
+        for _ in range(1, max_degree):
+            z.append(z[-1] * base)
+            zc.append(zc[-1] * conj)
+        mixed = [(l + k, z[l] * zc[k]) for l in range(max_degree) for k in range(max_degree - l) if l + k]
+        tables.append([(d, poly, oracle.expectation(poly)) for d, poly in mixed])
     worst = 0.0
-    for l1 in range(max_degree + 1):
-        for k1 in range(max_degree + 1 - l1):
-            left = mixed(pf, pf_c, pow_f, (l1, k1))
-            e_left = oracle.expectation(left)
-            for l2 in range(max_degree + 1 - l1 - k1):
-                for k2 in range(max_degree + 1 - l1 - k1 - l2):
-                    if l1 + k1 == 0 or l2 + k2 == 0:
-                        continue
-                    right = mixed(pg, pg_c, pow_g, (l2, k2))
-                    joint = oracle.pair_expectation(left, right)
-                    gap = abs(joint - e_left * oracle.expectation(right))
-                    worst = worst_of(worst, gap)
+    for d1, left, e_left in tables[0]:
+        for d2, right, e_right in tables[1]:
+            if d1 + d2 <= max_degree:
+                worst = worst_of(worst, abs(oracle.pair_expectation(left, right) - e_left * e_right))
     return worst
 
 

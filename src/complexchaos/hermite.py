@@ -30,6 +30,7 @@ __all__ = [
     "evaluate",
     "format_polynomial",
     "hermite_product",
+    "normalization_residuals",
     "order_tuples",
     "pairing_weight",
     "resolve_rho",
@@ -206,20 +207,22 @@ def certify_product_formula(max_total: int = 8, rho: Scalar = 1) -> float:
     return worst
 
 
-def resolve_rho(max_total: int = 6) -> int:
-    """Certify the normalization at which the product expansion is exact.
-
-    The lowest nontrivial product pins it down: the residual of
-    product(J_{1,0}, J_{0,1}) against its expansion is the constant rho - 1,
-    so only rho = 1 can work.  The full grid up to ``max_total`` is then
-    certified symbolically; any nonzero residual raises.
-    """
+def normalization_residuals(max_total: int = 6) -> tuple[dict, float]:
+    """What the product expansion leaves at rho = 1: the terms left of the
+    probe product(J_{1,0}, J_{0,1}) (the constant rho - 1 at any other rho)
+    and the residual of the grid up to ``max_total``."""
     probe: dict = dict(_poly_mul(build(1, 0, 1).terms, build(0, 1, 1).terms))
     for (m, n), w in hermite_product(1, 0, 0, 1).items():
         _poly_axpy(probe, -w, build(m, n, 1).terms)
+    return probe, certify_product_formula(max_total, rho=1)
+
+
+def resolve_rho(max_total: int = 6) -> int:
+    """Certify rho = 1, where ``normalization_residuals`` leaves nothing;
+    any residual raises."""
+    probe, residual = normalization_residuals(max_total)
     if probe:
         raise AssertionError(f"normalization probe left residual terms {probe}")
-    residual = certify_product_formula(max_total, rho=1)
     if residual != 0.0:
         raise AssertionError(f"product expansion not exact at rho=1: {residual}")
     return 1

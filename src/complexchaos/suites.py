@@ -96,13 +96,14 @@ def _grid(
 
 def hermite_normalization_report(max_total: int = 6) -> VerificationReport:
     """Certify the variance normalization at which the product expansion of
-    the complex Hermite family is exact (it is rho = 1, mechanically)."""
-    rho = hermite.resolve_rho(max_total)
+    the complex Hermite family is exact (it is rho = 1, mechanically), by the
+    largest coefficient ``hermite.resolve_rho`` would raise on."""
+    probe, grid = hermite.normalization_residuals(max_total)
     return VerificationReport(
         name="hermite-normalization",
-        residual=abs(rho - 1),
+        residual=worst_of(grid, *(float(abs(c)) for c in probe.values())),
         tolerance=STRUCTURAL_TOL,
-        metadata={"certified_rho": rho, "max_total_degree": max_total},
+        metadata={"certified_rho": 1, "max_total_degree": max_total},
     )
 
 
@@ -135,24 +136,26 @@ def hermite_product_report(
     )
 
 
+def _gram_value(left: hermite.HermitePolynomial, right: hermite.HermitePolynomial) -> int:
+    """E[left * conj(right)] in integers, by the oracle's moment rule."""
+    return sum(
+        x * y * oracle.monomial_expectation(oracle.MomentQuery((a + d,), (b + c,)))
+        for (a, b), x in left.terms.items()
+        for (c, d), y in right.terms.items()
+    )
+
+
 def hermite_orthogonality_report(
     max_degree: int = 6, tolerance: float = IDENTITY_TOL
 ) -> VerificationReport:
-    """Wick-oracle check that distinct family members are orthogonal and the
-    squared norm of degree (m, n) is m! n! (at the certified rho = 1)."""
+    """Exact check, by the moment rule, that distinct family members are
+    orthogonal and the squared norm of degree (m, n) is m! n! (at rho = 1)."""
     worst = 0.0
-    members = [
-        (m, n, hermite_to_chaos(hermite.build(m, n, 1), 0, 1))
-        for m, n in hermite.order_tuples(max_degree, 2)
-    ]
+    members = [(m, n, hermite.build(m, n, 1)) for m, n in hermite.order_tuples(max_degree, 2)]
     for m, n, left in members:
         for mp, nq, right in members:
-            value = oracle.pair_expectation(left, right.conjugate())
-            target = (
-                math.factorial(m) * math.factorial(n)
-                if (m, n) == (mp, nq)
-                else 0.0
-            )
+            value = _gram_value(left, right)
+            target = math.factorial(m) * math.factorial(n) if (m, n) == (mp, nq) else 0.0
             worst = worst_of(worst, abs(value - target) / max(1.0, abs(target)))
     return VerificationReport(
         name="hermite-orthogonality",

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import cli
+from complexchaos import cli, hermite
 
 
 def write_scenario(tmp_path, body, name="scenario.json"):
@@ -550,6 +550,21 @@ class TestSelftest:
         failing = [r for r in body["checks"] if not r["pass"]]
         assert [r["name"] for r in failing] == ["hermite-product"]
         assert failing[0]["residual"] == pytest.approx(0.5)
+
+    def test_broken_hermite_family_fails_the_normalization_record(self, tmp_path, monkeypatch):
+        # One weight of every product expansion off by one: the probe
+        # J_{1,0} J_{0,1} leaves the terms {(1, 1): -1, (0, 0): 1}.
+        def broken(a, b, c, d, table=hermite.hermite_product):
+            weights = dict(table(a, b, c, d))
+            weights[next(iter(weights))] += 1
+            return weights
+
+        monkeypatch.setattr(hermite, "hermite_product", broken)
+        report = tmp_path / "bad.json"
+        assert cli.main(["selftest", "--samples", "2000", "--report", str(report)]) == 1
+        records = {r["name"]: r for r in json.loads(report.read_text())["checks"]}
+        normalization = records["hermite-normalization"]
+        assert not normalization["pass"] and normalization["residual"] >= 1.0
 
 
 class TestHermiteCommands:

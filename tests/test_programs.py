@@ -8,7 +8,10 @@ norms from the covariance program.  The composition, written here over the
 public operations, is the reference: the ``composed`` fixture patches it in
 for the programs.  The covariance formula's reference is its sum of
 contraction norms over ``Kernel`` operations, and the reference of the
-contraction norms is ``kernels.contract`` and ``kernels.norm``.
+contraction norms is ``kernels.contract`` and ``kernels.norm``.  The
+moment factorization gap is compared with the power-by-power implementation
+it replaced, and the Hermite orthogonality report's moment-rule Gram values
+with the Wick oracle's joins of the members.
 """
 
 import json
@@ -334,6 +337,102 @@ class TestCheckPrograms:
 
         assert terms("product-conjugated", 2, 1, 2, 1) is terms("product", 2, 1, 1, 2)
         assert terms("product", 1, 0, 0, 1) is terms("product", 0, 1, 1, 0)
+
+
+def reference_moment_factorization_gap(f, g, max_degree=6):
+    """``chaos.moment_factorization_gap`` as it was before its power chains:
+    every power rebuilt from the constant 1 by ``__pow__``."""
+    pf = chaos.expand(f)
+    pg = chaos.expand(g)
+    pf_c = pf.conjugate()
+    pg_c = pg.conjugate()
+    pow_f: dict[tuple[int, int], ChaosPolynomial] = {}
+    pow_g: dict[tuple[int, int], ChaosPolynomial] = {}
+
+    def mixed(base, base_c, cache, lk):
+        if lk not in cache:
+            cache[lk] = (base ** lk[0]) * (base_c ** lk[1])
+        return cache[lk]
+
+    worst = 0.0
+    for l1 in range(max_degree + 1):
+        for k1 in range(max_degree + 1 - l1):
+            left = mixed(pf, pf_c, pow_f, (l1, k1))
+            e_left = oracle.expectation(left)
+            for l2 in range(max_degree + 1 - l1 - k1):
+                for k2 in range(max_degree + 1 - l1 - k1 - l2):
+                    if l1 + k1 == 0 or l2 + k2 == 0:
+                        continue
+                    right = mixed(pg, pg_c, pow_g, (l2, k2))
+                    joint = oracle.pair_expectation(left, right)
+                    gap = abs(joint - e_left * oracle.expectation(right))
+                    worst = chaos.worst_of(worst, gap)
+    return worst
+
+
+def gap_pairs():
+    """Dense, masked and basis pairs of every non-degenerate order tuple of
+    total <= 3 on 1-3 cells."""
+    rng = np.random.default_rng(404)
+    out = []
+    for a, b, c, d in hermite.order_tuples(3):
+        if a + b and c + d:
+            for n in (1, 2, 3):
+                for kind in ("dense", "masked", "basis"):
+                    out.append((kernel_of(kind, a, b, n, rng), kernel_of(kind, c, d, n, rng)))
+    return out
+
+
+class TestPolynomialBatteries:
+    def test_moment_gap_matches_the_reference(self, cache):
+        first, second = chaos.coupled_decay_sequences(16)
+        cases = [(f, g, degree) for f, g in zip(first.entries, second.entries) for degree in (4, 6)]
+        pairs = gap_pairs()
+        cases += [(f, g, 6) for f, g in pairs]
+        # 10 is coprime with the 9 kinds and cell counts per order tuple.
+        some = pairs[::10] + [(first.entries[0], second.entries[0])]
+        cases += [(f, g, degree) for f, g in some for degree in range(7)]
+        for f, g, degree in cases:
+            gap = chaos.moment_factorization_gap(f, g, degree)
+            assert gap.hex() == reference_moment_factorization_gap(f, g, degree).hex()
+
+    def test_moment_gap_forms_each_power_once(self, cache, monkeypatch):
+        products = []
+
+        def counted(left, right, mul=ChaosPolynomial.__mul__):
+            products.append(1)
+            return mul(left, right)
+
+        monkeypatch.setattr(ChaosPolynomial, "__mul__", counted)
+        pairs = gap_pairs()
+        for f, g in pairs[::10]:
+            for degree in range(7):
+                products.clear()
+                chaos.moment_factorization_gap(f, g, degree)
+                # Per kernel: the two chains, then one product per pattern.
+                patterns = sum(1 for l in range(degree) for k in range(degree - l) if l + k)
+                assert len(products) <= 2 * (2 * degree + patterns)
+
+    def test_hermite_gram_values_are_the_wick_joins(self, cache, monkeypatch):
+        values, join = {}, oracle.pair_expectation
+
+        def recorded(left, right, gram=suites._gram_value):
+            values[left.m, left.n, right.m, right.n] = value = gram(left, right)
+            return value
+
+        def fails(*args):
+            raise AssertionError("a Wick join ran")
+
+        monkeypatch.setattr(suites, "_gram_value", recorded)
+        monkeypatch.setattr(oracle, "pair_expectation", fails)
+        assert suites.hermite_orthogonality_report(max_degree=6).passed
+        assert len(cache) == 0  # no polynomial was planned
+        assert len(values) == 28 * 28
+        for (m, n, mp, nq), value in values.items():
+            left = chaos.hermite_to_chaos(hermite.build(m, n, 1), 0, 1)
+            right = chaos.hermite_to_chaos(hermite.build(mp, nq, 1), 0, 1)
+            assert join(left, right.conjugate()) == value
+
 
 class TestJoinBudget:
     """The Wick join counts its pairs before forming them."""

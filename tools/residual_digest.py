@@ -25,9 +25,12 @@ compose ``ChaosPolynomial`` operations on polynomials built from a mapping,
 on constants, on powers and on zero: ``moment_factorization_gap`` on the
 coupled-decay pairs at indices 0..15 and on pairs of masked kernels of
 every non-degenerate order tuple of total <= 3, drawn from a generator
-seeded with (SEED, 2); every member pair value of
-``hermite_orthogonality_report``, real and imaginary part; and
-``hermite_product_report`` with a perturbation of 1e-3.  Each output line
+seeded with (SEED, 2); the Gram values E[J conj(J')] of the complex
+Hermite family of total degree <= 6 through the array oracle
+(``oracle.pair_expectation`` of the members' ``hermite_to_chaos``
+polynomials), real and imaginary part, which only this tool forms
+(``hermite_orthogonality_report`` sums them in integers by the moment rule);
+and ``hermite_product_report`` with a perturbation of 1e-3.  Each output line
 is ``kind sha256 values``; the hash covers ``float.hex`` of the residual
 and of every float metadata value (of an asymptotic row: every pair's
 contraction norm and covariance, then the second moments; of a list of
