@@ -59,7 +59,8 @@ _CHUNK = 1 << 14
 # Rows per block of sampling and evaluation; any size gives the same bits.
 _BLOCK = 1 << 13
 
-# Sampler workers: the caller plus one helper thread per further CPU.
+# Workers, one per CPU: the sampler's caller plus one helper thread per
+# further CPU, and the selftest's forked children (``suites._forked``).
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )

@@ -13,6 +13,8 @@ which fixes the order in which the seeded random generator is consumed.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -641,6 +643,124 @@ def mc_isometry_report(
 # -- the full selftest ----------------------------------------------------------------
 
 
+def _selftest_table(seed: int, samples: int, perturbation: float) -> list[tuple[str, dict]]:
+    """(battery name in this module, keyword arguments) of every selftest
+    battery, in report order."""
+    grid = dict(max_total=4, max_cells=3, seed=seed)
+    return [
+        ("hermite_normalization_report", dict(max_total=6)),
+        ("hermite_product_report", dict(max_total=8, perturbation=perturbation)),
+        ("hermite_orthogonality_report", dict(max_degree=6)),
+        ("oracle_quadrature_report", {}),
+        ("kernel_invariants_report", dict(seed=seed, trials=30)),
+        ("expand_symmetrization_report", dict(seed=seed, trials=15)),
+        ("conjugate_lemma_report", dict(seed=seed, trials=15)),
+        ("product_grid_report", dict(grid, trials=6)),
+        ("product_grid_report", dict(grid, trials=6, conjugated=True)),
+        ("covariance_grid_reports", dict(grid, trials=6)),
+        ("isometry_grid_report", dict(grid, trials=6)),
+        ("orthogonality_grid_report", dict(grid, trials=4)),
+        ("independence_disjoint_report", dict(seed=seed)),
+        ("independence_counterexample_report", {}),
+        ("independence_implication_report", dict(pairs=60, seed=seed)),
+        ("hypercontractivity_grid_report", dict(max_total=4, per_order=12, seed=seed)),
+        ("asymptotic_decay_reports", dict(max_index=16)),
+        ("mc_isometry_report", dict(kernels=8, samples=samples, seed=seed)),
+    ]
+
+
+def _serve(table: list[tuple[str, dict]], tickets: int, out: int, inherited: Iterable[int]) -> None:
+    """A forked child's loop: close the ``inherited`` descriptors, then take
+    one table index at a time from the pipe ``tickets`` until it is empty, and
+    send to ``out`` a pickled ``(index, "took", None)`` before running the
+    battery and ``(index, "returned", result)`` or ``(index, "raised",
+    (exception, formatted traceback))`` after.
+    The battery is looked up in this module when it runs, so a replaced one
+    runs as replaced.  The child leaves only through ``os._exit``."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(out, "wb") as sink:
+            while ticket := os.read(tickets, 1):
+                index = ticket[0]
+                name, kwargs = table[index]
+                sink.write(pickle.dumps((index, "took", None)))
+                sink.flush()
+                try:
+                    frame = pickle.dumps((index, "returned", globals()[name](**kwargs)))
+                except Exception as exc:  # sent to the parent, which raises it
+                    import traceback  # only on failure: a passing selftest imports nothing more
+
+                    frame = pickle.dumps((index, "raised", (exc, traceback.format_exc())))
+                sink.write(frame)
+                sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked(table: list[tuple[str, dict]]) -> list:
+    """``globals()[name](**kwargs)`` of every table entry, in table order,
+    run in one forked child per CPU (``montecarlo._WORKERS``).
+
+    The table's indices are written to one pipe before any fork; each child
+    reads them one byte at a time (a pipe read is atomic) and exits when the
+    pipe is empty, so a child whose parent died still stops once the indices
+    run out.  This process runs no battery: it reads each child's frames to
+    the end, reaps every child on every path, then raises, in table order, the
+    first exception a battery raised, or an error naming a battery whose
+    child sent no result.  The frames of a whole selftest take about 4 KB,
+    far less than a pipe holds, so no child waits while an earlier one is read.
+    """
+    tickets, ticket_writer = os.pipe()
+    children: dict[int, int] = {}  # pid -> read end of its frame pipe
+    codes: dict[int, int] = {}  # pid -> exit code, as os.waitstatus_to_exitcode gives it
+    took: dict[int, int] = {}  # table index -> pid of the child that took it
+    outcomes: dict[int, tuple[str, object]] = {}
+    try:
+        os.write(ticket_writer, bytes(range(len(table))))
+        os.close(ticket_writer)
+        for _ in range(min(montecarlo._WORKERS, len(table))):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(table, tickets, writer, (reader, *children.values()))
+            os.close(writer)
+            children[pid] = reader
+        os.close(tickets)
+        tickets = -1
+        for pid in children:
+            with open(children[pid], "rb") as source:
+                children[pid] = -1
+                while True:
+                    try:
+                        index, kind, value = pickle.load(source)
+                    except (EOFError, pickle.UnpicklingError):  # the end, or a cut frame
+                        break
+                    if kind == "took":
+                        took[index] = pid
+                    else:
+                        outcomes[index] = kind, value
+    finally:
+        for fd in (tickets, *children.values()):
+            if fd >= 0:
+                os.close(fd)
+        for pid in children:  # an unread child that writes now gets EPIPE and exits
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    results = []
+    for index, (name, _) in enumerate(table):
+        if index not in outcomes:
+            code = codes[took[index]] if index in took else sorted(codes.values())
+            raise RuntimeError(f"selftest battery {index} ({name}) sent no result; child exit status {code}")
+        kind, value = outcomes[index]
+        if kind == "raised":
+            exc, trace = value
+            raise exc from RuntimeError(f"selftest battery {index} ({name}) raised in a child:\n{trace}")
+        results.append(value)
+    return results
+
+
 def selftest_reports(
     seed: int = DEFAULT_SEED,
     samples: int = 20_000,
@@ -649,32 +769,11 @@ def selftest_reports(
     """Condensed version of every battery; deterministic for a fixed seed.
 
     ``perturbation`` feeds the negative-control hook of the Hermite product
-    battery, which must turn the selftest red when nonzero.
+    battery, which must turn the selftest red when nonzero.  The batteries run
+    in forked children (``_forked``); a battery that returns two reports
+    (covariance, asymptotic decay) gives two records in place.
     """
-    identity, nonnegative = covariance_grid_reports(
-        max_total=4, max_cells=3, trials=6, seed=seed
-    )
-    decay, monotone = asymptotic_decay_reports(max_index=16)
-    reports = [
-        hermite_normalization_report(max_total=6),
-        hermite_product_report(max_total=8, perturbation=perturbation),
-        hermite_orthogonality_report(max_degree=6),
-        oracle_quadrature_report(),
-        kernel_invariants_report(seed=seed, trials=30),
-        expand_symmetrization_report(seed=seed, trials=15),
-        conjugate_lemma_report(seed=seed, trials=15),
-        product_grid_report(max_total=4, max_cells=3, trials=6, seed=seed),
-        product_grid_report(max_total=4, max_cells=3, trials=6, seed=seed, conjugated=True),
-        identity,
-        nonnegative,
-        isometry_grid_report(max_total=4, max_cells=3, trials=6, seed=seed),
-        orthogonality_grid_report(max_total=4, max_cells=3, trials=4, seed=seed),
-        independence_disjoint_report(seed=seed),
-        independence_counterexample_report(),
-        independence_implication_report(pairs=60, seed=seed),
-        hypercontractivity_grid_report(max_total=4, per_order=12, seed=seed),
-        decay,
-        monotone,
-        mc_isometry_report(kernels=8, samples=samples, seed=seed),
-    ]
+    reports: list[VerificationReport] = []
+    for result in _forked(_selftest_table(seed, samples, perturbation)):
+        reports.extend(result if isinstance(result, tuple) else (result,))
     return reports

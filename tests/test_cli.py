@@ -8,12 +8,19 @@ import itertools
 import json
 import math
 import operator
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import cli, hermite
+from complexchaos import cli, hermite, suites
+from complexchaos.chaos import VerificationReport
 
 
 def write_scenario(tmp_path, body, name="scenario.json"):
@@ -523,6 +530,21 @@ class TestScenarioFuzz:
             assert set(json.loads(err.getvalue())["error"]) == {"code", "message"}
 
 
+def live_session_members(session):
+    """Pids of the processes of ``session`` that have not exited (zombies
+    excluded), read from /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _ppid, _pgrp, sid = fh.read().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):
+            continue
+        if int(sid) == session and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 class TestSelftest:
     def test_deterministic_report_bodies(self, tmp_path):
         first = tmp_path / "a.json"
@@ -565,6 +587,85 @@ class TestSelftest:
         records = {r["name"]: r for r in json.loads(report.read_text())["checks"]}
         normalization = records["hermite-normalization"]
         assert not normalization["pass"] and normalization["residual"] >= 1.0
+
+    def test_records_equal_a_serial_fold_of_the_table(self):
+        forked = suites.selftest_reports(seed=7, samples=2000)
+        serial = []
+        for name, kwargs in suites._selftest_table(seed=7, samples=2000, perturbation=0.0):
+            result = getattr(suites, name)(**kwargs)
+            serial.extend(result if isinstance(result, tuple) else (result,))
+        assert len(forked) == len(serial) == 20
+        for a, b in zip(forked, serial):
+            assert a.to_dict() == b.to_dict()
+
+    def test_a_replaced_battery_runs_in_a_child(self, tmp_path, monkeypatch):
+        # A local closure cannot be pickled; the children must look it up, not receive it.
+        parent = os.getpid()
+
+        def replaced(**kwargs):
+            return VerificationReport("oracle-quadrature", 0.0, 1.0, {"pid": os.getpid(), "parent": parent})
+
+        monkeypatch.setattr(suites, "oracle_quadrature_report", replaced)
+        report = tmp_path / "r.json"
+        assert cli.main(["selftest", "--seed", "7", "--samples", "2000", "--report", str(report)]) == 0
+        records = {r["name"]: r for r in json.loads(report.read_text())["checks"]}
+        metadata = records["oracle-quadrature"]["metadata"]
+        assert metadata["parent"] == parent != metadata["pid"]
+
+    def test_the_first_exception_in_report_order_is_raised_and_every_child_reaped(self, monkeypatch):
+        def raises(error):
+            def battery(**kwargs):
+                raise error("battery failed")
+
+            return battery
+
+        monkeypatch.setattr(suites, "mc_isometry_report", raises(KeyError))  # last in the table
+        monkeypatch.setattr(suites, "hermite_product_report", raises(ValueError))
+        with pytest.raises(ValueError, match="battery failed") as raised:
+            suites.selftest_reports(seed=7, samples=2000)
+        assert "hermite_product_report" in str(raised.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_dies_is_named_with_its_exit_status(self, monkeypatch):
+        parent = os.getpid()
+
+        def dies(**kwargs):
+            assert os.getpid() != parent, "the battery ran in the test process"
+            os._exit(3)
+
+        monkeypatch.setattr(suites, "isometry_grid_report", dies)
+        with pytest.raises(RuntimeError, match=r"isometry_grid_report.*exit status 3"):
+            suites.selftest_reports(seed=7, samples=2000)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_no_child_outlives_a_killed_selftest(self, tmp_path):
+        src = str(Path(suites.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "complexchaos.cli", "selftest", "--report", str(tmp_path / "r.json")]
+        started = time.monotonic()
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, start_new_session=True)
+        survivors = []
+        try:
+            # Kill 0.5 s in, and not before the batteries' children exist.
+            while time.monotonic() - started < 0.5 or live_session_members(proc.pid) == [proc.pid]:
+                assert proc.poll() is None and time.monotonic() - started < 30
+                time.sleep(0.01)
+            assert len(live_session_members(proc.pid)) > 1
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while (survivors := live_session_members(proc.pid)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            for pid in live_session_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert survivors == []
 
 
 class TestHermiteCommands:
