@@ -712,6 +712,8 @@ def _forked(table: list[tuple[str, dict]]) -> list:
     first exception a battery raised, or an error naming a battery whose
     child sent no result.  The frames of a whole selftest take about 4 KB,
     far less than a pipe holds, so no child waits while an earlier one is read.
+    The fork copies no other thread, so no other thread may hold a lock then;
+    the sampler joins its helper threads before it returns.
     """
     tickets, ticket_writer = os.pipe()
     children: dict[int, int] = {}  # pid -> read end of its frame pipe
