@@ -254,7 +254,8 @@ def cached_by_shape(key: tuple, build: Callable[[], tuple]) -> tuple:
     return arrays
 
 
-# Block positions whose multisets ``orbit_table`` ranks at once.
+# Block positions whose multisets ``orbit_table`` ranks at once, and the
+# most entries that ``orbit_sums`` ravels in one piece.
 _RANK_CHUNK = 1 << 18
 
 
@@ -325,9 +326,30 @@ def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
 
 def orbit_sums(coeffs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the sums of the entries of ``coeffs``
-    over the orbits labelled by ``ids`` (see ``orbit_table``)."""
-    # Raveling the parts, not the tensor, copies half as much from a view.
-    return np.bincount(ids, coeffs.real.ravel()), np.bincount(ids, coeffs.imag.ravel())
+    over the orbits labelled by ``ids`` (see ``orbit_table``).
+
+    ``np.add.at`` adds every entry to its orbit's complex sum in C order,
+    starting from +0.0, one part at a time: the IEEE additions, in their
+    order, of a float ``bincount`` per part, so the sums are those bit for
+    bit (-0.0 turns +0.0, inf and NaN propagate).  Only which of two NaNs
+    an imaginary sum keeps may differ (numpy's loop keeps the added
+    value's); no residual or report tells NaNs apart.  Orbits are numbered
+    in lexicographic order, so the last position holds the last orbit.  A
+    tensor of more than _RANK_CHUNK entries is raveled block by block over
+    its leading axes, split as ``_block_ranks`` splits them, so no view is
+    copied whole; a smaller one takes one call, which costs less than
+    blocks.
+    """
+    out = np.zeros(ids[-1] + 1, dtype=complex)
+    if coeffs.size <= _RANK_CHUNK:
+        np.add.at(out, ids, coeffs.ravel())
+    else:
+        n, size = coeffs.shape[0], coeffs.ndim
+        split = next(k for k in range(size + 1) if n ** (size - k) <= _RANK_CHUNK)
+        step = n ** (size - split)
+        for h, head in enumerate(itertools.product(range(n), repeat=split)):
+            np.add.at(out, ids[h * step : (h + 1) * step], coeffs[head].ravel())
+    return out.real, out.imag
 
 
 def orbit_mean(coeffs: np.ndarray, ids: np.ndarray, sizes: np.ndarray, sums: tuple) -> np.ndarray:

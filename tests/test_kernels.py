@@ -284,6 +284,116 @@ class TestOrbitTable:
         monkeypatch.setattr(kernels_module, "_RANK_CHUNK", n)  # one slot per chunk
         assert same_tables(kernels_module.orbit_table(n, p, q), reference_orbit_table(n, p, q))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_last_position_holds_the_last_orbit(self, cache, n):
+        # orbit_sums sizes its sums by this rule, without a pass over ids.
+        for p in range(9):
+            for q in range(9 - p):
+                ids, sizes, _, _ = kernels_module.orbit_table(n, p, q)
+                assert ids[-1] == len(sizes) - 1 == ids.max(), (n, p, q)
+
+
+def bincount_sums(coeffs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for kernels.orbit_sums: one float bincount per part."""
+    return np.bincount(ids, coeffs.real.ravel()), np.bincount(ids, coeffs.imag.ravel())
+
+
+def same_sums(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal as int64 bit patterns (signs of zeros included) wherever
+    ``want`` is not NaN, and NaN exactly where ``want`` is.  Which of two
+    NaNs a sum keeps is left open: numpy's complex ``add.at`` keeps the
+    added value's in the imaginary part, where ``bincount`` keeps the sum's."""
+    nan = np.isnan(want)
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+    )
+
+
+def special_tensor(shape: tuple, rng) -> np.ndarray:
+    """A complex tensor whose parts mix +-0.0, +-inf, NaN and plain values,
+    so its orbit sums meet -0.0 + -0.0, inf - inf and NaN payloads."""
+    values = np.array([0.0, -0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25, 1e308])
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.choice(values, size=shape)
+    out.imag = rng.choice(values, size=shape)
+    return out
+
+
+class TestOrbitSums:
+    """One complex add.at pass equals a float bincount per part, bit for bit."""
+
+    @staticmethod
+    def check(coeffs: np.ndarray, p: int, q: int) -> None:
+        n = coeffs.shape[0] if coeffs.ndim else 1
+        ids = kernels_module.orbit_table(n, p, q)[0]
+        for got, want in zip(kernels_module.orbit_sums(coeffs, ids), bincount_sums(coeffs, ids), strict=True):
+            assert same_sums(got, want), (n, p, q)
+
+    @staticmethod
+    def tensors(n: int, rng) -> list[tuple[np.ndarray, int, int]]:
+        """Per order of total <= 4 on n cells: a C-contiguous random kernel,
+        a reversed conjugate (transposed strides) and a special tensor, then
+        contraction outputs (interleaved views) of every admissible pairing."""
+        cases = []
+        shapes = [(p, q) for p in range(5) for q in range(5 - p)]
+        for p, q in shapes:
+            f = random_kernel(p, q, n, rng)
+            cases += [(f.coeffs, p, q), (reversed_conjugate(random_kernel(q, p, n, rng)).coeffs, p, q)]
+            cases.append((special_tensor((n,) * (p + q), rng), p, q))
+        for (p1, q1), (p2, q2) in itertools.product([(1, 1), (2, 1), (1, 2), (2, 2)], repeat=2):
+            f, g = random_kernel(p1, q1, n, rng), random_kernel(p2, q2, n, rng)
+            for i in range(min(p1, q2) + 1):
+                for j in range(min(q1, p2) + 1):
+                    h = contract(f, g, ContractionSpec(i, j))
+                    cases.append((h.coeffs, h.p, h.q))
+        return cases
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_bincount_per_part(self, n, rng):
+        cases = self.tensors(n, rng)
+        if n > 1:  # the views really are not C-contiguous
+            assert sum(not c.flags.c_contiguous for c, _, _ in cases) >= 20
+        for coeffs, p, q in cases:
+            self.check(coeffs, p, q)
+
+    def test_zero_order_kernel(self):
+        for value in (1.5 - 2j, complex(-0.0, -0.0), complex(np.inf, np.nan)):
+            for n in (1, 3):
+                coeffs = Kernel.scalar(value, n).coeffs
+                assert coeffs.ndim == 0
+                self.check(coeffs, 0, 0)
+
+    def test_signed_zeros_sum_to_plus_zero(self):
+        coeffs = np.full((2, 2), complex(-0.0, -0.0))
+        re, im = kernels_module.orbit_sums(coeffs, kernels_module.orbit_table(2, 2, 0)[0])
+        assert not np.signbit(re).any() and not np.signbit(im).any()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10])
+    def test_blocks_do_not_change_the_sums(self, monkeypatch, rng, chunk):
+        cases = self.tensors(3, rng) + [(special_tensor((3,) * 5, rng), 3, 2)]
+        monkeypatch.setattr(kernels_module, "_RANK_CHUNK", chunk)
+        for coeffs, p, q in cases:
+            self.check(coeffs, p, q)
+
+    def test_large_view_is_not_copied_whole(self, rng):
+        import tracemalloc
+
+        f = reversed_conjugate(random_kernel(4, 4, 5, rng))  # 390,625 entries
+        assert f.coeffs.size > kernels_module._RANK_CHUNK and not f.coeffs.flags.c_contiguous
+        ids = kernels_module.orbit_table(5, 4, 4)[0]
+        tracemalloc.start()
+        try:
+            sums = kernels_module.orbit_sums(f.coeffs, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.coeffs.nbytes // 4
+        for got, want in zip(sums, bincount_sums(f.coeffs, ids), strict=True):
+            assert same_sums(got, want)
+
 
 class TestReversedConjugate:
     def test_definition_unfold(self):
