@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,7 +330,9 @@ class TestOrbitSums:
     def check(coeffs: np.ndarray, p: int, q: int) -> None:
         n = coeffs.shape[0] if coeffs.ndim else 1
         ids = kernels_module.orbit_table(n, p, q)[0]
-        for got, want in zip(kernels_module.orbit_sums(coeffs, ids), bincount_sums(coeffs, ids), strict=True):
+        with np.errstate(over="ignore", invalid="ignore"):  # add.at warns on inf - inf, bincount does not
+            sums = kernels_module.orbit_sums(coeffs, ids)
+        for got, want in zip(sums, bincount_sums(coeffs, ids), strict=True):
             assert same_sums(got, want), (n, p, q)
 
     @staticmethod
@@ -361,15 +364,9 @@ class TestOrbitSums:
 
     def test_zero_order_kernel(self):
         for value in (1.5 - 2j, complex(-0.0, -0.0), complex(np.inf, np.nan)):
-            for n in (1, 3):
-                coeffs = Kernel.scalar(value, n).coeffs
-                assert coeffs.ndim == 0
-                self.check(coeffs, 0, 0)
-
-    def test_signed_zeros_sum_to_plus_zero(self):
-        coeffs = np.full((2, 2), complex(-0.0, -0.0))
-        re, im = kernels_module.orbit_sums(coeffs, kernels_module.orbit_table(2, 2, 0)[0])
-        assert not np.signbit(re).any() and not np.signbit(im).any()
+            coeffs = Kernel.scalar(value).coeffs
+            assert coeffs.ndim == 0
+            self.check(coeffs, 0, 0)
 
     @pytest.mark.parametrize("chunk", [1, 3, 10])
     def test_blocks_do_not_change_the_sums(self, monkeypatch, rng, chunk):
@@ -379,8 +376,6 @@ class TestOrbitSums:
             self.check(coeffs, p, q)
 
     def test_large_view_is_not_copied_whole(self, rng):
-        import tracemalloc
-
         f = reversed_conjugate(random_kernel(4, 4, 5, rng))  # 390,625 entries
         assert f.coeffs.size > kernels_module._RANK_CHUNK and not f.coeffs.flags.c_contiguous
         ids = kernels_module.orbit_table(5, 4, 4)[0]
