@@ -502,11 +502,10 @@ def _conjugated(x: ChaosPolynomial) -> ChaosPolynomial:
 
 
 def _kernel_plan(n: int, p: int, q: int) -> tuple:
-    """What a program needs of an (n, p, q) kernel: its orbit ids, the orbit
-    sizes where ``ito_symmetrize`` is not the identity (else None), and its
-    ``_orbit_terms``."""
+    """What a program needs of an (n, p, q) kernel: its orbit ids and orbit
+    sizes, and its ``_orbit_terms``."""
     ids, sizes, _, _ = orbit_table(n, p, q)
-    return ids, (sizes if max(p, q) > 1 else None), _orbit_terms(n, p, q)
+    return ids, sizes, _orbit_terms(n, p, q)
 
 
 def _expanded(f: Kernel, plan: tuple) -> tuple:
@@ -514,13 +513,6 @@ def _expanded(f: Kernel, plan: tuple) -> tuple:
     zero test."""
     sums = orbit_sums(f.coeffs, plan[0])
     return sums, _expansion(sums, plan[2])
-
-
-def _symmetrized(coeffs: np.ndarray, plan: tuple, sums: tuple) -> np.ndarray:
-    """The coefficients of ``ito_symmetrize`` from a kernel's coefficients,
-    its ``_kernel_plan`` and its ``orbit_sums``."""
-    ids, sizes, _ = plan
-    return coeffs if sizes is None else orbit_mean(coeffs, ids, sizes, sums)
 
 
 def _program(key: tuple, build, kernels: Sequence[Kernel]) -> tuple:
@@ -629,7 +621,7 @@ def _product_program(f: Kernel, g: Kernel, conjugated: bool) -> float:
     plan, ((f_sums, x), (g_sums, y)) = _program(key, build, (f, g))
     (f_plan, g_plan), lhs_group, contractions, terms, weights, rhs_group, size = plan
     lhs = _product_values(x, (y[0], -y[1]) if conjugated else y, lhs_group)
-    fs, gs = _symmetrized(f.coeffs, f_plan, f_sums), _symmetrized(g.coeffs, g_plan, g_sums)
+    fs, gs = orbit_mean(f.coeffs, *f_plan[:2], f_sums), orbit_mean(g.coeffs, *g_plan[:2], g_sums)
     if conjugated:
         gs = reversed_conjugate_of(gs, g.p)
     # Each contraction is freed after its orbit sums; the rest is one pass.
@@ -725,7 +717,7 @@ def _isometry_program(f: Kernel) -> tuple:
 
     key = ("check", "isometry", f.n, f.p, f.q)
     ((kernel_plan,), join), ((sums, (re, im)),) = _program(key, build, (f,))
-    return join_sum(join, re, im, re, -im, imag=False), _norm(_symmetrized(f.coeffs, kernel_plan, sums))
+    return join_sum(join, re, im, re, -im, imag=False), _norm(orbit_mean(f.coeffs, *kernel_plan[:2], sums))
 
 
 def hermite_to_chaos(h: hermite.HermitePolynomial, var: int, n: int) -> ChaosPolynomial:
@@ -858,10 +850,10 @@ COVARIANCE_VARIANT = "proof-step binomials; same-order contraction terms grouped
 def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float, dict]:
     """Exact covariance of |integral(f)|^2 and |integral(g)|^2, assembled from
     contraction norms of the symmetrized kernels (the formula) and from the
-    Wick oracle on their expansions, and the norm of every contraction the
-    formula forms: of every admissible (i, j) with i + j >= 1, keyed
-    ``("kernel", i, j)`` against g and ``("reversed", i, j)`` against g's
-    reversed conjugate.
+    Wick oracle on the kernels' own expansions, and the norm of every
+    contraction the formula forms: of every admissible (i, j) with
+    i + j >= 1, keyed ``("kernel", i, j)`` against g and
+    ``("reversed", i, j)`` against g's reversed conjugate.
 
     The fourth-moment side groups contraction terms with equal total pairing
     count s = i + j before applying the isometry: those terms share a chaos
@@ -870,7 +862,8 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float, dict]:
     of second moments re-expands, by a permutation counting identity, into
     plain contraction norms against g with the proof's binomial pattern.
     The formula runs the arithmetic of ``contract``, ``Kernel`` and
-    ``ito_symmetrize`` on bare arrays (``_norm`` reads them in memory order).
+    ``ito_symmetrize`` on bare arrays (``_norm`` reads them in memory order),
+    each kernel symmetrized from the orbit sums of its expansion.
     """
     (a, b), (c, d), n = f.order, g.order, f.n
 
@@ -883,8 +876,7 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float, dict]:
                 if j <= min(b, d)
             )
             p, q = a + d - s, b + c - s
-            ids, sizes = orbit_table(n, p, q)[:2]
-            groups.append((pieces, ids, sizes if max(p, q) > 1 else None, math.factorial(p) * math.factorial(q)))
+            groups.append((pieces, *orbit_table(n, p, q)[:2], math.factorial(p) * math.factorial(q)))
         base = math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
         remainder = tuple(
             (
@@ -898,19 +890,18 @@ def _covariance_program(f: Kernel, g: Kernel) -> tuple[float, float, dict]:
         )
         return _squares_plan(n, (f.order, g.order), shapes) + (tuple(groups), remainder)
 
-    fs, gs = ito_symmetrize(f), ito_symmetrize(g)
-    plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (fs, gs))
-    h = reversed_conjugate_of(gs.coeffs, c)
+    plan, parts = _program(("check", "covariance", n, a, b, c, d), build, (f, g))
+    (f_plan, g_plan), ((f_sums, _), (g_sums, _)) = plan[0], parts
+    fs, gs = orbit_mean(f.coeffs, *f_plan[:2], f_sums), orbit_mean(g.coeffs, *g_plan[:2], g_sums)
+    h = reversed_conjugate_of(gs, c)
     norms, terms = {}, []
     for pieces, ids, sizes, weight in plan[-2]:
-        contractions = [(key, w, contraction(fs.coeffs, h, n, cp)) for key, w, cp in pieces]
+        contractions = [(key, w, contraction(fs, h, n, cp)) for key, w, cp in pieces]
         norms.update((key, _norm(x)) for key, _, x in contractions)
         group = reduce(add, (x * complex(w) for _, w, x in contractions))
-        if sizes is not None:
-            group = orbit_mean(group, ids, sizes, orbit_sums(group, ids))
-        terms.append(weight * _norm(group) ** 2)
+        terms.append(weight * _norm(orbit_mean(group, ids, sizes)) ** 2)
     for key, w, cp in plan[-1]:
-        norms[key] = _norm(contraction(fs.coeffs, gs.coeffs, n, cp))
+        norms[key] = _norm(contraction(fs, gs, n, cp))
         terms.append(w * norms[key] ** 2)
     joint, e_f, e_g = _squares_values(plan, parts)
     return math.fsum(terms), joint - e_f * e_g, norms
@@ -1059,7 +1050,7 @@ def asymptotic_diagnostics(seqs: Sequence[KernelSequence]) -> list[DiagnosticsRo
                 if i != j:
                     _, covariance, norms = _covariance_program(f, g)
                     pairs.append(PairDiagnostics((i, j), worst_of(0.0, *norms.values()), covariance))
-        moments = [_isometry_program(ito_symmetrize(k))[0] for k in kernels]
+        moments = [_isometry_program(k)[0] for k in kernels]
         rows.append(
             DiagnosticsRow(index=t, pairs=tuple(pairs), second_moments=tuple(moments))
         )

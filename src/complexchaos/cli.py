@@ -567,7 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # A non-finite value fails its check; numpy's warnings about making one
+    # would break the one error record that stderr may carry.
+    with np.errstate(all="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

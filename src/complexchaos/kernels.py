@@ -352,21 +352,25 @@ def orbit_sums(coeffs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out.real, out.imag
 
 
-def orbit_mean(coeffs: np.ndarray, ids: np.ndarray, sizes: np.ndarray, sums: tuple) -> np.ndarray:
+def orbit_mean(coeffs: np.ndarray, ids: np.ndarray, sizes: np.ndarray, sums: tuple | None = None) -> np.ndarray:
     """``coeffs`` with every entry replaced by the mean over its orbit, from
-    the orbit table's ``ids`` and ``sizes`` and its ``orbit_sums``."""
-    re, im = sums
+    the orbit table's ``ids`` and ``sizes`` and its ``orbit_sums`` (taken
+    here when ``sums`` is None).  Where every orbit is one entry (no block
+    has two slots, or one cell) this is the identity, and ``coeffs`` itself
+    is returned."""
+    if len(sizes) == coeffs.size:
+        return coeffs
+    re, im = orbit_sums(coeffs, ids) if sums is None else sums
     mean = (re.astype(complex) + 1j * im) / sizes
     return mean[ids].reshape(coeffs.shape)
 
 
 def _orbit_mean(f: Kernel, p: int, q: int) -> Kernel:
     """Replace every entry of f by the mean over its orbit under permutations
-    within blocks of p and q slots (the identity when no block has two)."""
-    if max(p, q) <= 1:
-        return f
+    within blocks of p and q slots."""
     ids, sizes, _, _ = orbit_table(f.n, p, q)
-    return Kernel._adopt(f.p, f.q, f.n, orbit_mean(f.coeffs, ids, sizes, orbit_sums(f.coeffs, ids)))
+    coeffs = orbit_mean(f.coeffs, ids, sizes)
+    return f if coeffs is f.coeffs else Kernel._adopt(f.p, f.q, f.n, coeffs)
 
 
 def ito_symmetrize(f: Kernel) -> Kernel:

@@ -326,6 +326,31 @@ class TestRun:
         for record in records:
             assert record["pass"] is False and not math.isfinite(record["residual"])
 
+    def test_overflow_leaves_stderr_one_error_record(self, tmp_path):
+        # The isometry of this kernel overflows in its norm, its orbit sums
+        # and its orbit means; numpy must not warn about it on stderr, which
+        # carries the error record of the unknown kernel alone.
+        entries = [{"idx": [0, 1], "re": 1e308}, {"idx": [1, 0], "re": 1e308}]
+        scenario = {
+            "measure": {"masses": [1, 1]},
+            "kernels": [{"name": "f", "p": 2, "q": 0, "entries": entries}],
+            "checks": [
+                {"name": "iso", "kind": "isometry", "f": "f"},
+                {"name": "bad", "kind": "isometry", "f": "missing"},
+            ],
+        }
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "complexchaos.cli", "run"]
+        bad = subprocess.run(argv + [write_scenario(tmp_path, scenario)], env=env, capture_output=True, text=True)
+        assert bad.returncode == 2
+        assert json.loads(bad.stderr) == {
+            "error": {"code": "validation-error", "message": "check bad: unknown kernel 'missing' for 'f'"}
+        }
+        scenario["checks"].pop()
+        failed = subprocess.run(argv + [write_scenario(tmp_path, scenario)], env=env, capture_output=True, text=True)
+        assert (failed.returncode, failed.stderr) == (1, "")
+
     def test_square_past_the_work_budget_exits_2(self, tmp_path, capsys):
         # A (3, 3) kernel on the 8-cell cap with one entry in each of 4,500
         # orbits expands to at least 4,500 terms; squaring it would form over

@@ -132,6 +132,21 @@ class TestItoSymmetrize:
         f = Kernel.basis(2, 0, (0, 1), 2)
         assert norm(ito_symmetrize(f)) < norm(f) - 0.1
 
+    def test_orbit_mean_is_the_identity_exactly_when_every_orbit_is_one_entry(self):
+        # One cell, or no block of two slots: every orbit is one entry, and
+        # orbit_mean hands back its input (and ito_symmetrize its kernel).
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3):
+            for p, q in itertools.product(range(4), repeat=2):
+                f = random_kernel(p, q, n, rng)
+                ids, sizes, _, _ = kernels_module.orbit_table(n, p, q)
+                mean = kernels_module.orbit_mean(f.coeffs, ids, sizes)
+                identity = n == 1 or max(p, q) <= 1
+                assert (mean is f.coeffs) is identity
+                assert (ito_symmetrize(f) is f) is identity
+                sums = kernels_module.orbit_sums(f.coeffs, ids)
+                assert np.array_equal(mean, kernels_module.orbit_mean(f.coeffs, ids, sizes, sums))
+
 
 class TestOrdinarySymmetrize:
     def test_mixes_across_blocks(self):

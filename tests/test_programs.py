@@ -6,12 +6,14 @@ composition gives, bit for bit: cold, warm and with a shape cache that keeps
 one entry; so must the independence check, which reads its contraction
 norms from the covariance program.  The composition, written here over the
 public operations, is the reference: the ``composed`` fixture patches it in
-for the programs.  The covariance formula's reference is its sum of
-contraction norms over ``Kernel`` operations, and the reference of the
-contraction norms is ``kernels.contract`` and ``kernels.norm``.  The
-moment factorization gap is compared with the power-by-power implementation
-it replaced, and the Hermite orthogonality report's moment-rule Gram values
-with the Wick oracle's joins of the members.
+for the programs.  Its Wick oracle side expands the kernels as given, as
+the programs do.  The covariance formula's reference is its sum of
+contraction norms over ``Kernel`` operations on the ``ito_symmetrize``d
+kernels, and the reference of the contraction norms is
+``kernels.contract`` and ``kernels.norm``.  The moment factorization gap
+is compared with the power-by-power implementation it replaced, and the
+Hermite orthogonality report's moment-rule Gram values with the Wick
+oracle's joins of the members.
 """
 
 import json
@@ -89,11 +91,12 @@ def covariance_formula(f, g):
 
 
 def composed_covariance(f, g):
-    """The formula, the composed Wick oracle and the norm of every admissible
-    contraction with i + j >= 1, against g and against its reversed
-    conjugate, on the symmetrized kernels."""
+    """The formula and the norm of every admissible contraction with
+    i + j >= 1, against g and against its reversed conjugate, on the
+    symmetrized kernels, and the composed Wick oracle on the kernels
+    themselves."""
     fs, gs = kernels.ito_symmetrize(f), kernels.ito_symmetrize(g)
-    joint, e_f, e_g = composed_squares((fs, gs))
+    joint, e_f, e_g = composed_squares((f, g))
     norms = {}
     for against, h in (("kernel", gs), ("reversed", kernels.reversed_conjugate(gs))):
         for i in range(min(fs.p, h.q) + 1):
@@ -261,7 +264,7 @@ class TestCheckPrograms:
                         assert pair.pair == (i, j)
                         assert pair.max_contraction_norm.hex() == worst.hex()
                         assert pair.covariance.hex() == covariance.hex()
-                    moments = [composed_isometry(kernels.ito_symmetrize(k))[0].hex() for k in entries]
+                    moments = [composed_isometry(k)[0].hex() for k in entries]
                     assert [m.hex() for m in row.second_moments] == moments
 
     def test_inadmissible_first_order_contractions_are_zero(self, cache):
@@ -322,6 +325,33 @@ class TestCheckPrograms:
         chaos.hypercontractivity_check(f2)
         assert set(cache) == planned
 
+    def test_programs_symmetrize_from_their_own_orbit_sums(self, cache, monkeypatch):
+        # No check program calls ito_symmetrize: each symmetrizes the kernels
+        # it was given from the orbit sums of their expansions.
+        rng = np.random.default_rng(33)
+        f, g = kernels.random_kernel(2, 1, 3, rng), kernels.random_kernel(1, 2, 3, rng)
+        seqs = [chaos.KernelSequence("f", (f,)), chaos.KernelSequence("g", (g,))]
+
+        def run():
+            out = [
+                chaos.product_check(f, g),
+                chaos.product_conjugated_check(f, g),
+                chaos.covariance_squares(f, g).report,
+                chaos.independence_check(f, g),
+                chaos.isometry_check(f),
+                chaos.hypercontractivity_check(f),
+            ]
+            return [fingerprint(report) for report in out] + [chaos.asymptotic_diagnostics(seqs)]
+
+        expected = run()
+
+        def fails(*args):
+            raise AssertionError("a program symmetrized through ito_symmetrize")
+
+        monkeypatch.setattr(kernels, "_SHAPE_CACHE", kernels._ShapeCache())
+        for module, name in ((kernels, "ito_symmetrize"), (chaos, "ito_symmetrize"), (kernels, "_orbit_mean")):
+            monkeypatch.setattr(module, name, fails)
+        assert run() == expected
 
     def test_products_with_the_same_terms_share_their_expansion_plan(self, cache):
         # The conjugated product of (2,1)x(2,1) and the product of (2,1)x(1,2)
