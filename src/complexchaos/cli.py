@@ -25,12 +25,15 @@ the --seed flags), samples in 2..MAX_SAMPLES (also for the --samples
 flags), positive tolerance (also for the --tolerance flag) and max_sigma,
 grid max_total in 0..--max-order and max_cells in 1..--max-cells (the
 run's caps, at most MAX_TOTAL_ORDER and MAX_CELLS) and trials >= 1,
-hermite-product max_total in 0..2*MAX_TOTAL_ORDER.
+hermite-product max_total in 0..2*MAX_TOTAL_ORDER (also for the --max
+flags).  Input is checked in one pass before any check runs: every flag
+(_FLAGS, --inject-perturbation included) and --report, the file's
+structure, the --only names, then every check in file order, selected or not.
 
-Check kinds: product, product-conjugated, isometry, conjugate-lemma,
-covariance, independence, asymptotic, hypercontractivity, hermite-product,
-mc-estimate.  The product checks accept either a kernel pair or a
-{"grid": {...}} descriptor running the seeded certification grid.
+Check kinds (CHECK_KINDS): product, product-conjugated, isometry,
+conjugate-lemma, covariance, independence, hypercontractivity, asymptotic,
+hermite-product, mc-estimate.  The product checks accept either a kernel
+pair or a {"grid": {...}} descriptor running the seeded certification grid.
 
 Exit status: 0 all checks pass, 1 at least one failed, 2 input error or a
 check past the work budget (with a machine-readable error record on stderr,
@@ -42,11 +45,12 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -85,19 +89,6 @@ EXIT_INPUT = 2
 # temporaries; the README gives the time and peak RSS at this cap.
 MAX_SAMPLES = 1_000_000
 
-CHECK_KINDS = (
-    "product",
-    "product-conjugated",
-    "isometry",
-    "conjugate-lemma",
-    "covariance",
-    "independence",
-    "asymptotic",
-    "hypercontractivity",
-    "hermite-product",
-    "mc-estimate",
-)
-
 
 class ScenarioError(Exception):
     """Input problem; ``code`` is 'parse-error', 'validation-error' or
@@ -118,12 +109,34 @@ class Scenario:
     checks: tuple[dict, ...]
 
 
-def _fail(code: str, message: str) -> ScenarioError:
-    return ScenarioError(code, message)
-
-
 # Smallest positive float: as a lower bound it means "strictly positive".
 _POSITIVE = math.ulp(0.0)
+
+# Each numeric flag's bounds, (low, high, integer); main checks every one the
+# command has before the command runs.
+_FLAGS = {
+    "seed": (0, 2**64 - 1, True),
+    "tolerance": (_POSITIVE, math.inf, False),
+    "samples": (2, MAX_SAMPLES, True),
+    "max_order": (0, MAX_TOTAL_ORDER, True),
+    "max_cells": (1, MAX_CELLS, True),
+    "max": (0, 2 * MAX_TOTAL_ORDER, True),
+    "rho": (1, math.inf, True),
+    "inject_perturbation": (-math.inf, math.inf, False),
+}
+
+# Check kinds that take kernels and a tolerance: kind -> (kernel fields,
+# check function).  The product kinds also take a {"grid": {...}} instead.
+_KERNEL_CHECKS = {
+    "product": (("f", "g"), product_check),
+    "product-conjugated": (("f", "g"), product_conjugated_check),
+    "isometry": (("f",), isometry_check),
+    "conjugate-lemma": (("f",), integral_conjugate),
+    "covariance": (("f", "g"), lambda f, g, **t: covariance_squares(f, g, **t).report),
+    "independence": (("f", "g"), independence_check),
+    "hypercontractivity": (("f",), hypercontractivity_check),
+}
+CHECK_KINDS = (*_KERNEL_CHECKS, "asymptotic", "hermite-product", "mc-estimate")
 
 
 def _number(
@@ -137,12 +150,12 @@ def _number(
     if type(value) in kinds and abs(value) <= sys.float_info.max and low <= value <= high:
         return value if integer else float(value)
     kind = "an integer" if integer else "a finite number"
-    raise _fail("validation-error", f"{what} must be {kind} in [{low}, {high}], got {value!r}")
+    raise ScenarioError("validation-error", f"{what} must be {kind} in [{low}, {high}], got {value!r}")
 
 
 def _parse_complex(obj: Any, where: str) -> complex:
     if not isinstance(obj, Mapping):
-        raise _fail("validation-error", f"{where}: complex values are {{re, im}} maps")
+        raise ScenarioError("validation-error", f"{where}: complex values are {{re, im}} maps")
     return complex(
         _number(obj.get("re", 0.0), f"{where}: re"), _number(obj.get("im", 0.0), f"{where}: im")
     )
@@ -151,32 +164,32 @@ def _parse_complex(obj: Any, where: str) -> complex:
 def _object_list(data: Mapping, key: str) -> list:
     items = data.get(key, [])
     if not isinstance(items, list) or not all(isinstance(i, Mapping) for i in items):
-        raise _fail("validation-error", f"{key} must be a list of objects")
+        raise ScenarioError("validation-error", f"{key} must be a list of objects")
     return items
 
 
 def _load_kernel(spec: Mapping, measure: DiscreteMeasure, caps: tuple[int, int]):
     name = spec.get("name")
     if not isinstance(name, str) or not name:
-        raise _fail("validation-error", "every kernel needs a non-empty name")
+        raise ScenarioError("validation-error", "every kernel needs a non-empty name")
     max_order, _ = caps
     p = _number(spec.get("p"), f"kernel {name}: p", 0, max_order, integer=True)
     q = _number(spec.get("q"), f"kernel {name}: q", 0, max_order - p, integer=True)
     coords = spec.get("coordinates", "orthonormal")
     if coords not in ("orthonormal", "indicator"):
-        raise _fail("validation-error", f"kernel {name}: unknown coordinates {coords!r}")
+        raise ScenarioError("validation-error", f"kernel {name}: unknown coordinates {coords!r}")
     n = measure.n
     arr = np.zeros((n,) * (p + q), dtype=np.complex128)
     entries = spec.get("entries", [])
     if not isinstance(entries, list):
-        raise _fail("validation-error", f"kernel {name}: entries must be a list")
+        raise ScenarioError("validation-error", f"kernel {name}: entries must be a list")
     for k, entry in enumerate(entries):
         where = f"kernel {name} entry {k}"
         if not isinstance(entry, Mapping):
-            raise _fail("validation-error", f"{where}: entries are objects")
+            raise ScenarioError("validation-error", f"{where}: entries are objects")
         idx = entry.get("idx", [])
         if not isinstance(idx, list) or len(idx) != p + q:
-            raise _fail("validation-error", f"{where}: idx must have length {p + q}")
+            raise ScenarioError("validation-error", f"{where}: idx must have length {p + q}")
         cells = tuple(_number(i, f"{where}: idx", 0, n - 1, integer=True) for i in idx)
         arr[cells] = _parse_complex(entry, where)
     raw = Kernel(p, q, n, arr)
@@ -194,187 +207,182 @@ def load_scenario(path: str, caps: tuple[int, int] = (MAX_TOTAL_ORDER, MAX_CELLS
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _fail("parse-error", f"cannot read scenario: {exc}")
+        raise ScenarioError("parse-error", f"cannot read scenario: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail("parse-error", f"scenario is not valid JSON: {exc}")
+        raise ScenarioError("parse-error", f"scenario is not valid JSON: {exc}")
     if not isinstance(data, Mapping):
-        raise _fail("validation-error", "scenario root must be an object")
+        raise ScenarioError("validation-error", "scenario root must be an object")
     measure_spec = data.get("measure")
     if not isinstance(measure_spec, Mapping) or "masses" not in measure_spec:
-        raise _fail("validation-error", "scenario needs measure.masses")
+        raise ScenarioError("validation-error", "scenario needs measure.masses")
     _, max_cells = caps
     masses = measure_spec["masses"]
     if not isinstance(masses, list) or len(masses) > max_cells:
-        raise _fail("validation-error", f"measure.masses must be a list of <= {max_cells} masses")
+        raise ScenarioError("validation-error", f"measure.masses must be a list of <= {max_cells} masses")
     masses = [_number(m, "measure.masses", _POSITIVE) for m in masses]
     try:
         measure = DiscreteMeasure(masses)
     except ValueError as exc:
-        raise _fail("validation-error", str(exc)) from None
+        raise ScenarioError("validation-error", str(exc)) from None
     kernels: dict[str, Kernel] = {}
     kernel_norms: dict[str, dict[str, float]] = {}
     for spec in _object_list(data, "kernels"):
         try:
             name, kernel, norms = _load_kernel(spec, measure, caps)
         except ValueError as exc:
-            raise _fail("validation-error", str(exc)) from None
+            raise ScenarioError("validation-error", str(exc)) from None
         if name in kernels:
-            raise _fail("validation-error", f"duplicate kernel name {name!r}")
+            raise ScenarioError("validation-error", f"duplicate kernel name {name!r}")
         kernels[name] = kernel
         kernel_norms[name] = norms
     sequences: dict[str, KernelSequence] = {}
     for spec in _object_list(data, "sequences"):
         name = spec.get("name")
         if not isinstance(name, str) or not name:
-            raise _fail("validation-error", "every sequence needs a non-empty name")
+            raise ScenarioError("validation-error", "every sequence needs a non-empty name")
         if name in sequences or name in kernels:
-            raise _fail("validation-error", f"duplicate name {name!r}")
+            raise ScenarioError("validation-error", f"duplicate name {name!r}")
         members = spec.get("kernels", [])
         if not isinstance(members, list):
-            raise _fail("validation-error", f"sequence {name}: kernels must be a list")
+            raise ScenarioError("validation-error", f"sequence {name}: kernels must be a list")
         missing = [m for m in members if not isinstance(m, str) or m not in kernels]
         if missing:
-            raise _fail("validation-error", f"sequence {name}: unknown kernels {missing}")
+            raise ScenarioError("validation-error", f"sequence {name}: unknown kernels {missing}")
         try:
             sequences[name] = KernelSequence(name, tuple(kernels[m] for m in members))
         except ValueError as exc:
-            raise _fail("validation-error", f"sequence {name}: {exc}") from None
+            raise ScenarioError("validation-error", f"sequence {name}: {exc}") from None
     checks = _object_list(data, "checks")
     if not checks:
-        raise _fail("validation-error", "scenario needs a non-empty checks list")
+        raise ScenarioError("validation-error", "scenario needs a non-empty checks list")
     seen = set()
     for check in checks:
         name = check.get("name")
         if not isinstance(name, str) or not name or name in seen:
-            raise _fail("validation-error", "checks need unique non-empty names")
+            raise ScenarioError("validation-error", "checks need unique non-empty names")
         seen.add(name)
         kind = check.get("kind")
         if kind not in CHECK_KINDS:
-            raise _fail("validation-error", f"check {name}: unknown kind {kind!r}")
+            raise ScenarioError("validation-error", f"check {name}: unknown kind {kind!r}")
     return Scenario(measure, kernels, kernel_norms, dict(sequences), tuple(checks))
 
 
 def _kernel_ref(scenario: Scenario, check: Mapping, key: str) -> Kernel:
     name = check.get(key)
     if not isinstance(name, str) or name not in scenario.kernels:
-        raise _fail(
+        raise ScenarioError(
             "validation-error", f"check {check.get('name')}: unknown kernel {name!r} for {key!r}"
         )
     return scenario.kernels[name]
 
 
-def _run_check(scenario: Scenario, check: Mapping, defaults: Mapping) -> dict:
-    kind = check["kind"]
+def _read_check(
+    scenario: Scenario, check: Mapping, args: argparse.Namespace
+) -> Callable[[], dict]:
+    """Check every field of ``check``, with the flags of ``args`` as its
+    defaults, and return a call that runs it and gives its record."""
+    name, kind = check["name"], check["kind"]
 
     def read(obj: Mapping, key: str, default: Any, *bounds: float, integer: bool = True) -> Any:
-        where = f"check {check['name']}: {key}"
-        return _number(obj.get(key, default), where, *bounds, integer=integer)
+        return _number(obj.get(key, default), f"check {name}: {key}", *bounds, integer=integer)
 
-    tol = check.get("tolerance")
-    if tol is not None:
-        tol = read(check, "tolerance", None, _POSITIVE, integer=False)
     # Each check's own default applies unless the scenario or --tolerance sets one.
+    tol = check.get("tolerance", args.tolerance)
+    if tol is not None:
+        tol = _number(tol, f"check {name}: tolerance", _POSITIVE)
     tolerance = {} if tol is None else {"tolerance": tol}
-    seed = read(check, "seed", defaults["seed"], 0, 2**64 - 1)
-    record: dict[str, Any] = {"name": check["name"], "kind": kind}
+    seed = read(check, "seed", args.seed, 0, 2**64 - 1)
+    record: dict[str, Any] = {"name": name, "kind": kind}
 
-    if kind in ("product", "product-conjugated"):
-        conjugated = kind == "product-conjugated"
-        if "grid" in check:
-            grid = check["grid"]
-            if not isinstance(grid, Mapping):
-                raise _fail("validation-error", f"check {check['name']}: grid must be an object")
-            max_order, max_cells = defaults["caps"]
-            report = suites.product_grid_report(
-                max_total=read(grid, "max_total", min(6, max_order), 0, max_order),
-                max_cells=read(grid, "max_cells", min(3, max_cells), 1, max_cells),
-                trials=read(grid, "trials", 20, 1),
-                seed=seed,
-                conjugated=conjugated,
-                **tolerance,
-            )
-        else:
-            f = _kernel_ref(scenario, check, "f")
-            g = _kernel_ref(scenario, check, "g")
-            checker = product_conjugated_check if conjugated else product_check
-            report = checker(f, g, **tolerance)
-    elif kind == "isometry":
-        report = isometry_check(_kernel_ref(scenario, check, "f"), **tolerance)
-    elif kind == "conjugate-lemma":
-        report = integral_conjugate(_kernel_ref(scenario, check, "f"), **tolerance)
-    elif kind == "covariance":
-        f, g = _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g")
-        report = covariance_squares(f, g, **tolerance).report
-    elif kind == "independence":
-        f, g = _kernel_ref(scenario, check, "f"), _kernel_ref(scenario, check, "g")
-        report = independence_check(f, g, **tolerance)
+    if kind in ("product", "product-conjugated") and "grid" in check:
+        grid = check["grid"]
+        if not isinstance(grid, Mapping):
+            raise ScenarioError("validation-error", f"check {name}: grid must be an object")
+        max_order, max_cells = args.max_order, args.max_cells
+        report = functools.partial(
+            suites.product_grid_report,
+            max_total=read(grid, "max_total", min(6, max_order), 0, max_order),
+            max_cells=read(grid, "max_cells", min(3, max_cells), 1, max_cells),
+            trials=read(grid, "trials", 20, 1),
+            seed=seed,
+            conjugated=kind == "product-conjugated",
+            **tolerance,
+        )
     elif kind == "asymptotic":
         names = check.get("sequences", [])
         if not isinstance(names, list) or len(names) < 2 or not all(
             isinstance(s, str) and s in scenario.sequences for s in names
         ):
-            raise _fail(
-                "validation-error",
-                f"check {check['name']}: needs >= 2 known sequences, got {names}",
+            raise ScenarioError(
+                "validation-error", f"check {name}: needs >= 2 known sequences, got {names}"
             )
-        rows = asymptotic_diagnostics([scenario.sequences[s] for s in names])
-        last = rows[-1]
-        residual = worst_of(
-            *(p.max_contraction_norm for p in last.pairs),
-            *(abs(p.covariance) for p in last.pairs),
-        )
-        report = VerificationReport(
-            name=check["name"],
-            residual=residual,
-            tolerance=tol or IDENTITY_TOL,
-            metadata={"sequences": ",".join(names), "length": len(rows)},
-        )
-        record["table"] = [
-            {
-                "index": row.index,
-                "second_moments": list(row.second_moments),
-                "pairs": [
-                    {
-                        "pair": list(p.pair),
-                        "max_contraction_norm": p.max_contraction_norm,
-                        "covariance": p.covariance,
-                    }
-                    for p in row.pairs
-                ],
-            }
-            for row in rows
-        ]
-    elif kind == "hypercontractivity":
-        report = hypercontractivity_check(_kernel_ref(scenario, check, "f"), **tolerance)
+
+        def report() -> VerificationReport:
+            rows = asymptotic_diagnostics([scenario.sequences[s] for s in names])
+            last = rows[-1]
+            residual = worst_of(
+                *(p.max_contraction_norm for p in last.pairs),
+                *(abs(p.covariance) for p in last.pairs),
+            )
+            record["table"] = [
+                {
+                    "index": row.index,
+                    "second_moments": list(row.second_moments),
+                    "pairs": [
+                        {
+                            "pair": list(p.pair),
+                            "max_contraction_norm": p.max_contraction_norm,
+                            "covariance": p.covariance,
+                        }
+                        for p in row.pairs
+                    ],
+                }
+                for row in rows
+            ]
+            return VerificationReport(
+                name=name,
+                residual=residual,
+                tolerance=tol or IDENTITY_TOL,
+                metadata={"sequences": ",".join(names), "length": len(rows)},
+            )
+
     elif kind == "hermite-product":
         max_total = read(check, "max_total", 8, 0, 2 * MAX_TOTAL_ORDER)
-        report = suites.hermite_product_report(max_total=max_total)
+        report = functools.partial(suites.hermite_product_report, max_total=max_total)
     elif kind == "mc-estimate":
         f = _kernel_ref(scenario, check, "f")
-        samples = read(check, "samples", defaults["samples"], 2, MAX_SAMPLES)
+        samples = read(check, "samples", args.samples, 2, MAX_SAMPLES)
         max_sigma = read(check, "max_sigma", 4.0, _POSITIVE, integer=False)
         plan = montecarlo.SamplePlan(seed=seed, samples=samples, n=f.n)
-        est, target, sigma = suites.mc_sigma(f, plan)
-        report = VerificationReport(
-            name=check["name"],
-            residual=sigma,
-            tolerance=max_sigma,
-            metadata={
-                "estimate": est.value.real,
-                "stderr": est.stderr,
-                "oracle": target,
-                "samples": samples,
-                "seed": seed,
-                "generator": montecarlo.GENERATOR_NAME,
-            },
-        )
-    else:  # unreachable after validation
-        raise _fail("validation-error", f"unhandled check kind {kind!r}")
 
-    body = report.to_dict()
-    body["name"] = check["name"]
-    record.update(body)
-    return record
+        def report() -> VerificationReport:
+            est, target, sigma = suites.mc_sigma(f, plan)
+            return VerificationReport(
+                name=name,
+                residual=sigma,
+                tolerance=max_sigma,
+                metadata={
+                    "estimate": est.value.real,
+                    "stderr": est.stderr,
+                    "oracle": target,
+                    "samples": samples,
+                    "seed": seed,
+                    "generator": montecarlo.GENERATOR_NAME,
+                },
+            )
+
+    else:
+        fields, checker = _KERNEL_CHECKS[kind]
+        kernels = [_kernel_ref(scenario, check, key) for key in fields]
+        report = functools.partial(checker, *kernels, **tolerance)
+
+    def run() -> dict:
+        body = report().to_dict()
+        body["name"] = name
+        record.update(body)
+        return record
+
+    return run
 
 
 def _report_body(records: list[dict], config: Mapping) -> dict:
@@ -407,7 +415,7 @@ def _writable(report_path: str | None) -> None:
         try:
             open(report_path, "a", encoding="utf-8").close()
         except OSError as exc:
-            raise _fail("validation-error", f"--report cannot be written: {exc}") from None
+            raise ScenarioError("validation-error", f"--report cannot be written: {exc}") from None
 
 
 def _emit_error(exc: ScenarioError, report_path: str | None) -> None:
@@ -423,35 +431,25 @@ def _emit_error(exc: ScenarioError, report_path: str | None) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    caps = (args.max_order, args.max_cells)
     try:
-        _number(args.seed, "--seed", 0, 2**64 - 1, integer=True)
-        if args.tolerance is not None:
-            _number(args.tolerance, "--tolerance", _POSITIVE)
-        _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
-        _number(args.max_order, "--max-order", 0, MAX_TOTAL_ORDER, integer=True)
-        _number(args.max_cells, "--max-cells", 1, MAX_CELLS, integer=True)
-        _writable(args.report)
-        scenario = load_scenario(args.scenario, caps)
-        only = set(args.only.split(",")) if args.only else None
-        checks = [c for c in scenario.checks if only is None or c["name"] in only]
-        if only and len(checks) != len(only):
-            missing = only - {c["name"] for c in checks}
-            raise _fail("validation-error", f"unknown check names requested: {sorted(missing)}")
-        defaults = {"seed": args.seed, "samples": args.samples, "caps": caps}
-        records = []
-        for check in checks:
-            if args.tolerance is not None and "tolerance" not in check:
-                check = dict(check, tolerance=args.tolerance)
-            records.append(_run_check(scenario, check, defaults))
+        scenario = load_scenario(args.scenario, (args.max_order, args.max_cells))
+        only = set(args.only.split(",")) if args.only else set()
+        missing = only - {c["name"] for c in scenario.checks}
+        if missing:
+            raise ScenarioError(
+                "validation-error", f"unknown check names requested: {sorted(missing)}"
+            )
+        # Every check is read, selected or not, before any runs.
+        runs = [(c["name"], _read_check(scenario, c, args)) for c in scenario.checks]
+        records = [run() for name, run in runs if not only or name in only]
     except ScenarioError as exc:
         _emit_error(exc, args.report)
         return EXIT_INPUT
     except WorkBudgetError as exc:
-        _emit_error(_fail("work-budget", str(exc)), args.report)
+        _emit_error(ScenarioError("work-budget", str(exc)), args.report)
         return EXIT_INPUT
     except ValueError as exc:
-        _emit_error(_fail("validation-error", str(exc)), args.report)
+        _emit_error(ScenarioError("validation-error", str(exc)), args.report)
         return EXIT_INPUT
     config = {
         "scenario": args.scenario,
@@ -469,13 +467,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    try:
-        _number(args.seed, "--seed", 0, 2**64 - 1, integer=True)
-        _number(args.samples, "--samples", 2, MAX_SAMPLES, integer=True)
-        _writable(args.report)
-    except ScenarioError as exc:
-        _emit_error(exc, args.report)
-        return EXIT_INPUT
     reports = suites.selftest_reports(
         seed=args.seed, samples=args.samples, perturbation=args.inject_perturbation
     )
@@ -495,13 +486,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_hermite(args: argparse.Namespace) -> int:
-    try:
-        _number(args.max, "--max", 0, 2 * MAX_TOTAL_ORDER, integer=True)
-        if args.hermite_command == "table":
-            _number(args.rho, "--rho", 1, integer=True)
-    except ScenarioError as exc:
-        _emit_error(exc, None)
-        return EXIT_INPUT
     if args.hermite_command == "table":
         rho = args.rho
         for total in range(args.max + 1):
@@ -567,9 +551,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    report = getattr(args, "report", None)
     # A non-finite value fails its check; numpy's warnings about making one
     # would break the one error record that stderr may carry.
     with np.errstate(all="ignore"):
+        try:
+            for flag, bounds in _FLAGS.items():
+                value = getattr(args, flag, None)
+                if value is not None:
+                    _number(value, "--" + flag.replace("_", "-"), *bounds)
+            _writable(report)
+        except ScenarioError as exc:
+            _emit_error(exc, report)
+            return EXIT_INPUT
         return args.func(args)
 
 

@@ -617,7 +617,8 @@ def mc_isometry_report(
         q = int(rng.integers(0 if p else 1, max_total + 1 - p))
         n = 1 + t % max_cells
         f = random_kernel(p, q, n, rng)
-        plan = montecarlo.SamplePlan(seed=seed + 1000 + t, samples=samples, n=n)
+        # Wrapped so a seed near the top of the 64-bit range stays a valid seed.
+        plan = montecarlo.SamplePlan(seed=(seed + 1000 + t) % 2**64, samples=samples, n=n)
         _, _, sigma = mc_sigma(f, plan)
         worst_sigma = worst_of(worst_sigma, sigma)
         if sigma <= max_sigma:

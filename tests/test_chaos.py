@@ -435,6 +435,11 @@ class TestNonFiniteResiduals:
         assert math.isnan(report.residual)
         assert not report.passed
 
+    def test_mc_battery_takes_the_top_seed(self):
+        # The plan seeds seed + 1000 + t wrap around 2**64 instead of raising.
+        report = suites.mc_isometry_report(kernels=2, samples=200, seed=2**64 - 1)
+        assert report.metadata["seed"] == 2**64 - 1
+
     def test_nan_kernel_fails_hypercontractivity(self):
         f = Kernel.from_entries(1, 0, 2, {(0,): math.nan})
         assert not hypercontractivity_check(f).passed

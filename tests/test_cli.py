@@ -269,10 +269,17 @@ class TestRun:
         ],
     )
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, change):
-        path = write_scenario(tmp_path, dict(DISJOINT, **change))
-        assert cli.main(["run", path]) == 2
-        err = capsys.readouterr().err
-        assert json.loads(err)["error"]["code"] == "validation-error"
+        body = dict(DISJOINT, **change)
+        assert cli.main(["run", write_scenario(tmp_path, body)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"]["code"] == "validation-error"
+        # A valid check selected with --only leaves the malformed one checked.
+        selected = {"name": "selected", "kind": "hermite-product", "max_total": 0}
+        body["checks"] = body["checks"] + [selected]
+        path = write_scenario(tmp_path, body, "selected.json")
+        assert cli.main(["run", path, "--only", "selected"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, json.loads(err)) == ("", error)
 
     def test_valid_numbers_still_run(self, tmp_path):
         scenario = dict(
@@ -403,6 +410,8 @@ class TestRun:
             ["run", "SCENARIO", "--tolerance", "-1"],
             ["run", "SCENARIO", "--tolerance", "nan"],
             ["run", "SCENARIO", "--tolerance", "inf"],
+            ["selftest", "--inject-perturbation", "nan"],
+            ["selftest", "--inject-perturbation", "inf"],
         ],
         ids=[
             "run-one-sample",
@@ -420,6 +429,8 @@ class TestRun:
             "run-negative-tolerance",
             "run-nan-tolerance",
             "run-infinite-tolerance",
+            "nan-perturbation",
+            "infinite-perturbation",
         ],
     )
     def test_out_of_range_flags_exit_two(self, tmp_path, capsys, argv):
@@ -448,13 +459,27 @@ class TestRun:
         def fails(*args, **kwargs):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(cli, "_run_check", fails)
+        monkeypatch.setattr(cli, "_read_check", fails)
         monkeypatch.setattr(cli.suites, "selftest_reports", fails)
         argv = [command] + ([write_scenario(tmp_path, DISJOINT)] if command == "run" else [])
         assert cli.main(argv + ["--report", str(tmp_path / "missing" / "out.json")]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["code"] == "validation-error"
         assert error["message"].startswith("--report cannot be written")
+
+    def test_a_late_typo_ends_the_run_before_any_check(self, tmp_path, capsys, monkeypatch):
+        def fails(**kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli.suites, "product_grid_report", fails)
+        checks = [
+            {"name": "grid", "kind": "product", "grid": {}},
+            {"name": "typo", "kind": "isometry", "f": "missing"},
+        ]
+        assert cli.main(["run", write_scenario(tmp_path, dict(DISJOINT, checks=checks))]) == 2
+        out, err = capsys.readouterr()
+        message = "check typo: unknown kernel 'missing' for 'f'"
+        assert (out, json.loads(err)) == ("", {"error": {"code": "validation-error", "message": message}})
 
     def test_unknown_kind_rejected(self, tmp_path):
         scenario = dict(DISJOINT, checks=[{"name": "x", "kind": "bogus"}])
