@@ -596,6 +596,21 @@ def mc_sigma(f: Kernel, plan: montecarlo.SamplePlan) -> tuple[montecarlo.Estimat
     return est, target, sigma
 
 
+def _mc_cases(
+    kernels: int, samples: int, seed: int, max_total: int, max_cells: int
+) -> Iterator[tuple[Kernel, montecarlo.SamplePlan]]:
+    """The Monte Carlo battery's kernels with their sample plans: kernel t
+    has orders p + q <= ``max_total`` on 1 + t % ``max_cells`` cells."""
+    rng = np.random.default_rng(seed)
+    for t in range(kernels):
+        p = int(rng.integers(0, max_total + 1))
+        q = int(rng.integers(0 if p else 1, max_total + 1 - p))
+        n = 1 + t % max_cells
+        f = random_kernel(p, q, n, rng)
+        # Wrapped so a seed near the top of the 64-bit range stays a valid seed.
+        yield f, montecarlo.SamplePlan(seed=(seed + 1000 + t) % 2**64, samples=samples, n=n)
+
+
 def mc_isometry_report(
     kernels: int = 50,
     samples: int = 100_000,
@@ -609,16 +624,9 @@ def mc_isometry_report(
     ``max_sigma`` standard errors in at least ``min_fraction`` of the cases.
     A kernel whose sigma is not finite fails the battery outright (NaN
     residual) instead of counting as one case outside the band."""
-    rng = np.random.default_rng(seed)
     within = 0
     worst_sigma = 0.0
-    for t in range(kernels):
-        p = int(rng.integers(0, max_total + 1))
-        q = int(rng.integers(0 if p else 1, max_total + 1 - p))
-        n = 1 + t % max_cells
-        f = random_kernel(p, q, n, rng)
-        # Wrapped so a seed near the top of the 64-bit range stays a valid seed.
-        plan = montecarlo.SamplePlan(seed=(seed + 1000 + t) % 2**64, samples=samples, n=n)
+    for f, plan in _mc_cases(kernels, samples, seed, max_total, max_cells):
         _, _, sigma = mc_sigma(f, plan)
         worst_sigma = worst_of(worst_sigma, sigma)
         if sigma <= max_sigma:

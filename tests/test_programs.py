@@ -560,6 +560,7 @@ def test_residual_digest_is_repeatable():
         "zero-orbit",
         "independence",
         "polynomial",
+        "mc",
     ]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert first.stdout == second.stdout

@@ -30,7 +30,11 @@ Hermite family of total degree <= 6 through the array oracle
 (``oracle.pair_expectation`` of the members' ``hermite_to_chaos``
 polynomials), real and imaginary part, which only this tool forms
 (``hermite_orthogonality_report`` sums them in integers by the moment rule);
-and ``hermite_product_report`` with a perturbation of 1e-3.  Each output line
+and ``hermite_product_report`` with a perturbation of 1e-3.  Last, the mc
+kind runs ``suites.mc_sigma`` on the 50 Monte Carlo kernels of criterion 10,
+drawn at SEED+9 as ``mc_isometry_report`` draws them, at 2,000 samples each,
+and covers the estimate's real and imaginary part, its standard error and
+its distance from the oracle value in standard errors.  Each output line
 is ``kind sha256 values``; the hash covers ``float.hex`` of the residual
 and of every float metadata value (of an asymptotic row: every pair's
 contraction norm and covariance, then the second moments; of a list of
@@ -136,6 +140,9 @@ def _reports(seed: int, small: bool):
     values = [oracle.pair_expectation(left, right.conjugate()) for left in members for right in members]
     yield "polynomial", [part for v in values for part in (v.real, v.imag)]
     yield "polynomial", suites.hermite_product_report(perturbation=1e-3)
+    for f, plan in suites._mc_cases(50, 2_000, seed + 9, 3, 3):
+        est, _, sigma = suites.mc_sigma(f, plan)
+        yield "mc", [est.value.real, est.value.imag, est.stderr, sigma]
 
 
 def _zero_orbit_kernel(p: int, q: int, n: int, rng, masked: bool) -> Kernel:
