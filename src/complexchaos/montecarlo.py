@@ -14,6 +14,19 @@ same operations in the same order whatever the block size, so the blocks
 change no bit of any result.  The reduction grid ``_CHUNK`` is another
 matter: changing it does change the bits of the mean and the spread.
 
+The evaluator builds, per block, a table of every z-monomial and every
+conj(z)-monomial the polynomial's terms need, each one complex multiply of
+its parent (one lower in its last nonzero cell) by a coordinate or its
+conjugate, with no ``**``.  It then groups the terms by z-monomial and adds
+z-monomial * (sum of coefficient * conj-monomial) per group.  Against
+multiplying each term out from powers, this rounds differently: over the
+50 squares of the Monte Carlo battery at seed 110, each value moved by at
+most 1.6e-15 of the sum of its terms' moduli (the tests allow 1e-12).  It
+takes 4,389 array passes per row block over those squares, against 7,642
+for the powers and the term-by-term products.  A block's table holds at
+most ``_TABLE_BYTES``, so polynomials with many monomials get fewer rows
+per block.  Only element-wise ufuncs run, so no bit depends on the rows.
+
 The sampler's blocks are shared among ``_WORKERS`` workers (one per CPU the
 process may run on: the caller plus helper threads), each with its own
 temporaries, writing disjoint rows of the output.  A block draws from its own
@@ -58,6 +71,9 @@ _CHUNK = 1 << 14
 
 # Rows per block of sampling and evaluation; any size gives the same bits.
 _BLOCK = 1 << 13
+
+# Most bytes of monomial table and work rows that one evaluation block holds.
+_TABLE_BYTES = 1 << 21
 
 # Workers, one per CPU: the sampler's caller plus one helper thread per
 # further CPU, and the selftest's forked children (``suites._forked``).
@@ -148,51 +164,94 @@ def sample_coordinates(plan: SamplePlan) -> np.ndarray:
     return out
 
 
+def _evaluation_plan(poly: "ChaosPolynomial") -> tuple[list, list]:
+    """The monomial table and the grouped sums that evaluate ``poly``.
+
+    A monomial is an exponent vector over the 2n columns z_1..z_n,
+    conj(z_1)..conj(z_n); column j is the monomial of the unit vector e_j.
+    ``steps`` lists the other monomials the terms need, each after its
+    parent (the same vector one lower in its last nonzero cell), as
+    (parent index, column): monomial 2n + i is the product of step i's
+    parent and column.  ``groups`` holds per distinct z-exponent vector, in
+    order of first occurrence among the terms, the index of its z-monomial
+    (None for the zero vector), its terms with a conjugate part as
+    (coefficient, conj-monomial index) in term order, and the coefficient
+    of its term without one (None when it has none)."""
+    n = poly.n
+    units = [tuple(int(i == j) for i in range(2 * n)) for j in range(2 * n)]
+    index = {unit: j for j, unit in enumerate(units)}
+    steps: list[tuple[int, int]] = []
+
+    def monomial(vec: tuple[int, ...]) -> int | None:
+        if not any(vec):
+            return None
+        chain = []
+        while vec not in index:
+            last = max(j for j, e in enumerate(vec) if e)
+            chain.append((vec, last))
+            vec = vec[:last] + (vec[last] - 1,) + vec[last + 1 :]
+        parent = index[vec]
+        for higher, column in reversed(chain):
+            steps.append((parent, column))
+            parent = index[higher] = 2 * n + len(steps) - 1
+        return parent
+
+    groups: dict[tuple[int, ...], list] = {}
+    zeros = (0,) * n
+    a, b = unpack(poly.z, n).tolist(), unpack(poly.zc, n).tolist()
+    for avec, bvec, coeff in zip(a, b, map(np.complex128, poly.re.tolist(), poly.im.tolist())):
+        key = tuple(avec)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [monomial(key + zeros), [], None]
+        conj = monomial(zeros + tuple(bvec))
+        if conj is None:
+            group[2] = coeff  # keys are distinct: one such term per group
+        else:
+            group[1].append((coeff, conj))
+    return steps, [tuple(group) for group in groups.values()]
+
+
 def evaluate_polynomial(poly: "ChaosPolynomial", samples: np.ndarray) -> np.ndarray:
     """Evaluate a chaos polynomial on a batch of coordinate vectors.
 
-    Each term is its coefficient times ``z_k**a_k`` for k ascending, then
-    ``conj(z_k)**b_k`` for k ascending, multiplied in that order and added to
-    the total term by term; each distinct power is computed once per block.
+    Per row block, every monomial the terms need is one multiply of its
+    parent by a coordinate or its conjugate (``_evaluation_plan``).  Then
+    per distinct z-monomial m, in order of first occurrence, the inner sum
+    c_1 * conj-monomial_1 + c_2 * conj-monomial_2 + ... of its terms is
+    formed in term order, the coefficient of its term without a conjugate
+    part added last, and m times that sum is added to the total.  Real
+    samples are evaluated in float64 tables, complex ones in complex128.
     """
     if samples.ndim != 2 or samples.shape[1] != poly.n:
         raise ValueError(f"samples must have shape (count, {poly.n})")
-    # Distinct (cell, exponent, conjugated) powers, and per term its
-    # coefficient with the indices of its factors among them.
-    powers: dict[tuple[int, int, bool], int] = {}
-    terms: list[tuple[complex, list[int]]] = []
-    a, b = unpack(poly.z, poly.n).tolist(), unpack(poly.zc, poly.n).tolist()
-    for avec, bvec, coeff in zip(a, b, map(complex, poly.re.tolist(), poly.im.tolist())):
-        factors = [
-            powers.setdefault((k, e, conjugated), len(powers))
-            for conjugated, vec in ((False, avec), (True, bvec))
-            for k, e in enumerate(vec)
-            if e
-        ]
-        terms.append((coeff, factors))
-
+    steps, groups = _evaluation_plan(poly)
     total = np.zeros(samples.shape[0], dtype=np.complex128)
-    # Two term buffers, so that no product is formed in place: numpy may
-    # round an in-place product differently (seen on one-row arrays).
-    buffers = np.empty((2, min(_BLOCK, len(total))), dtype=np.complex128)
-    for start in range(0, len(total), _BLOCK):
-        rows = samples[start : start + _BLOCK]
-        conj = np.conj(rows)
-        values = [(conj if conjugated else rows)[:, k] ** e for k, e, conjugated in powers]
-        out = total[start : start + _BLOCK]
-        for coeff, factors in terms:
-            if not factors:
-                out += coeff
-                continue
-            term, spare = buffers[:, : len(out)]
-            # A numpy complex128 scalar first: the same bits as filling the
-            # term with it and multiplying, and a complex128 product even
-            # for complex64 samples.
-            np.multiply(np.complex128(coeff), values[factors[0]], out=term)
-            for f in factors[1:]:
-                np.multiply(term, values[f], out=spare)
-                term, spare = spare, term
-            out += term
+    n, dtype = poly.n, np.result_type(samples.dtype, np.float64)
+    # Rows per block: as many as _TABLE_BYTES holds of the monomial columns
+    # and the two complex work rows, at most _BLOCK.
+    row_bytes = (2 * n + len(steps)) * dtype.itemsize + 2 * 16
+    rows = max(1, min(_BLOCK, len(total), _TABLE_BYTES // row_bytes))
+    table = np.empty((2 * n + len(steps), rows), dtype=dtype)
+    # No product is formed in place: numpy may round an in-place product
+    # differently (seen on one-row arrays).
+    work = np.empty((2, rows), dtype=np.complex128)
+    for start in range(0, len(total), rows):
+        block = samples[start : start + rows]
+        cols = table[:, : len(block)]
+        np.copyto(cols[:n], block.T)
+        np.conj(cols[:n], out=cols[n : 2 * n])
+        for i, (parent, column) in enumerate(steps, 2 * n):
+            np.multiply(cols[parent], cols[column], out=cols[i])
+        inner_buf, term = work[:, : len(block)]
+        out = total[start : start + rows]
+        for z, terms, const in groups:
+            inner = const if not terms else np.multiply(terms[0][0], cols[terms[0][1]], out=inner_buf)
+            for coeff, conj in terms[1:]:
+                inner += np.multiply(coeff, cols[conj], out=term)
+            if terms and const is not None:
+                inner += const
+            out += inner if z is None else np.multiply(cols[z], inner, out=term)
     return total
 
 

@@ -187,8 +187,51 @@ def reference_sample_coordinates(plan) -> np.ndarray:
 
 
 def reference_evaluate_polynomial(poly, samples: np.ndarray) -> np.ndarray:
-    """Reference for montecarlo.evaluate_polynomial: the evaluator as it was
-    before row blocks, one term at a time over all rows."""
+    """Reference for montecarlo.evaluate_polynomial: its arithmetic over all
+    rows at once, in float64 for real samples and complex128 otherwise.  A
+    monomial is an exponent vector over the columns z_1..z_n, conj(z_1)..
+    conj(z_n): a unit vector is its column, any other its parent (one lower
+    in its last nonzero cell) times that cell's column.  Per distinct
+    z-exponent vector, in order of first occurrence, the coefficients times
+    the conj-monomials of its terms are summed in term order, the
+    coefficient of its term without conjugate part is added last, and the
+    z-monomial times that sum is added to the total."""
+    x = samples.astype(np.result_type(samples.dtype, np.float64))
+    columns = list(x.T) + list(np.conj(x).T)
+    n = poly.n
+    zeros = (0,) * n
+    known: dict = {}
+
+    def monomial(vec: tuple) -> np.ndarray:
+        if vec not in known:
+            last = max(j for j, e in enumerate(vec) if e)
+            lower = vec[:last] + (vec[last] - 1,) + vec[last + 1 :]
+            known[vec] = monomial(lower) * columns[last] if any(lower) else columns[last]
+        return known[vec]
+
+    groups: dict = {}
+    a, b = unpack(poly.z, n).tolist(), unpack(poly.zc, n).tolist()
+    for avec, bvec, re, im in zip(a, b, poly.re.tolist(), poly.im.tolist()):
+        groups.setdefault(tuple(avec), []).append((tuple(bvec), np.complex128(complex(re, im))))
+    total = np.zeros(samples.shape[0], dtype=np.complex128)
+    for avec, terms in groups.items():
+        inner = None
+        for bvec, coeff in terms:
+            if any(bvec):
+                value = coeff * monomial(zeros + bvec)
+                inner = value if inner is None else inner + value
+        for bvec, coeff in terms:
+            if not any(bvec):
+                inner = coeff if inner is None else inner + coeff
+        total += monomial(avec + zeros) * inner if any(avec) else inner
+    return total
+
+
+def termwise_evaluate_polynomial(poly, samples: np.ndarray) -> np.ndarray:
+    """Tolerance oracle for montecarlo.evaluate_polynomial: the evaluator as
+    it was before its monomial tables, one term at a time over all rows,
+    each term its coefficient times ``z_k**a_k`` for k ascending, then
+    ``conj(z_k)**b_k`` for k ascending."""
     conj = np.conj(samples)
     powers: dict = {}
 

@@ -1,6 +1,7 @@
 """Seeded sampling: determinism, moment sanity, oracle agreement."""
 
 import itertools
+import math
 import sys
 import threading
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import ChaosPolynomial, Kernel, expand, montecarlo, random_kernel
+from complexchaos import ChaosPolynomial, Kernel, expand, montecarlo, random_kernel, suites
 from complexchaos.montecarlo import (
     GENERATOR_NAME,
     SamplePlan,
@@ -16,8 +17,13 @@ from complexchaos.montecarlo import (
     evaluate_polynomial,
     sample_coordinates,
 )
-from complexchaos.oracle import expectation
-from conftest import DictPolynomial, reference_evaluate_polynomial, reference_sample_coordinates
+from complexchaos.oracle import expectation, unpack
+from conftest import (
+    DictPolynomial,
+    reference_evaluate_polynomial,
+    reference_sample_coordinates,
+    termwise_evaluate_polynomial,
+)
 
 BLOCK = montecarlo._BLOCK
 ROW_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37]
@@ -30,6 +36,10 @@ def poly(n, entries):
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def as_dtype(z, dtype):
+    return z.astype(dtype) if dtype != np.float64 else z.real.copy()
 
 
 coefficients = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -155,6 +165,92 @@ class TestAgainstReference:
         assert_same_bits(evaluate_polynomial(poly, z), reference_evaluate_polynomial(poly, z))
 
 
+class TestAgainstTermwiseEvaluation:
+    """The monomial tables and grouped sums round differently from the former
+    term-by-term evaluator, within 1e-12 of the row's sum of term moduli."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        poly=polynomials(),
+        rows=st.sampled_from(ROW_COUNTS),
+        dtype=st.sampled_from([np.complex128, np.float64, np.complex64]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_within_tolerance(self, poly, rows, dtype, seed):
+        z = as_dtype(sample_coordinates(SamplePlan(seed=seed, samples=max(rows, 2), n=poly.n))[:rows], dtype)
+        # The former evaluator raised complex64 samples to powers in
+        # complex64; it gets the same points in complex128.
+        x = z.astype(np.result_type(z.dtype, np.float64))
+        exps = np.hstack([unpack(poly.z, poly.n), unpack(poly.zc, poly.n)])
+        moduli = np.abs(np.hstack([x, x]))
+        scale = np.prod(moduli[:, None, :] ** exps[None], axis=2) @ np.abs(poly.re + 1j * poly.im)
+        # Below the smallest normal float64 a relative bound means nothing.
+        bound = 1e-12 * scale + np.finfo(np.float64).tiny
+        assert np.all(np.abs(evaluate_polynomial(poly, z) - termwise_evaluate_polynomial(poly, x)) <= bound)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFinite:
+    """A NaN or inf coefficient or coordinate reaches the estimate as a
+    non-finite value on every path of the grouped evaluator."""
+
+    # One term per path: the constant, a term without conjugate part (its
+    # z-monomial z_0**2 is built from z_0), a grouped term (z_0 times an
+    # inner sum with conj(z_0) conj(z_1)), a term without z part.
+    PATHS = {
+        "constant": ((0, 0), (0, 0)),
+        "no conjugate part": ((2, 0), (0, 0)),
+        "grouped": ((1, 0), (1, 1)),
+        "no z part": ((0, 0), (0, 1)),
+    }
+    BAD = [math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1.0)]
+
+    def polynomial(self, path, coeff):
+        terms = {key: 0.5 + 0.25j * k for k, key in enumerate(self.PATHS.values())}
+        terms[((1, 0), (0, 1))] = -1.5  # a second term in the grouped term's group
+        terms[self.PATHS[path]] = coeff
+        return ChaosPolynomial(2, terms)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_coefficient(self, path, bad):
+        plan = SamplePlan(seed=3, samples=100, n=2)
+        poly = self.polynomial(path, bad)
+        assert not np.isfinite(evaluate_polynomial(poly, sample_coordinates(plan))).any()
+        est = estimate(poly, plan)
+        assert not all(map(math.isfinite, (est.value.real, est.value.imag, est.stderr)))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("path", [path for path in PATHS if path != "constant"])
+    def test_coordinate(self, path, bad):
+        """Only the row holding the value goes non-finite, in the cell that
+        the path's term uses last."""
+        poly = self.polynomial(path, 1.0)
+        z = sample_coordinates(SamplePlan(seed=3, samples=100, n=2))
+        a, b = self.PATHS[path]
+        z[40, max(k for k in range(2) if a[k] or b[k])] = bad
+        values = evaluate_polynomial(poly, z)
+        assert not np.isfinite(values[40]) and np.isfinite(np.delete(values, 40)).all()
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sigma_and_battery(self, monkeypatch, bad):
+        """One non-finite coordinate per sample set: mc_sigma is NaN while the
+        oracle value stays finite, and the battery fails."""
+        draw = montecarlo.sample_coordinates
+
+        def spoiled(plan):
+            z = draw(plan)
+            z[plan.samples // 2, plan.n - 1] = bad
+            return z
+
+        monkeypatch.setattr(montecarlo, "sample_coordinates", spoiled)
+        f = random_kernel(1, 1, 2, np.random.default_rng(8))
+        _, target, sigma = suites.mc_sigma(f, SamplePlan(seed=1, samples=200, n=2))
+        assert math.isfinite(target) and math.isnan(sigma)
+        report = suites.mc_isometry_report(kernels=3, samples=200, seed=110)
+        assert math.isnan(report.residual) and not report.passed
+
+
 class TestBlockSize:
     """The row block is a cache size only: any block size gives the same bits."""
 
@@ -163,23 +259,41 @@ class TestBlockSize:
         f = expand(random_kernel(2, 1, 3, np.random.default_rng(4)))
         return f * f.conjugate()
 
-    def results(self, poly):
-        plan = SamplePlan(seed=21, samples=1000, n=3)
+    def results(self, poly, samples, dtype):
+        plan = SamplePlan(seed=21, samples=samples, n=3)
         z = sample_coordinates(plan)
         at_point = poly.evaluate([0.3 - 1.2j, 0.7j, -1.1])
-        return z, evaluate_polynomial(poly, z), estimate(poly, plan), at_point
+        return z, evaluate_polynomial(poly, as_dtype(z, dtype)), estimate(poly, plan), at_point
 
-    def test_block_size_changes_no_bit(self, monkeypatch, poly):
-        z, values, est, at_point = self.results(poly)
-        for block in (1, 3, BLOCK):
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
+    @pytest.mark.parametrize(
+        "samples, blocks", [(1000, (1, 3)), (BLOCK + 2, (BLOCK - 1, BLOCK, BLOCK + 1))]
+    )
+    def test_block_size_changes_no_bit(self, monkeypatch, poly, samples, blocks, dtype, workers):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        z, values, est, at_point = self.results(poly, samples, dtype)
+        assert_same_bits(values, reference_evaluate_polynomial(poly, as_dtype(z, dtype)))
+        # With the table budget lifted, _BLOCK alone sets the rows per block.
+        monkeypatch.setattr(montecarlo, "_TABLE_BYTES", 1 << 40)
+        for block in blocks:
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
-            z2, values2, est2, at_point2 = self.results(poly)
+            z2, values2, est2, at_point2 = self.results(poly, samples, dtype)
             assert_same_bits(z2, z)
             assert_same_bits(values2, values)
             assert est2 == est
             assert at_point2 == at_point
         point = np.array([[0.3 - 1.2j, 0.7j, -1.1]])
         assert at_point == complex(reference_evaluate_polynomial(poly, point)[0])
+
+    def test_table_budget_sets_the_rows(self, monkeypatch, poly):
+        """A budget below one row's bytes evaluates one row at a time."""
+        z, values, est, _ = self.results(poly, 1000, np.complex128)
+        rows, copyto = [], np.copyto
+        monkeypatch.setattr(montecarlo, "_TABLE_BYTES", 1)
+        monkeypatch.setattr(np, "copyto", lambda dst, src: (rows.append(src.shape[1]), copyto(dst, src)))
+        assert_same_bits(montecarlo.evaluate_polynomial(poly, z), values)
+        assert rows == [1] * 1000
 
 
 class TestParallelSampler:
