@@ -338,8 +338,13 @@ def orbit_sums(coeffs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndar
     tensor of more than _RANK_CHUNK entries is raveled block by block over
     its leading axes, split as ``_block_ranks`` splits them, so no view is
     copied whole; a smaller one takes one call, which costs less than
-    blocks.
+    blocks.  A one-entry tensor (a 1-cell kernel or a 0-d term) is its own
+    orbit: its sum is the entry plus +0.0, the same bits without the
+    ``add.at`` call.
     """
+    if coeffs.size == 1:
+        out = coeffs.reshape(1) + 0.0
+        return out.real, out.imag
     out = np.zeros(ids[-1] + 1, dtype=complex)
     if coeffs.size <= _RANK_CHUNK:
         np.add.at(out, ids, coeffs.ravel())

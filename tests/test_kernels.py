@@ -383,6 +383,21 @@ class TestOrbitSums:
             assert coeffs.ndim == 0
             self.check(coeffs, 0, 0)
 
+    @pytest.mark.parametrize("slots", range(7))
+    def test_one_entry_tensor_equals_add_at(self, slots):
+        """A 0-d or 1-cell tensor takes no add.at; its sums carry the same
+        float.hex as one add.at into +0.0 (NaN has one hex)."""
+        parts = (1.5, -2.25, 0.0, -0.0, np.inf, -np.inf, np.nan)
+        for value in itertools.product(parts, repeat=2):
+            coeffs = np.full((1,) * slots, complex(*value))
+            want = np.zeros(1, dtype=complex)
+            with np.errstate(invalid="ignore"):
+                np.add.at(want, [0], coeffs.ravel())
+            for p in range(slots + 1):
+                ids = kernels_module.orbit_table(1, p, slots - p)[0]
+                re, im = kernels_module.orbit_sums(coeffs, ids)
+                assert [x.hex() for x in (*re, *im)] == [want.real[0].hex(), want.imag[0].hex()]
+
     @pytest.mark.parametrize("chunk", [1, 3, 10])
     def test_blocks_do_not_change_the_sums(self, monkeypatch, rng, chunk):
         cases = self.tensors(3, rng) + [(special_tensor((3,) * 5, rng), 3, 2)]
