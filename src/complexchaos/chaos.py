@@ -78,6 +78,9 @@ __all__ = [
     "VerificationReport",
     "WorkBudgetError",
     "asymptotic_diagnostics",
+    "check_independence_pair",
+    "check_pair",
+    "check_sequences",
     "coupled_decay_sequences",
     "covariance_squares",
     "expand",
@@ -787,13 +790,39 @@ def _product_terms(f: Kernel, g: Kernel) -> list[ProductTerm]:
     return terms
 
 
-def _check_pair(f: Kernel, g: Kernel) -> None:
+# -- argument rules: the checks and the command line's reader call these
+
+
+def check_pair(f: Kernel, g: Kernel) -> None:
     """Two kernels enter one identity only on the same cells and within the
-    combined order cap."""
+    combined order cap; raises ValueError otherwise."""
     if f.n != g.n:
         raise ValueError(f"cell count mismatch: {f.n} vs {g.n}")
     if f.p + f.q + g.p + g.q > MAX_TOTAL_ORDER:
         raise ValueError("combined order exceeds cap")
+
+
+def check_independence_pair(f: Kernel, g: Kernel) -> None:
+    """``check_pair``, and both kernels of non-degenerate order, as the
+    independence criterion needs."""
+    if f.p + f.q == 0 or g.p + g.q == 0:
+        raise ValueError("independence criterion needs non-degenerate orders")
+    check_pair(f, g)
+
+
+def check_sequences(seqs: Sequence[KernelSequence]) -> None:
+    """At least two kernel sequences, of equal length, whose kernels at each
+    index share their cell count, as ``asymptotic_diagnostics`` needs."""
+    if len(seqs) < 2:
+        raise ValueError("need at least two sequences")
+    length = len(seqs[0].entries)
+    for s in seqs:
+        if len(s.entries) != length:
+            raise ValueError("sequences must have equal length")
+    for t in range(length):
+        cells = {s.entries[t].n for s in seqs}
+        if len(cells) != 1:
+            raise ValueError(f"cell counts differ at index {t}")
 
 
 def product(f: Kernel, g: Kernel) -> list[ProductTerm]:
@@ -804,21 +833,21 @@ def product(f: Kernel, g: Kernel) -> list[ProductTerm]:
     different orders, so they are returned as a combination rather than a
     single kernel; ``product_check`` certifies the identity through ``expand``.
     """
-    _check_pair(f, g)
+    check_pair(f, g)
     return _product_terms(ito_symmetrize(f), ito_symmetrize(g))
 
 
 def product_conjugated(f: Kernel, g: Kernel) -> list[ProductTerm]:
     """Formal combination equal to integral(f) * conj(integral(g)): the
     product formula applied against the reversed conjugate of g."""
-    _check_pair(f, g)
+    check_pair(f, g)
     return _product_terms(ito_symmetrize(f), reversed_conjugate(ito_symmetrize(g)))
 
 
 def product_check(
     f: Kernel, g: Kernel, tolerance: float = IDENTITY_TOL
 ) -> VerificationReport:
-    _check_pair(f, g)
+    check_pair(f, g)
     return VerificationReport(
         name="product-formula",
         residual=_product_program(f, g, conjugated=False),
@@ -830,7 +859,7 @@ def product_check(
 def product_conjugated_check(
     f: Kernel, g: Kernel, tolerance: float = IDENTITY_TOL
 ) -> VerificationReport:
-    _check_pair(f, g)
+    check_pair(f, g)
     return VerificationReport(
         name="product-conjugated-formula",
         residual=_product_program(f, g, conjugated=True),
@@ -922,7 +951,7 @@ def covariance_squares(
     The formula value is a sum of squared norms, hence certifies the
     non-negative correlation of squared moduli as a side effect.
     """
-    _check_pair(f, g)
+    check_pair(f, g)
     formula, exact, _ = _covariance_program(f, g)
     residual = abs(formula - exact) / max(1.0, abs(exact))
     report = VerificationReport(
@@ -953,9 +982,7 @@ def independence_check(
     contractions count as zero.  The exact covariance of squared moduli is
     reported alongside, which vanishes exactly when the criterion holds.
     """
-    if f.p + f.q == 0 or g.p + g.q == 0:
-        raise ValueError("independence criterion needs non-degenerate orders")
-    _check_pair(f, g)
+    check_independence_pair(f, g)
     formula, exact, contractions = _covariance_program(f, g)
     norms = {
         f"with-{against}-{i}{j}": contractions.get((against, i, j), 0.0)
@@ -1031,18 +1058,9 @@ def asymptotic_diagnostics(seqs: Sequence[KernelSequence]) -> list[DiagnosticsRo
     vanish together in the limit, up to the constant factors that relate them
     in the covariance decomposition.
     """
-    if len(seqs) < 2:
-        raise ValueError("need at least two sequences")
-    length = len(seqs[0].entries)
-    for s in seqs:
-        if len(s.entries) != length:
-            raise ValueError("sequences must have equal length")
-    for t in range(length):
-        cells = {s.entries[t].n for s in seqs}
-        if len(cells) != 1:
-            raise ValueError(f"cell counts differ at index {t}")
+    check_sequences(seqs)
     rows = []
-    for t in range(length):
+    for t in range(len(seqs[0].entries)):
         kernels = [s.entries[t] for s in seqs]
         pairs = []
         for i, f in enumerate(kernels):

@@ -28,7 +28,9 @@ run's caps, at most MAX_TOTAL_ORDER and MAX_CELLS) and trials >= 1,
 hermite-product max_total in 0..2*MAX_TOTAL_ORDER (also for the --max
 flags).  Input is checked in one pass before any check runs: every flag
 (_FLAGS, --inject-perturbation included) and --report, the file's
-structure, the --only names, then every check in file order, selected or not.
+structure, the --only names, then every check in file order, selected or not,
+including the rules its kernels must meet together (chaos.check_pair,
+check_independence_pair and check_sequences).
 
 Check kinds (CHECK_KINDS): product, product-conjugated, isometry,
 conjugate-lemma, covariance, independence, hypercontractivity, asymptotic,
@@ -61,6 +63,9 @@ from .chaos import (
     VerificationReport,
     WorkBudgetError,
     asymptotic_diagnostics,
+    check_independence_pair,
+    check_pair,
+    check_sequences,
     covariance_squares,
     expand,  # unused here; perfbench's tracer test reads cli.expand
     hypercontractivity_check,
@@ -126,15 +131,16 @@ _FLAGS = {
 }
 
 # Check kinds that take kernels and a tolerance: kind -> (kernel fields,
-# check function).  The product kinds also take a {"grid": {...}} instead.
+# the rule those kernels must meet together or None, check function).  The
+# product kinds also take a {"grid": {...}} instead.
 _KERNEL_CHECKS = {
-    "product": (("f", "g"), product_check),
-    "product-conjugated": (("f", "g"), product_conjugated_check),
-    "isometry": (("f",), isometry_check),
-    "conjugate-lemma": (("f",), integral_conjugate),
-    "covariance": (("f", "g"), lambda f, g, **t: covariance_squares(f, g, **t).report),
-    "independence": (("f", "g"), independence_check),
-    "hypercontractivity": (("f",), hypercontractivity_check),
+    "product": (("f", "g"), check_pair, product_check),
+    "product-conjugated": (("f", "g"), check_pair, product_conjugated_check),
+    "isometry": (("f",), None, isometry_check),
+    "conjugate-lemma": (("f",), None, integral_conjugate),
+    "covariance": (("f", "g"), check_pair, lambda f, g, **t: covariance_squares(f, g, **t).report),
+    "independence": (("f", "g"), check_independence_pair, independence_check),
+    "hypercontractivity": (("f",), None, hypercontractivity_check),
 }
 CHECK_KINDS = (*_KERNEL_CHECKS, "asymptotic", "hermite-product", "mc-estimate")
 
@@ -286,6 +292,12 @@ def _read_check(
     def read(obj: Mapping, key: str, default: Any, *bounds: float, integer: bool = True) -> Any:
         return _number(obj.get(key, default), f"check {name}: {key}", *bounds, integer=integer)
 
+    def meets(rule: Callable[..., None], *operands: Any) -> None:
+        try:
+            rule(*operands)
+        except ValueError as exc:
+            raise ScenarioError("validation-error", f"check {name}: {exc}") from None
+
     # Each check's own default applies unless the scenario or --tolerance sets one.
     tol = check.get("tolerance", args.tolerance)
     if tol is not None:
@@ -316,9 +328,11 @@ def _read_check(
             raise ScenarioError(
                 "validation-error", f"check {name}: needs >= 2 known sequences, got {names}"
             )
+        seqs = [scenario.sequences[s] for s in names]
+        meets(check_sequences, seqs)
 
         def report() -> VerificationReport:
-            rows = asymptotic_diagnostics([scenario.sequences[s] for s in names])
+            rows = asymptotic_diagnostics(seqs)
             last = rows[-1]
             residual = worst_of(
                 *(p.max_contraction_norm for p in last.pairs),
@@ -372,8 +386,10 @@ def _read_check(
             )
 
     else:
-        fields, checker = _KERNEL_CHECKS[kind]
+        fields, rule, checker = _KERNEL_CHECKS[kind]
         kernels = [_kernel_ref(scenario, check, key) for key in fields]
+        if rule is not None:
+            meets(rule, *kernels)
         report = functools.partial(checker, *kernels, **tolerance)
 
     def run() -> dict:

@@ -481,6 +481,42 @@ class TestRun:
         message = "check typo: unknown kernel 'missing' for 'f'"
         assert (out, json.loads(err)) == ("", {"error": {"code": "validation-error", "message": message}})
 
+    @pytest.mark.parametrize(
+        "late, message",
+        [
+            ({"kind": "product", "f": "f44", "g": "f53"}, "combined order exceeds cap"),
+            ({"kind": "independence", "f": "f44", "g": "scalar"}, "independence criterion needs non-degenerate orders"),
+            ({"kind": "asymptotic", "sequences": ["two", "one"]}, "sequences must have equal length"),
+        ],
+    )
+    def test_kernel_rules_end_the_run_before_any_check(self, tmp_path, capsys, monkeypatch, late, message):
+        """The rules a check's kernels must meet together are read with its
+        fields, also when --only leaves the check out: the isometry before it
+        never runs."""
+
+        def fails(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setitem(cli._KERNEL_CHECKS, "isometry", (("f",), None, fails))
+        scenario = {
+            "measure": {"masses": [1.0]},
+            "kernels": [
+                {"name": "f44", "p": 4, "q": 4, "entries": basis_entries((0,) * 8)},
+                {"name": "f53", "p": 5, "q": 3, "entries": basis_entries((0,) * 8)},
+                {"name": "scalar", "p": 0, "q": 0, "entries": basis_entries(())},
+            ],
+            "sequences": [
+                {"name": "two", "kernels": ["f44", "f44"]},
+                {"name": "one", "kernels": ["f53"]},
+            ],
+            "checks": [{"name": "iso", "kind": "isometry", "f": "f44"}, dict(late, name="late")],
+        }
+        error = {"code": "validation-error", "message": f"check late: {message}"}
+        for only in ([], ["--only", "iso"]):
+            assert cli.main(["run", write_scenario(tmp_path, scenario)] + only) == 2
+            out, err = capsys.readouterr()
+            assert (out, json.loads(err)) == ("", {"error": error})
+
     def test_unknown_kind_rejected(self, tmp_path):
         scenario = dict(DISJOINT, checks=[{"name": "x", "kind": "bogus"}])
         path = write_scenario(tmp_path, scenario)
