@@ -265,24 +265,26 @@ class TestBlockSize:
         at_point = poly.evaluate([0.3 - 1.2j, 0.7j, -1.1])
         return z, evaluate_polynomial(poly, as_dtype(z, dtype)), estimate(poly, plan), at_point
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
-    @pytest.mark.parametrize(
-        "samples, blocks", [(1000, (1, 3)), (BLOCK + 2, (BLOCK - 1, BLOCK, BLOCK + 1))]
-    )
-    def test_block_size_changes_no_bit(self, monkeypatch, poly, samples, blocks, dtype, workers):
-        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-        z, values, est, at_point = self.results(poly, samples, dtype)
-        assert_same_bits(values, reference_evaluate_polynomial(poly, as_dtype(z, dtype)))
-        # With the table budget lifted, _BLOCK alone sets the rows per block.
-        monkeypatch.setattr(montecarlo, "_TABLE_BYTES", 1 << 40)
-        for block in blocks:
-            monkeypatch.setattr(montecarlo, "_BLOCK", block)
-            z2, values2, est2, at_point2 = self.results(poly, samples, dtype)
-            assert_same_bits(z2, z)
-            assert_same_bits(values2, values)
-            assert est2 == est
-            assert at_point2 == at_point
+    def test_block_size_changes_no_bit(self, monkeypatch, poly):
+        cases = itertools.product(
+            [1, 3],
+            [np.complex128, np.float64, np.complex64],
+            [(300, (1, 3)), (BLOCK + 2, (BLOCK - 1, BLOCK, BLOCK + 1))],
+        )
+        for workers, dtype, (samples, blocks) in cases:
+            monkeypatch.undo()
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            z, values, est, at_point = self.results(poly, samples, dtype)
+            assert_same_bits(values, reference_evaluate_polynomial(poly, as_dtype(z, dtype)))
+            # With the table budget lifted, _BLOCK alone sets the rows per block.
+            monkeypatch.setattr(montecarlo, "_TABLE_BYTES", 1 << 40)
+            for block in blocks:
+                monkeypatch.setattr(montecarlo, "_BLOCK", block)
+                z2, values2, est2, at_point2 = self.results(poly, samples, dtype)
+                assert_same_bits(z2, z)
+                assert_same_bits(values2, values)
+                assert est2 == est
+                assert at_point2 == at_point
         point = np.array([[0.3 - 1.2j, 0.7j, -1.1]])
         assert at_point == complex(reference_evaluate_polynomial(poly, point)[0])
 
