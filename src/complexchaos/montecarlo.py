@@ -178,8 +178,7 @@ def _evaluation_plan(poly: "ChaosPolynomial") -> tuple[list, list]:
     (coefficient, conj-monomial index) in term order, and the coefficient
     of its term without one (None when it has none)."""
     n = poly.n
-    units = [tuple(int(i == j) for i in range(2 * n)) for j in range(2 * n)]
-    index = {unit: j for j, unit in enumerate(units)}
+    index = {tuple(int(i == j) for i in range(2 * n)): j for j in range(2 * n)}
     steps: list[tuple[int, int]] = []
 
     def monomial(vec: tuple[int, ...]) -> int | None:
