@@ -290,7 +290,7 @@ class TestBlockSize:
 
     def test_table_budget_sets_the_rows(self, monkeypatch, poly):
         """A budget below one row's bytes evaluates one row at a time."""
-        z, values, est, _ = self.results(poly, 1000, np.complex128)
+        z, values, _, _ = self.results(poly, 1000, np.complex128)
         rows, copyto = [], np.copyto
         monkeypatch.setattr(montecarlo, "_TABLE_BYTES", 1)
         monkeypatch.setattr(np, "copyto", lambda dst, src: (rows.append(src.shape[1]), copyto(dst, src)))
