@@ -151,7 +151,7 @@ class ChaosPolynomial:
     everywhere.
     """
 
-    __slots__ = ("n", "z", "zc", "re", "im", "layout", "_terms")
+    __slots__ = ("n", "z", "zc", "re", "im", "layout", "_terms", "_parts")
 
     def __init__(self, n: int, terms: Mapping[ExponentKey, complex]) -> None:
         if not 0 <= n <= MAX_CELLS:
@@ -171,7 +171,7 @@ class ChaosPolynomial:
 
     def _set(self, n: int, z, zc, re, im, layout) -> None:
         self.n, self.z, self.zc, self.re, self.im, self.layout = n, z, zc, re, im, layout
-        self._terms = None
+        self._terms = self._parts = None
 
     @classmethod
     def _of(cls, n: int, z, zc, re, im, layout) -> "ChaosPolynomial":
@@ -221,7 +221,9 @@ class ChaosPolynomial:
         self._check_vars(other)
         layout, (keys, group) = _product_plan(self, other)
         re, im = _product_values((self.re, self.im), (other.re, other.im), group)
-        return ChaosPolynomial._of(self.n, keys[0], keys[1], re, im, layout)
+        out = ChaosPolynomial._of(self.n, keys[0], keys[1], re, im, layout)
+        out._parts = (self, other)
+        return out
 
     def __rmul__(self, scalar: complex) -> "ChaosPolynomial":
         return self.scaled(scalar)
@@ -241,7 +243,9 @@ class ChaosPolynomial:
 
     def conjugate(self) -> "ChaosPolynomial":
         layout = ("conj", self.layout)
-        return ChaosPolynomial._of(self.n, self.zc, self.z, self.re, -self.im, layout)
+        out = ChaosPolynomial._of(self.n, self.zc, self.z, self.re, -self.im, layout)
+        out._parts = (self,)
+        return out
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         return complex(montecarlo.evaluate_polynomial(self, np.array([point], dtype=complex))[0])

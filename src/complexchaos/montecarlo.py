@@ -211,46 +211,93 @@ def _evaluation_plan(poly: "ChaosPolynomial") -> tuple[list, list]:
     return steps, [tuple(group) for group in groups.values()]
 
 
+def _operands(poly: "ChaosPolynomial") -> list:
+    """The distinct polynomials (by identity) that ``poly`` is evaluated
+    from, each after its operands and ``poly`` last.  A polynomial without
+    ``_parts`` is a leaf.  The walk keeps its own stack, so a deep chain of
+    products (a high power) cannot reach the recursion limit."""
+    order, seen = [], set()
+    stack = [(poly, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((part, False) for part in reversed(node._parts or ()))
+    return order
+
+
+def _fill(plan: tuple, block: np.ndarray, table: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+    """Write the values of the leaf of ``_evaluation_plan`` ``plan`` at the
+    rows ``block`` into ``out``, summed from zeros, with the monomial table
+    ``table`` and the two complex work rows ``work`` (at least as wide and
+    as long as needed)."""
+    steps, groups = plan
+    n = block.shape[1]
+    out.fill(0)
+    cols = table[: 2 * n + len(steps), : len(block)]
+    np.copyto(cols[:n], block.T)
+    np.conj(cols[:n], out=cols[n : 2 * n])
+    for i, (parent, column) in enumerate(steps, 2 * n):
+        np.multiply(cols[parent], cols[column], out=cols[i])
+    inner_buf, term = work[:, : len(block)]
+    for z, terms, const in groups:
+        inner = const if not terms else np.multiply(terms[0][0], cols[terms[0][1]], out=inner_buf)
+        for coeff, conj in terms[1:]:
+            inner += np.multiply(coeff, cols[conj], out=term)
+        if terms and const is not None:
+            inner += const
+        out += inner if z is None else np.multiply(cols[z], inner, out=term)
+
+
 def evaluate_polynomial(poly: "ChaosPolynomial", samples: np.ndarray) -> np.ndarray:
     """Evaluate a chaos polynomial on a batch of coordinate vectors.
 
-    Per row block, every monomial the terms need is one multiply of its
-    parent by a coordinate or its conjugate (``_evaluation_plan``).  Then
-    per distinct z-monomial m, in order of first occurrence, the inner sum
+    A product ``x * y`` is evaluated as the values of x times those of y,
+    and a conjugate ``x.conjugate()`` as the conjugate of the values of x
+    (``ChaosPolynomial._parts``), each distinct operand once, so ``p *
+    p.conjugate()`` costs one evaluation of p and two element-wise passes,
+    not one of its expanded terms.  Every other polynomial is a leaf: per
+    row block, every monomial its terms need is one multiply of its parent
+    by a coordinate or its conjugate (``_evaluation_plan``).  Then per
+    distinct z-monomial m, in order of first occurrence, the inner sum
     c_1 * conj-monomial_1 + c_2 * conj-monomial_2 + ... of its terms is
     formed in term order, the coefficient of its term without a conjugate
-    part added last, and m times that sum is added to the total.  Real
-    samples are evaluated in float64 tables, complex ones in complex128.
+    part added last, and m times that sum is added to the leaf's value,
+    from zero.  Real samples are evaluated in float64 tables, complex ones
+    in complex128; values are complex128.
     """
     if samples.ndim != 2 or samples.shape[1] != poly.n:
         raise ValueError(f"samples must have shape (count, {poly.n})")
-    steps, groups = _evaluation_plan(poly)
-    total = np.zeros(samples.shape[0], dtype=np.complex128)
+    nodes = _operands(poly)
+    plans = [_evaluation_plan(node) if node._parts is None else None for node in nodes]
+    where = {id(node): i for i, node in enumerate(nodes)}
+    parts = [tuple(where[id(part)] for part in node._parts or ()) for node in nodes]
+    total = np.empty(samples.shape[0], dtype=np.complex128)
     n, dtype = poly.n, np.result_type(samples.dtype, np.float64)
-    # Rows per block: as many as _TABLE_BYTES holds of the monomial columns
-    # and the two complex work rows, at most _BLOCK.
-    row_bytes = (2 * n + len(steps)) * dtype.itemsize + 2 * 16
+    # Rows per block: as many as _TABLE_BYTES holds of the widest leaf's
+    # monomial columns (one table, which the leaves fill in turn), the two
+    # complex work rows and one complex value row per operand, at most _BLOCK.
+    width = max((2 * n + len(plan[0]) for plan in plans if plan), default=0)
+    row_bytes = width * dtype.itemsize + (len(nodes) + 1) * 16
     rows = max(1, min(_BLOCK, len(total), _TABLE_BYTES // row_bytes))
-    table = np.empty((2 * n + len(steps), rows), dtype=dtype)
+    table = np.empty((width, rows), dtype=dtype)
     # No product is formed in place: numpy may round an in-place product
     # differently (seen on one-row arrays).
     work = np.empty((2, rows), dtype=np.complex128)
+    buffers = np.empty((len(nodes) - 1, rows), dtype=np.complex128)
     for start in range(0, len(total), rows):
         block = samples[start : start + rows]
-        cols = table[:, : len(block)]
-        np.copyto(cols[:n], block.T)
-        np.conj(cols[:n], out=cols[n : 2 * n])
-        for i, (parent, column) in enumerate(steps, 2 * n):
-            np.multiply(cols[parent], cols[column], out=cols[i])
-        inner_buf, term = work[:, : len(block)]
-        out = total[start : start + rows]
-        for z, terms, const in groups:
-            inner = const if not terms else np.multiply(terms[0][0], cols[terms[0][1]], out=inner_buf)
-            for coeff, conj in terms[1:]:
-                inner += np.multiply(coeff, cols[conj], out=term)
-            if terms and const is not None:
-                inner += const
-            out += inner if z is None else np.multiply(cols[z], inner, out=term)
+        values = list(buffers[:, : len(block)]) + [total[start : start + rows]]
+        for plan, operands, out in zip(plans, parts, values):
+            if plan is not None:
+                _fill(plan, block, table, work, out)
+            elif len(operands) == 1:
+                np.conj(values[operands[0]], out=out)
+            else:
+                np.multiply(values[operands[0]], values[operands[1]], out=out)
     return total
 
 

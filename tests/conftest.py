@@ -195,7 +195,12 @@ def reference_evaluate_polynomial(poly, samples: np.ndarray) -> np.ndarray:
     z-exponent vector, in order of first occurrence, the coefficients times
     the conj-monomials of its terms are summed in term order, the
     coefficient of its term without conjugate part is added last, and the
-    z-monomial times that sum is added to the total."""
+    z-monomial times that sum is added to the total.  A product or a
+    conjugate (a polynomial with ``_parts``) is the product or the
+    conjugate of its operands' values."""
+    if poly._parts is not None:
+        values = [reference_evaluate_polynomial(part, samples) for part in poly._parts]
+        return np.conj(values[0]) if len(values) == 1 else values[0] * values[1]
     x = samples.astype(np.result_type(samples.dtype, np.float64))
     columns = list(x.T) + list(np.conj(x).T)
     n = poly.n

@@ -1,15 +1,18 @@
 """Seeded sampling: determinism, moment sanity, oracle agreement."""
 
+import functools
+import gc
 import itertools
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import ChaosPolynomial, Kernel, expand, montecarlo, random_kernel, suites
+from complexchaos import ChaosPolynomial, Kernel, chaos, expand, montecarlo, random_kernel, suites
 from complexchaos.montecarlo import (
     GENERATOR_NAME,
     SamplePlan,
@@ -255,9 +258,20 @@ class TestBlockSize:
     """The row block is a cache size only: any block size gives the same bits."""
 
     @pytest.fixture(scope="class")
-    def poly(self):
-        f = expand(random_kernel(2, 1, 3, np.random.default_rng(4)))
-        return f * f.conjugate()
+    def products(self):
+        """Polynomials evaluated through their operands: a product with its
+        own conjugate (one shared operand), a product of a product, a power
+        (a chain of products from the constant 1) and a product with a
+        polynomial built from a mapping."""
+        rng = np.random.default_rng(4)
+        f = expand(random_kernel(2, 1, 3, rng))
+        g = expand(random_kernel(1, 1, 3, rng))
+        mapped = ChaosPolynomial(3, {((1, 0, 2), (0, 1, 0)): 0.5 - 2j, ((0,) * 3, (0,) * 3): 1.5})
+        return [f * f.conjugate(), (f * g) * f.conjugate(), f**3, mapped * g]
+
+    @pytest.fixture(scope="class")
+    def poly(self, products):
+        return products[0]
 
     def results(self, poly, samples, dtype):
         plan = SamplePlan(seed=21, samples=samples, n=3)
@@ -265,17 +279,20 @@ class TestBlockSize:
         at_point = poly.evaluate([0.3 - 1.2j, 0.7j, -1.1])
         return z, evaluate_polynomial(poly, as_dtype(z, dtype)), estimate(poly, plan), at_point
 
-    def test_block_size_changes_no_bit(self, monkeypatch, poly):
+    def test_block_size_changes_no_bit(self, monkeypatch, products):
         cases = itertools.product(
+            products,
             [1, 3],
             [np.complex128, np.float64, np.complex64],
             [(300, (1, 3)), (BLOCK + 2, (BLOCK - 1, BLOCK, BLOCK + 1))],
         )
-        for workers, dtype, (samples, blocks) in cases:
+        point = np.array([[0.3 - 1.2j, 0.7j, -1.1]])
+        for poly, workers, dtype, (samples, blocks) in cases:
             monkeypatch.undo()
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
             z, values, est, at_point = self.results(poly, samples, dtype)
             assert_same_bits(values, reference_evaluate_polynomial(poly, as_dtype(z, dtype)))
+            assert at_point == complex(reference_evaluate_polynomial(poly, point)[0])
             # With the table budget lifted, _BLOCK alone sets the rows per block.
             monkeypatch.setattr(montecarlo, "_TABLE_BYTES", 1 << 40)
             for block in blocks:
@@ -285,8 +302,6 @@ class TestBlockSize:
                 assert_same_bits(values2, values)
                 assert est2 == est
                 assert at_point2 == at_point
-        point = np.array([[0.3 - 1.2j, 0.7j, -1.1]])
-        assert at_point == complex(reference_evaluate_polynomial(poly, point)[0])
 
     def test_table_budget_sets_the_rows(self, monkeypatch, poly):
         """A budget below one row's bytes evaluates one row at a time."""
@@ -296,6 +311,92 @@ class TestBlockSize:
         monkeypatch.setattr(np, "copyto", lambda dst, src: (rows.append(src.shape[1]), copyto(dst, src)))
         assert_same_bits(montecarlo.evaluate_polynomial(poly, z), values)
         assert rows == [1] * 1000
+
+
+class TestOperands:
+    """Products and conjugates are evaluated from their operands' values."""
+
+    @staticmethod
+    def expansion_scale(poly, x):
+        """Per row, the sum of |c| |z^a| |conj(z)^b| over the terms of poly."""
+        exps = np.hstack([unpack(poly.z, poly.n), unpack(poly.zc, poly.n)])
+        moduli = np.abs(np.hstack([x, x]))
+        return np.prod(moduli[:, None, :] ** exps[None], axis=2) @ np.abs(poly.re + 1j * poly.im)
+
+    def products(self):
+        rng = np.random.default_rng(4)
+        f = expand(random_kernel(2, 1, 3, rng))
+        g = expand(random_kernel(1, 1, 3, rng))
+        mapped = ChaosPolynomial(3, {((1, 0, 2), (0, 1, 0)): 0.5 - 2j, ((0,) * 3, (0,) * 3): 1.5})
+        yield from [f * f.conjugate(), (f * g) * f.conjugate(), f**3, mapped * g]
+        for f, _ in suites._mc_cases(50, 2, 110, 3, 3):  # the Monte Carlo battery's squares
+            p = expand(f)
+            yield p * p.conjugate()
+
+    def test_within_tolerance_of_the_expansion(self):
+        """Every row of a product lies within 1e-12 of its expansion's sum
+        of term moduli of the expansion evaluated term by term."""
+        for sq in self.products():
+            z = sample_coordinates(SamplePlan(seed=17, samples=500, n=sq.n))
+            expanded = ChaosPolynomial(sq.n, sq.terms)
+            assert expanded._parts is None
+            bound = 1e-12 * self.expansion_scale(expanded, z)
+            assert np.all(np.abs(evaluate_polynomial(sq, z) - termwise_evaluate_polynomial(expanded, z)) <= bound)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1.0)])
+    def test_non_finite_coefficient(self, bad):
+        """A NaN or inf coefficient of p reaches the estimate of |p|^2 and
+        mc_sigma of a kernel with that entry."""
+        plan = SamplePlan(seed=3, samples=100, n=2)
+        p = ChaosPolynomial(2, {((1, 0), (0, 1)): 0.5, ((0, 1), (0, 0)): bad, ((0, 0), (0, 0)): 1.0})
+        est = estimate(p * p.conjugate(), plan)
+        assert not all(map(math.isfinite, (est.value.real, est.value.imag, est.stderr)))
+        coeffs = random_kernel(1, 1, 2, np.random.default_rng(8)).coeffs.copy()
+        coeffs[0, 1] = bad
+        est, target, sigma = suites.mc_sigma(Kernel(1, 1, 2, coeffs), plan)
+        assert not all(map(math.isfinite, (est.value.real, est.value.imag, est.stderr)))
+        assert math.isnan(sigma)
+
+    def test_long_power_chain(self):
+        """1,500 nested products are walked without recursion."""
+        p = ChaosPolynomial.constant(1.0, 1) ** 1500
+        z = sample_coordinates(SamplePlan(seed=5, samples=300, n=1))
+        assert np.array_equal(evaluate_polynomial(p, z), np.ones(300, dtype=np.complex128))
+
+    def test_samples_are_not_kept_alive(self):
+        """No reference cycle holds the samples: with the cyclic collector
+        off, they are freed as soon as the caller drops them."""
+        p = expand(random_kernel(2, 1, 3, np.random.default_rng(4)))
+        sq = p * p.conjugate()
+        z = sample_coordinates(SamplePlan(seed=5, samples=300, n=3))
+        ref = weakref.ref(z)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            evaluate_polynomial(sq, z)
+            del z
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_planted_product_defect_fails_the_battery(self, monkeypatch):
+        """The Monte Carlo side does not read a product's coefficients, so a
+        product that scales them by 1.05 moves only the oracle value, and
+        the battery fails (it passes without the defect).  Eight kernels at
+        10,000 samples are the smallest counts tried that separate the two."""
+        run = functools.partial(suites.mc_isometry_report, kernels=8, samples=10_000, seed=110)
+        assert run().passed
+        values = chaos._product_values
+
+        def scaled(x, y, group):
+            re, im = values(x, y, group)
+            return re * 1.05, im * 1.05
+
+        monkeypatch.setattr(chaos, "_product_values", scaled)
+        report = run()
+        assert not report.passed and report.metadata["worst_sigma"] > 4.0
 
 
 class TestParallelSampler:
