@@ -149,6 +149,13 @@ class ChaosPolynomial:
     ``terms`` is the same polynomial as a read-only mapping
     ``{(a, b): coefficient}``, built on first use.  Treated as immutable
     everywhere.
+
+    ``_parts`` is ``(x, y)`` for a product ``x * y`` of two polynomials and
+    ``(x,)`` for ``x.conjugate()``; every other polynomial (from a mapping,
+    a sum, ``scaled``, ``expand``) has None.  ``montecarlo.evaluate_polynomial``
+    evaluates a polynomial with parts from its operands' values, not from
+    its terms.  So a product keeps its operands alive, and a power ``x ** k``
+    the whole chain of products ``(1 * x) * x ...`` it was formed from.
     """
 
     __slots__ = ("n", "z", "zc", "re", "im", "layout", "_terms", "_parts")

@@ -60,6 +60,18 @@ def polynomials(draw):
     return ChaosPolynomial(n, terms)
 
 
+def operand_products():
+    """Polynomials evaluated through their operands: a product with its own
+    conjugate (one shared operand), a product of a product, a power (a
+    chain of products from the constant 1) and a product with a polynomial
+    built from a mapping."""
+    rng = np.random.default_rng(4)
+    f = expand(random_kernel(2, 1, 3, rng))
+    g = expand(random_kernel(1, 1, 3, rng))
+    mapped = ChaosPolynomial(3, {((1, 0, 2), (0, 1, 0)): 0.5 - 2j, ((0,) * 3, (0,) * 3): 1.5})
+    return [f * f.conjugate(), (f * g) * f.conjugate(), f**3, mapped * g]
+
+
 class TestSamplePlan:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -259,15 +271,7 @@ class TestBlockSize:
 
     @pytest.fixture(scope="class")
     def products(self):
-        """Polynomials evaluated through their operands: a product with its
-        own conjugate (one shared operand), a product of a product, a power
-        (a chain of products from the constant 1) and a product with a
-        polynomial built from a mapping."""
-        rng = np.random.default_rng(4)
-        f = expand(random_kernel(2, 1, 3, rng))
-        g = expand(random_kernel(1, 1, 3, rng))
-        mapped = ChaosPolynomial(3, {((1, 0, 2), (0, 1, 0)): 0.5 - 2j, ((0,) * 3, (0,) * 3): 1.5})
-        return [f * f.conjugate(), (f * g) * f.conjugate(), f**3, mapped * g]
+        return operand_products()
 
     @pytest.fixture(scope="class")
     def poly(self, products):
@@ -324,11 +328,7 @@ class TestOperands:
         return np.prod(moduli[:, None, :] ** exps[None], axis=2) @ np.abs(poly.re + 1j * poly.im)
 
     def products(self):
-        rng = np.random.default_rng(4)
-        f = expand(random_kernel(2, 1, 3, rng))
-        g = expand(random_kernel(1, 1, 3, rng))
-        mapped = ChaosPolynomial(3, {((1, 0, 2), (0, 1, 0)): 0.5 - 2j, ((0,) * 3, (0,) * 3): 1.5})
-        yield from [f * f.conjugate(), (f * g) * f.conjugate(), f**3, mapped * g]
+        yield from operand_products()
         for f, _ in suites._mc_cases(50, 2, 110, 3, 3):  # the Monte Carlo battery's squares
             p = expand(f)
             yield p * p.conjugate()
@@ -367,8 +367,7 @@ class TestOperands:
     def test_samples_are_not_kept_alive(self):
         """No reference cycle holds the samples: with the cyclic collector
         off, they are freed as soon as the caller drops them."""
-        p = expand(random_kernel(2, 1, 3, np.random.default_rng(4)))
-        sq = p * p.conjugate()
+        sq = operand_products()[0]
         z = sample_coordinates(SamplePlan(seed=5, samples=300, n=3))
         ref = weakref.ref(z)
         enabled = gc.isenabled()
