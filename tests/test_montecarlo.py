@@ -60,6 +60,13 @@ def polynomials(draw):
     return ChaosPolynomial(n, terms)
 
 
+def term_moduli_sum(poly, x):
+    """Per row of x, the sum of |c| |z^a| |conj(z)^b| over the terms of poly."""
+    exps = np.hstack([unpack(poly.z, poly.n), unpack(poly.zc, poly.n)])
+    moduli = np.abs(np.hstack([x, x]))
+    return np.prod(moduli[:, None, :] ** exps[None], axis=2) @ np.abs(poly.re + 1j * poly.im)
+
+
 def operand_products():
     """Polynomials evaluated through their operands: a product with its own
     conjugate (one shared operand), a product of a product, a power (a
@@ -196,11 +203,8 @@ class TestAgainstTermwiseEvaluation:
         # The former evaluator raised complex64 samples to powers in
         # complex64; it gets the same points in complex128.
         x = z.astype(np.result_type(z.dtype, np.float64))
-        exps = np.hstack([unpack(poly.z, poly.n), unpack(poly.zc, poly.n)])
-        moduli = np.abs(np.hstack([x, x]))
-        scale = np.prod(moduli[:, None, :] ** exps[None], axis=2) @ np.abs(poly.re + 1j * poly.im)
         # Below the smallest normal float64 a relative bound means nothing.
-        bound = 1e-12 * scale + np.finfo(np.float64).tiny
+        bound = 1e-12 * term_moduli_sum(poly, x) + np.finfo(np.float64).tiny
         assert np.all(np.abs(evaluate_polynomial(poly, z) - termwise_evaluate_polynomial(poly, x)) <= bound)
 
 
@@ -320,13 +324,6 @@ class TestBlockSize:
 class TestOperands:
     """Products and conjugates are evaluated from their operands' values."""
 
-    @staticmethod
-    def expansion_scale(poly, x):
-        """Per row, the sum of |c| |z^a| |conj(z)^b| over the terms of poly."""
-        exps = np.hstack([unpack(poly.z, poly.n), unpack(poly.zc, poly.n)])
-        moduli = np.abs(np.hstack([x, x]))
-        return np.prod(moduli[:, None, :] ** exps[None], axis=2) @ np.abs(poly.re + 1j * poly.im)
-
     def products(self):
         yield from operand_products()
         for f, _ in suites._mc_cases(50, 2, 110, 3, 3):  # the Monte Carlo battery's squares
@@ -334,13 +331,13 @@ class TestOperands:
             yield p * p.conjugate()
 
     def test_within_tolerance_of_the_expansion(self):
-        """Every row of a product lies within 1e-12 of its expansion's sum
-        of term moduli of the expansion evaluated term by term."""
+        """Every row of a product lies within 1e-12 times its expansion's
+        sum of term moduli of that expansion evaluated term by term."""
         for sq in self.products():
             z = sample_coordinates(SamplePlan(seed=17, samples=500, n=sq.n))
             expanded = ChaosPolynomial(sq.n, sq.terms)
             assert expanded._parts is None
-            bound = 1e-12 * self.expansion_scale(expanded, z)
+            bound = 1e-12 * term_moduli_sum(expanded, z)
             assert np.all(np.abs(evaluate_polynomial(sq, z) - termwise_evaluate_polynomial(expanded, z)) <= bound)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
