@@ -311,12 +311,7 @@ def orbit_table(n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     def build():
         left, first = _block_ranks(n, p)
         right, second = _block_ranks(n, q)
-        if len(second) == 1:  # q = 0: the second block has one position
-            ids = first
-        elif len(first) == 1:
-            ids = second
-        else:
-            ids = np.add.outer(first * len(right), second).ravel()
+        ids = np.add.outer(first * len(right), second).ravel()
         sizes = np.outer(np.bincount(first, minlength=len(left)), np.bincount(second, minlength=len(right)))
         left, right = left.repeat(len(right), axis=0), np.tile(right, (len(left), 1))
         return ids, sizes.ravel(), left, right
@@ -338,13 +333,8 @@ def orbit_sums(coeffs: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndar
     tensor of more than _RANK_CHUNK entries is raveled block by block over
     its leading axes, split as ``_block_ranks`` splits them, so no view is
     copied whole; a smaller one takes one call, which costs less than
-    blocks.  A one-entry tensor (a 1-cell kernel or a 0-d term) is its own
-    orbit: its sum is the entry plus +0.0, the same bits without the
-    ``add.at`` call.
+    blocks.
     """
-    if coeffs.size == 1:
-        out = coeffs.reshape(1) + 0.0
-        return out.real, out.imag
     out = np.zeros(ids[-1] + 1, dtype=complex)
     if coeffs.size <= _RANK_CHUNK:
         np.add.at(out, ids, coeffs.ravel())

@@ -1,13 +1,15 @@
 """Seeded certification batteries.
 
 Each function runs one identity over a deterministic grid of random kernels
-and folds the worst case into a single ``VerificationReport`` with
-``worst_of``.  These are the building blocks of the command line selftest and
-of the acceptance tests; all randomness is drawn from generators seeded per
-battery, so reports are reproducible byte for byte.  The seven grid batteries
-(expansion symmetrization, conjugate lemma, product, isometry, orthogonality,
-covariance and hypercontractivity) all draw their kernels from ``_grid``,
-which fixes the order in which the seeded random generator is consumed.
+and folds the worst case into a single ``VerificationReport``.  Every report
+is built by ``_fold``, which takes the worst of the residuals with
+``worst_of`` (so a NaN anywhere fails it).  These are the building blocks of
+the command line selftest and of the acceptance tests; all randomness is
+drawn from generators seeded per battery, so reports are reproducible byte
+for byte.  The seven grid batteries (expansion symmetrization, conjugate
+lemma, product, isometry, orthogonality, covariance and hypercontractivity)
+all draw their kernels from ``_grid``, which fixes the order in which the
+seeded random generator is consumed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from . import hermite, montecarlo, oracle
 from .chaos import (
     COVARIANCE_VARIANT,
-    ChaosPolynomial,
     IDENTITY_TOL,
     STRUCTURAL_TOL,
     VerificationReport,
@@ -31,7 +32,6 @@ from .chaos import (
     asymptotic_diagnostics,
     covariance_squares,
     expand,
-    hermite_to_chaos,
     hypercontractivity_check,
     independence_check,
     integral_conjugate,
@@ -76,6 +76,13 @@ __all__ = [
 DEFAULT_SEED = 42
 
 
+def _fold(name: str, tolerance: float, residuals: Iterable[float], **metadata) -> VerificationReport:
+    """The report ``name``: the worst of 0.0 and the ``residuals`` against
+    ``tolerance``, NaN if any of them is not finite, with ``metadata`` in
+    the order given."""
+    return VerificationReport(name, worst_of(0.0, *residuals), tolerance, metadata)
+
+
 def _grid(
     seed: int, orders: Iterable[tuple[int, ...]], max_cells: int, trials: int
 ) -> Iterator[tuple[Kernel, ...]]:
@@ -101,12 +108,8 @@ def hermite_normalization_report(max_total: int = 6) -> VerificationReport:
     the complex Hermite family is exact (it is rho = 1, mechanically), by the
     largest coefficient ``hermite.resolve_rho`` would raise on."""
     probe, grid = hermite.normalization_residuals(max_total)
-    return VerificationReport(
-        name="hermite-normalization",
-        residual=worst_of(grid, *(float(abs(c)) for c in probe.values())),
-        tolerance=STRUCTURAL_TOL,
-        metadata={"certified_rho": 1, "max_total_degree": max_total},
-    )
+    residuals = [grid, *(float(abs(c)) for c in probe.values())]
+    return _fold("hermite-normalization", STRUCTURAL_TOL, residuals, certified_rho=1, max_total_degree=max_total)
 
 
 def hermite_product_report(
@@ -115,26 +118,26 @@ def hermite_product_report(
     """Exact polynomial certification of the Hermite product expansion.
 
     ``perturbation`` is a negative-control hook: it is added to one expansion
-    coefficient so the comparison must fail by that amount.
+    coefficient so the comparison must fail by that amount.  The probe
+    product(J_{1,1}, J_{1,1}) is compared in the exact term-dict arithmetic
+    of ``hermite.certify_product_formula``.
     """
-    residual = hermite.certify_product_formula(max_total, rho=1)
+    residuals = [hermite.certify_product_formula(max_total, rho=1)]
     if perturbation:
-        lhs = hermite_to_chaos(hermite.build(1, 1, 1), 0, 1)
-        lhs = lhs * lhs
-        rhs = ChaosPolynomial.zero(1)
+        member = hermite.build(1, 1, 1).terms
+        lhs = hermite._poly_mul(member, member)
+        rhs: dict = {}
         for (m, n), w in hermite.hermite_product(1, 1, 1, 1).items():
-            rhs = rhs + hermite_to_chaos(hermite.build(m, n, 1), 0, 1).scaled(w)
-        rhs = rhs + hermite_to_chaos(hermite.build(1, 1, 1), 0, 1).scaled(perturbation)
-        residual = worst_of(residual, lhs.max_diff(rhs))
-    return VerificationReport(
-        name="hermite-product",
-        residual=residual,
-        tolerance=IDENTITY_TOL,
-        metadata={
-            "certified_rho": 1,
-            "max_total_degree": max_total,
-            "injected_perturbation": perturbation,
-        },
+            hermite._poly_axpy(rhs, w, hermite.build(m, n, 1).terms)
+        hermite._poly_axpy(rhs, perturbation, member)
+        residuals.append(float(hermite._poly_max_abs_diff(lhs, rhs)))
+    return _fold(
+        "hermite-product",
+        IDENTITY_TOL,
+        residuals,
+        certified_rho=1,
+        max_total_degree=max_total,
+        injected_perturbation=perturbation,
     )
 
 
@@ -152,19 +155,14 @@ def hermite_orthogonality_report(
 ) -> VerificationReport:
     """Exact check, by the moment rule, that distinct family members are
     orthogonal and the squared norm of degree (m, n) is m! n! (at rho = 1)."""
-    worst = 0.0
+    residuals = []
     members = [(m, n, hermite.build(m, n, 1)) for m, n in hermite.order_tuples(max_degree, 2)]
     for m, n, left in members:
         for mp, nq, right in members:
             value = _gram_value(left, right)
             target = math.factorial(m) * math.factorial(n) if (m, n) == (mp, nq) else 0.0
-            worst = worst_of(worst, abs(value - target) / max(1.0, abs(target)))
-    return VerificationReport(
-        name="hermite-orthogonality",
-        residual=worst,
-        tolerance=tolerance,
-        metadata={"certified_rho": 1, "max_degree": max_degree},
-    )
+            residuals.append(abs(value - target) / max(1.0, abs(target)))
+    return _fold("hermite-orthogonality", tolerance, residuals, certified_rho=1, max_degree=max_degree)
 
 
 # -- oracle --------------------------------------------------------------------
@@ -174,18 +172,13 @@ def oracle_quadrature_report(
     max_power: int = 4, tolerance: float = 1e-8
 ) -> VerificationReport:
     """Cross-check the moment rule against 2-D Gauss-Hermite quadrature."""
-    worst = 0.0
+    residuals = []
     for a in range(max_power + 1):
         for b in range(max_power + 1):
             exact = oracle.monomial_expectation(oracle.MomentQuery((a,), (b,)))
             approx = oracle.quadrature_monomial_expectation(a, b)
-            worst = worst_of(worst, abs(approx - exact) / max(1.0, abs(exact)))
-    return VerificationReport(
-        name="oracle-quadrature",
-        residual=worst,
-        tolerance=tolerance,
-        metadata={"max_power": max_power},
-    )
+            residuals.append(abs(approx - exact) / max(1.0, abs(exact)))
+    return _fold("oracle-quadrature", tolerance, residuals, max_power=max_power)
 
 
 # -- kernel algebra --------------------------------------------------------------
@@ -201,7 +194,7 @@ def kernel_invariants_report(
     symmetrizations, the symmetrization norm inequality, conjugation
     involution, contraction bilinearity and the contraction norm bound."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []
     for t in range(trials):
         p = int(rng.integers(0, max_total + 1))
         q = int(rng.integers(0, max_total + 1 - p))
@@ -209,13 +202,15 @@ def kernel_invariants_report(
         f = random_kernel(p, q, n, rng)
         sym = ito_symmetrize(f)
         osym = ordinary_symmetrize(f)
-        worst = worst_of(worst, norm(ito_symmetrize(sym) - sym))
-        worst = worst_of(worst, norm(ordinary_symmetrize(osym) - osym))
-        worst = worst_of(worst, norm(ito_symmetrize(osym) - osym))
-        worst = worst_of(worst, norm(sym) - norm(f))
         flipped = reversed_conjugate(f)
-        worst = worst_of(worst, norm(reversed_conjugate(flipped) - f))
-        worst = worst_of(worst, abs(norm(flipped) - norm(f)))
+        residuals += [
+            norm(ito_symmetrize(sym) - sym),
+            norm(ordinary_symmetrize(osym) - osym),
+            norm(ito_symmetrize(osym) - osym),
+            norm(sym) - norm(f),
+            norm(reversed_conjugate(flipped) - f),
+            abs(norm(flipped) - norm(f)),
+        ]
         # bilinearity and the norm bound, against an independent partner
         c = int(rng.integers(0, max_total + 1 - p - q))
         d = int(rng.integers(0, max_total + 1 - p - q - c))
@@ -228,14 +223,8 @@ def kernel_invariants_report(
         )
         lhs = contract(alpha * f + beta * f2, g, spec)
         rhs = alpha * contract(f, g, spec) + beta * contract(f2, g, spec)
-        worst = worst_of(worst, norm(lhs - rhs))
-        worst = worst_of(worst, norm(contract(f, g, spec)) - norm(f) * norm(g))
-    return VerificationReport(
-        name="kernel-invariants",
-        residual=worst,
-        tolerance=STRUCTURAL_TOL,
-        metadata={"seed": seed, "trials": trials, "max_total_order": max_total},
-    )
+        residuals += [norm(lhs - rhs), norm(contract(f, g, spec)) - norm(f) * norm(g)]
+    return _fold("kernel-invariants", STRUCTURAL_TOL, residuals, seed=seed, trials=trials, max_total_order=max_total)
 
 
 def expand_symmetrization_report(
@@ -245,12 +234,7 @@ def expand_symmetrization_report(
     for random kernels of every order in caps."""
     grid = _grid(seed, hermite.order_tuples(max_total, 2), max_cells, trials)
     diffs = [expand(f).max_diff(expand(ito_symmetrize(f))) for (f,) in grid]
-    return VerificationReport(
-        name="expand-symmetrization",
-        residual=worst_of(0.0, *diffs),
-        tolerance=STRUCTURAL_TOL,
-        metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
-    )
+    return _fold("expand-symmetrization", STRUCTURAL_TOL, diffs, seed=seed, max_total_order=max_total, trials=trials)
 
 
 def conjugate_lemma_report(
@@ -259,12 +243,8 @@ def conjugate_lemma_report(
     """Conjugate of the expansion vs expansion of the reversed conjugate, for
     random kernels of every order in caps."""
     grid = _grid(seed, hermite.order_tuples(max_total, 2), max_cells, trials)
-    return VerificationReport(
-        name="conjugate-lemma",
-        residual=worst_of(0.0, *(integral_conjugate(f).residual for (f,) in grid)),
-        tolerance=STRUCTURAL_TOL,
-        metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
-    )
+    residuals = [integral_conjugate(f).residual for (f,) in grid]
+    return _fold("conjugate-lemma", STRUCTURAL_TOL, residuals, seed=seed, max_total_order=max_total, trials=trials)
 
 
 # -- product, isometry, orthogonality grids ---------------------------------------
@@ -284,18 +264,16 @@ def product_grid_report(
     check = product_conjugated_check if conjugated else product_check
     grid = _grid(seed, hermite.order_tuples(max_total), max_cells, trials)
     residuals = [check(f, g, tolerance).residual for f, g in grid]
-    return VerificationReport(
-        name="product-conjugated-grid" if conjugated else "product-grid",
-        residual=worst_of(0.0, *residuals),
-        tolerance=tolerance,
-        metadata={
-            "seed": seed,
-            "max_total_order": max_total,
-            "max_cells": max_cells,
-            "trials_per_tuple": trials,
-            "checks": len(residuals),
-            "certified_rho": 1,
-        },
+    return _fold(
+        "product-conjugated-grid" if conjugated else "product-grid",
+        tolerance,
+        residuals,
+        seed=seed,
+        max_total_order=max_total,
+        max_cells=max_cells,
+        trials_per_tuple=trials,
+        checks=len(residuals),
+        certified_rho=1,
     )
 
 
@@ -307,12 +285,8 @@ def isometry_grid_report(
     tolerance: float = STRUCTURAL_TOL,
 ) -> VerificationReport:
     grid = _grid(seed, hermite.order_tuples(max_total, 2), max_cells, trials)
-    return VerificationReport(
-        name="isometry-grid",
-        residual=worst_of(0.0, *(isometry_check(f).residual for (f,) in grid)),
-        tolerance=tolerance,
-        metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
-    )
+    residuals = [isometry_check(f).residual for (f,) in grid]
+    return _fold("isometry-grid", tolerance, residuals, seed=seed, max_total_order=max_total, trials=trials)
 
 
 def orthogonality_grid_report(
@@ -326,12 +300,7 @@ def orthogonality_grid_report(
     orders = (o for o in hermite.order_tuples(max_total) if o[:2] != o[2:])
     grid = _grid(seed, orders, max_cells, trials)
     overlaps = [abs(oracle.pair_expectation(expand(f), expand(g).conjugate())) for f, g in grid]
-    return VerificationReport(
-        name="orthogonality-grid",
-        residual=worst_of(0.0, *overlaps),
-        tolerance=tolerance,
-        metadata={"seed": seed, "max_total_order": max_total, "trials": trials},
-    )
+    return _fold("orthogonality-grid", tolerance, overlaps, seed=seed, max_total_order=max_total, trials=trials)
 
 
 def covariance_grid_reports(
@@ -346,23 +315,18 @@ def covariance_grid_reports(
     grid = _grid(seed, hermite.order_tuples(max_total), max_cells, trials)
     comparisons = [covariance_squares(f, g, tolerance) for f, g in grid]
     most_negative = worst_of(0.0, *(c.formula for c in comparisons), pick=min)
-    identity = VerificationReport(
-        name="covariance-grid",
-        residual=worst_of(0.0, *(c.report.residual for c in comparisons)),
-        tolerance=tolerance,
-        metadata={
-            "seed": seed,
-            "max_total_order": max_total,
-            "trials_per_tuple": trials,
-            "checks": len(comparisons),
-            "variant": COVARIANCE_VARIANT,
-        },
+    identity = _fold(
+        "covariance-grid",
+        tolerance,
+        [c.report.residual for c in comparisons],
+        seed=seed,
+        max_total_order=max_total,
+        trials_per_tuple=trials,
+        checks=len(comparisons),
+        variant=COVARIANCE_VARIANT,
     )
-    nonnegative = VerificationReport(
-        name="covariance-nonnegative",
-        residual=worst_of(0.0, -most_negative),
-        tolerance=STRUCTURAL_TOL,
-        metadata={"seed": seed, "most_negative_formula": most_negative},
+    nonnegative = _fold(
+        "covariance-nonnegative", STRUCTURAL_TOL, [-most_negative], seed=seed, most_negative_formula=most_negative
     )
     return identity, nonnegative
 
@@ -410,22 +374,17 @@ def independence_disjoint_report(
             _masked_random_kernel(0, 2, 3, (2,), rng),
         ),
     ]
-    worst_criterion = 0.0
-    worst_gap = 0.0
-    for f, g in cases:
-        worst_criterion = worst_of(worst_criterion, independence_check(f, g).residual)
-        worst_gap = worst_of(worst_gap, moment_factorization_gap(f, g, max_degree))
-    return VerificationReport(
-        name="independence-disjoint",
-        residual=worst_of(worst_criterion, worst_gap),
-        tolerance=tolerance,
-        metadata={
-            "seed": seed,
-            "cases": len(cases),
-            "max_moment_degree": max_degree,
-            "criterion_residual": worst_criterion,
-            "factorization_gap": worst_gap,
-        },
+    worst_criterion = worst_of(0.0, *(independence_check(f, g).residual for f, g in cases))
+    worst_gap = worst_of(0.0, *(moment_factorization_gap(f, g, max_degree) for f, g in cases))
+    return _fold(
+        "independence-disjoint",
+        tolerance,
+        [worst_criterion, worst_gap],
+        seed=seed,
+        cases=len(cases),
+        max_moment_degree=max_degree,
+        criterion_residual=worst_criterion,
+        factorization_gap=worst_gap,
     )
 
 
@@ -436,14 +395,12 @@ def independence_counterexample_report() -> VerificationReport:
     report = independence_check(f, f)
     covariance = float(report.metadata["covariance_oracle"])
     ok = report.residual > 0.5 and covariance > 1e-3
-    return VerificationReport(
-        name="independence-counterexample",
-        residual=0.0 if ok else 1.0,
-        tolerance=0.5,
-        metadata={
-            "criterion_residual": report.residual,
-            "covariance": covariance,
-        },
+    return _fold(
+        "independence-counterexample",
+        0.5,
+        [0.0 if ok else 1.0],
+        criterion_residual=report.residual,
+        covariance=covariance,
     )
 
 
@@ -457,8 +414,7 @@ def independence_implication_report(
     moduli must vanish.  Half of the pairs are built with disjoint supports so
     the passing branch is exercised."""
     rng = np.random.default_rng(seed)
-    worst_cov = 0.0
-    passing = 0
+    covariances = []
     for t in range(pairs):
         a = int(rng.integers(0, 3))
         b = int(rng.integers(0 if a else 1, 3 - a))
@@ -473,18 +429,15 @@ def independence_implication_report(
             g = random_kernel(c, d, n, rng)
         report = independence_check(f, g, criterion_tol)
         if report.residual <= criterion_tol:
-            passing += 1
-            worst_cov = worst_of(worst_cov, abs(float(report.metadata["covariance_oracle"])))
-    return VerificationReport(
-        name="independence-implication",
-        residual=worst_cov,
-        tolerance=tolerance,
-        metadata={
-            "seed": seed,
-            "pairs": pairs,
-            "criterion_passing": passing,
-            "criterion_tolerance": criterion_tol,
-        },
+            covariances.append(abs(float(report.metadata["covariance_oracle"])))
+    return _fold(
+        "independence-implication",
+        tolerance,
+        covariances,
+        seed=seed,
+        pairs=pairs,
+        criterion_passing=len(covariances),
+        criterion_tolerance=criterion_tol,
     )
 
 
@@ -502,19 +455,17 @@ def hypercontractivity_grid_report(
     # closed-form anchors
     single = hypercontractivity_check(Kernel.basis(1, 0, (0,), 1))
     centered = hypercontractivity_check(Kernel.basis(1, 1, (0, 0), 1))
-    return VerificationReport(
-        name="hypercontractivity-grid",
-        residual=worst_of(0.0, *residuals, single.residual, centered.residual),
-        tolerance=STRUCTURAL_TOL,
-        metadata={
-            "seed": seed,
-            "max_total_order": max_total,
-            "per_order": per_order,
-            "anchor_l4_single": single.metadata["l4"],
-            "anchor_bound_single": single.metadata["l2_bound"],
-            "anchor_l4_centered": centered.metadata["l4"],
-            "anchor_bound_centered": centered.metadata["l2_bound"],
-        },
+    return _fold(
+        "hypercontractivity-grid",
+        STRUCTURAL_TOL,
+        [*residuals, single.residual, centered.residual],
+        seed=seed,
+        max_total_order=max_total,
+        per_order=per_order,
+        anchor_l4_single=single.metadata["l4"],
+        anchor_bound_single=single.metadata["l2_bound"],
+        anchor_l4_centered=centered.metadata["l4"],
+        anchor_bound_centered=centered.metadata["l2_bound"],
     )
 
 
@@ -536,41 +487,33 @@ def asymptotic_decay_reports(
     rows = asymptotic_diagnostics([first, second])
     c_norm = max(p.max_contraction_norm for p in rows[0].pairs)
     c_cov = max(abs(p.covariance) for p in rows[0].pairs)
-    worst_band = 0.0
+    excess = []
     for row in rows:
         scale = row.index + 1.0
         r_norm = max(p.max_contraction_norm for p in row.pairs) * scale / c_norm
         r_cov = max(abs(p.covariance) for p in row.pairs) * scale / c_cov
-        for ratio in (r_norm, r_cov):
-            worst_band = worst_of(worst_band, ratio - band_factor)
-    decay = VerificationReport(
-        name="asymptotic-decay",
-        residual=worst_of(0.0, worst_band),
-        tolerance=1e-9,
-        metadata={
-            "indices": max_index,
-            "band_factor": band_factor,
-            "initial_contraction": c_norm,
-            "initial_covariance": c_cov,
-        },
+        excess += [r_norm - band_factor, r_cov - band_factor]
+    decay = _fold(
+        "asymptotic-decay",
+        1e-9,
+        excess,
+        indices=max_index,
+        band_factor=band_factor,
+        initial_contraction=c_norm,
+        initial_covariance=c_cov,
     )
     gaps = [
         moment_factorization_gap(first.entries[t], second.entries[t], max_gap_degree)
         for t in range(max_index)
     ]
-    worst_rise = 0.0
-    for prev, cur in zip(gaps, gaps[1:]):
-        worst_rise = worst_of(worst_rise, cur - prev)
-    monotone = VerificationReport(
-        name="asymptotic-moment-gap",
-        residual=worst_of(0.0, worst_rise),
-        tolerance=gap_tolerance,
-        metadata={
-            "indices": max_index,
-            "max_degree": max_gap_degree,
-            "first_gap": gaps[0],
-            "last_gap": gaps[-1],
-        },
+    monotone = _fold(
+        "asymptotic-moment-gap",
+        gap_tolerance,
+        [cur - prev for prev, cur in zip(gaps, gaps[1:])],
+        indices=max_index,
+        max_degree=max_gap_degree,
+        first_gap=gaps[0],
+        last_gap=gaps[-1],
     )
     return decay, monotone
 
@@ -624,28 +567,20 @@ def mc_isometry_report(
     ``max_sigma`` standard errors in at least ``min_fraction`` of the cases.
     A kernel whose sigma is not finite fails the battery outright (NaN
     residual) instead of counting as one case outside the band."""
-    within = 0
-    worst_sigma = 0.0
-    for f, plan in _mc_cases(kernels, samples, seed, max_total, max_cells):
-        _, _, sigma = mc_sigma(f, plan)
-        worst_sigma = worst_of(worst_sigma, sigma)
-        if sigma <= max_sigma:
-            within += 1
-    fraction = within / kernels
-    shortfall = worst_of(0.0, min_fraction - fraction)
-    return VerificationReport(
-        name="mc-isometry",
-        residual=shortfall if math.isfinite(worst_sigma) else math.nan,
-        tolerance=STRUCTURAL_TOL,
-        metadata={
-            "seed": seed,
-            "kernels": kernels,
-            "samples": samples,
-            "fraction_within": fraction,
-            "max_sigma": max_sigma,
-            "worst_sigma": worst_sigma,
-            "generator": montecarlo.GENERATOR_NAME,
-        },
+    sigmas = [mc_sigma(f, plan)[2] for f, plan in _mc_cases(kernels, samples, seed, max_total, max_cells)]
+    worst_sigma = worst_of(0.0, *sigmas)
+    fraction = sum(sigma <= max_sigma for sigma in sigmas) / kernels
+    return _fold(
+        "mc-isometry",
+        STRUCTURAL_TOL,
+        [min_fraction - fraction, 0.0 if math.isfinite(worst_sigma) else math.nan],
+        seed=seed,
+        kernels=kernels,
+        samples=samples,
+        fraction_within=fraction,
+        max_sigma=max_sigma,
+        worst_sigma=worst_sigma,
+        generator=montecarlo.GENERATOR_NAME,
     )
 
 

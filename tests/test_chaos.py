@@ -1,6 +1,7 @@
 """Theorem layer: expansion, product formulas, covariance, independence."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -399,6 +400,12 @@ class TestNonFiniteResiduals:
             ("isometry_check", suites.isometry_grid_report),
             ("product_check", suites.product_grid_report),
             ("hypercontractivity_check", suites.hypercontractivity_grid_report),
+            pytest.param(
+                "product_conjugated_check",
+                functools.partial(suites.product_grid_report, conjugated=True),
+                id="product_conjugated_check-product_grid_report_conjugated",
+            ),
+            ("integral_conjugate", suites.conjugate_lemma_report),
         ],
     )
     def test_nan_check_fails_grid(self, monkeypatch, check, grid, position):

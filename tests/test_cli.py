@@ -730,16 +730,19 @@ class TestSelftest:
     def test_no_child_outlives_a_killed_selftest(self, tmp_path):
         src = str(Path(suites.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "complexchaos.cli", "selftest", "--report", str(tmp_path / "r.json")]
+        # A million samples keep the Monte Carlo battery running for about a
+        # second, long after the batteries' children exist.
+        argv = [sys.executable, "-m", "complexchaos.cli", "selftest", "--samples", "1000000"]
+        argv += ["--report", str(tmp_path / "r.json")]
         started = time.monotonic()
         proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, start_new_session=True)
         survivors = []
         try:
-            # Kill 0.5 s in, and not before the batteries' children exist.
-            while time.monotonic() - started < 0.5 or live_session_members(proc.pid) == [proc.pid]:
+            # Kill once a child has joined the session; before the new session
+            # is set up the list is empty, which is no child either.
+            while len(live_session_members(proc.pid)) < 2:
                 assert proc.poll() is None and time.monotonic() - started < 30
                 time.sleep(0.01)
-            assert len(live_session_members(proc.pid)) > 1
             proc.kill()
             proc.wait()
             deadline = time.monotonic() + 5

@@ -14,10 +14,13 @@ from complexchaos import cli
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
+# golden file -> (CLI arguments, expected exit code)
 CASES = {
-    "selftest_seed42.json": ["selftest", "--seed", "42"],
-    "selftest_seed7.json": ["selftest", "--seed", "7"],
-    "demo.json": ["run", "scenarios/demo.json"],
+    "selftest_seed42.json": (["selftest", "--seed", "42"], 0),
+    "selftest_seed7.json": (["selftest", "--seed", "7"], 0),
+    # the negative control: the hermite-product record fails by exactly 0.5
+    "selftest_seed42_perturbed.json": (["selftest", "--seed", "42", "--inject-perturbation", "0.5"], 1),
+    "demo.json": (["run", "scenarios/demo.json"], 0),
 }
 
 
@@ -26,7 +29,8 @@ def test_report_matches_golden(golden, tmp_path, monkeypatch, capsys):
     # The demo report records its scenario path, so run from the repo root.
     monkeypatch.chdir(ROOT)
     report = tmp_path / golden
-    assert cli.main(CASES[golden] + ["--report", str(report)]) == 0
+    argv, code = CASES[golden]
+    assert cli.main(argv + ["--report", str(report)]) == code
     capsys.readouterr()
     assert report.read_bytes() == (GOLDEN / golden).read_bytes()
 

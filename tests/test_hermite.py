@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexchaos import hermite
+from complexchaos import hermite, suites
 from complexchaos.chaos import ChaosPolynomial, hermite_to_chaos
 from complexchaos.oracle import pair_expectation
 
@@ -104,6 +104,23 @@ class TestProductTable:
 
     def test_identity_fails_at_other_normalizations(self):
         assert hermite.certify_product_formula(2, rho=2) > 0.5
+
+
+class TestNegativeControl:
+    """``hermite_product_report``'s perturbation is added to one coefficient
+    of the exact product probe, so the report fails by exactly its size."""
+
+    @pytest.mark.parametrize("perturbation", [0.5, -0.25, 2**-10, 3.0])
+    def test_residual_is_the_perturbation(self, perturbation):
+        report = suites.hermite_product_report(max_total=2, perturbation=perturbation)
+        assert report.residual == abs(perturbation)
+        assert not report.passed
+
+    @pytest.mark.parametrize("perturbation", [math.nan, math.inf, -math.inf])
+    def test_non_finite_perturbation_fails(self, perturbation):
+        report = suites.hermite_product_report(max_total=2, perturbation=perturbation)
+        assert math.isnan(report.residual)
+        assert not report.passed
 
 
 class TestResolveRho:

@@ -385,7 +385,7 @@ class TestOrbitSums:
 
     @pytest.mark.parametrize("slots", range(7))
     def test_one_entry_tensor_equals_add_at(self, slots):
-        """A 0-d or 1-cell tensor takes no add.at; its sums carry the same
+        """A 0-d or 1-cell tensor is its own orbit: its sums carry the same
         float.hex as one add.at into +0.0 (NaN has one hex)."""
         parts = (1.5, -2.25, 0.0, -0.0, np.inf, -np.inf, np.nan)
         for value in itertools.product(parts, repeat=2):
