@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hermite, montecarlo, oracle
+from .hermite import worst_of
 from .kernels import (
     MAX_CELLS,
     MAX_TOTAL_ORDER,
@@ -347,15 +348,6 @@ def _sum_of(n: int, parts: Sequence[tuple[ChaosPolynomial, float]]) -> ChaosPoly
 def _max_modulus(re: np.ndarray, im: np.ndarray) -> float:
     # hypot is Python's abs(complex); numpy's complex abs rounds differently.
     return float(np.maximum.reduce(np.hypot(re, im))) if len(re) else 0.0
-
-
-def worst_of(*values: float, pick=max) -> float:
-    """``pick`` (max by default) of the values, or NaN if any of them is NaN
-    or infinite, so that a fold over residuals cannot drop a non-finite one:
-    plain ``max(0.0, nan)`` is ``0.0`` and would let the report pass."""
-    if all(math.isfinite(v) for v in values):
-        return pick(values)
-    return math.nan
 
 
 @dataclass(frozen=True)
@@ -692,7 +684,8 @@ def _squares_plan(n: int, orders: Sequence[tuple[int, int]], shapes) -> tuple:
     if full and sizes[0] * sizes[1] > oracle.MAX_TERM_PAIRS:
         check_budget(_square_join_pairs(n, orders[0], orders[-1]), "a Wick join", *sizes)
     squares = [_square_plan(x) for x in shapes]
-    join = join_plan(squares[0][0], squares[-1][0])
+    # One kernel's square is joined with itself, a mirrored join.
+    join = join_plan(squares[0][0], squares[-1][0], mirrored=len(squares) == 1)
     kernel_plans = tuple(_kernel_plan(n, *order) for order in orders)
     groups = tuple(group for _, group in squares)
     return kernel_plans, groups, join, tuple(expectation_plan(sq) for sq, _ in squares)
@@ -727,7 +720,7 @@ def _isometry_program(f: Kernel) -> tuple:
 
     def build(shapes):
         x = shapes[0]
-        return (_kernel_plan(f.n, f.p, f.q),), join_plan(x, _conjugated(x))
+        return (_kernel_plan(f.n, f.p, f.q),), join_plan(x, _conjugated(x), mirrored=True)
 
     key = ("check", "isometry", f.n, f.p, f.q)
     ((kernel_plan,), join), ((sums, (re, im)),) = _program(key, build, (f,))

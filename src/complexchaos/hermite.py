@@ -164,6 +164,20 @@ def hermite_product(a: int, b: int, c: int, d: int) -> dict[tuple[int, int], int
     return table
 
 
+# -- residual folds ----------------------------------------------------------
+
+
+def worst_of(*values: float, pick=max) -> float:
+    """``pick`` (max by default) of the values, or NaN if any of them is NaN
+    or infinite, so that a fold over residuals cannot drop a non-finite one:
+    plain ``max(0.0, nan)`` is ``0.0`` and would let the report pass.  It
+    lives here, in the module that imports no other of the package, so that
+    every module's folds can share it (``chaos`` re-exports it)."""
+    if all(math.isfinite(v) for v in values):
+        return pick(values)
+    return math.nan
+
+
 # -- polynomial scratch arithmetic on plain term dicts -----------------------
 
 
@@ -191,7 +205,7 @@ def _poly_axpy(acc: dict, weight: Scalar, terms: Terms) -> None:
 
 def _poly_max_abs_diff(t1: Terms, t2: Terms) -> float:
     keys = set(t1) | set(t2)
-    return max((abs(t1.get(k, 0) - t2.get(k, 0)) for k in keys), default=0.0)
+    return worst_of(0.0, *(abs(t1.get(k, 0) - t2.get(k, 0)) for k in keys))
 
 
 def certify_product_formula(max_total: int = 8, rho: Scalar = 1) -> float:
@@ -203,7 +217,7 @@ def certify_product_formula(max_total: int = 8, rho: Scalar = 1) -> float:
         rhs: dict = {}
         for (m, n), w in hermite_product(a, b, c, d).items():
             _poly_axpy(rhs, w, build(m, n, rho).terms)
-        worst = max(worst, float(_poly_max_abs_diff(lhs, rhs)))
+        worst = worst_of(worst, float(_poly_max_abs_diff(lhs, rhs)))
     return worst
 
 

@@ -13,6 +13,7 @@ honest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -247,7 +248,7 @@ def expectation(poly: "ChaosPolynomial") -> complex:
 _JOIN_BLOCK = 1 << 16
 
 
-def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
+def _join(left: "ChaosPolynomial", right: "ChaosPolynomial", mirrored: bool = False) -> tuple[np.ndarray, ...]:
     """The term pairs whose z-exponent surpluses cancel and their weights.
 
     The right terms are sorted by their packed surplus and each left term
@@ -258,6 +259,17 @@ def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray
     compactly, since ``cached_by_shape`` keeps it: the pairs as the rows
     (li, ri) of one (2, pairs) int32 array, the distinct weights, and each
     pair's index among them in the smallest unsigned type.
+
+    ``mirrored`` is for a polynomial joined with its mirror (x with its
+    conjugate, or a square with itself), where the pair (j, i) joins
+    wherever (i, j) does, with the same weight and the same real part of
+    its product, bit for bit; such a plan is summed with ``imag=False``.
+    It keeps only the pairs with i <= j, dropped before anything else is
+    formed from them, and doubles the weight of each pair with i < j.
+    Doubling is exact and ``exact_sum`` rounds once, so the real sum keeps
+    its bits unless a weighted product is subnormal or overflows only once
+    doubled (it is not finite either way).  The budget still counts every
+    match.
     """
     want = left.z - left.zc
     surplus = right.zc - right.z
@@ -267,19 +279,27 @@ def _join(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray
     hits = surplus.searchsorted(want, "right") - lo
     check_budget(int(hits.sum()), "a Wick join", len(left.z), len(right.z))
     li = np.arange(len(want), dtype=np.int32).repeat(hits)
-    pairs = np.stack((li, order[np.arange(len(li)) + (lo - hits.cumsum() + hits).repeat(hits)]))
-    weights = np.empty(len(li))
-    for s in range(0, len(li), _JOIN_BLOCK):
+    ri = order[np.arange(len(li)) + (lo - hits.cumsum() + hits).repeat(hits)]
+    if mirrored:
+        keep = li <= ri
+        li, ri = li[keep], ri[keep]
+    pairs = np.stack((li, ri))
+    weights = np.empty(pairs.shape[1])
+    for s in range(0, len(weights), _JOIN_BLOCK):
         l, r = pairs[0, s : s + _JOIN_BLOCK], pairs[1, s : s + _JOIN_BLOCK]
         key_sum(left.zc[l], right.zc[r])
         weights[s : s + _JOIN_BLOCK] = _weights(key_sum(left.z[l], right.z[r]), left.n)
+    if mirrored:
+        weights[pairs[0] != pairs[1]] *= 2.0
     table, index = np.unique(weights, return_inverse=True)
     return pairs, table, index.astype(np.min_scalar_type(len(table)))
 
 
-def join_plan(left: "ChaosPolynomial", right: "ChaosPolynomial") -> tuple[np.ndarray, ...]:
-    """The ``_join`` of two polynomials, planned once per pair of layouts."""
-    return cached_by_shape(("pair", left.layout, right.layout), lambda: _join(left, right))
+def join_plan(left: "ChaosPolynomial", right: "ChaosPolynomial", mirrored: bool = False) -> tuple[np.ndarray, ...]:
+    """The ``_join`` of two polynomials, planned once per pair of layouts;
+    a ``mirrored`` plan (see ``_join``) is cached under its own key."""
+    key = ("mirrored-pair" if mirrored else "pair", left.layout, right.layout)
+    return cached_by_shape(key, lambda: _join(left, right, mirrored))
 
 
 def join_sum(plan: tuple, lr, li, rr, ri, imag: bool = True):
@@ -317,10 +337,20 @@ def pair_expectation(left: "ChaosPolynomial", right: "ChaosPolynomial") -> compl
     return join_sum(join_plan(left, right), left.re, left.im, right.re, right.im)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_hermite(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``points``-point Gauss-Hermite rule, solved
+    once per ``points``; read-only, since every call shares them."""
+    rule = np.polynomial.hermite.hermgauss(points)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def quadrature_monomial_expectation(a: int, b: int, points: int = 48) -> complex:
     """Brute 2-D Gauss-Hermite quadrature of z**a conj(z)**b against the
     standard complex Gaussian density, for cross-checking the moment rule."""
-    nodes, weights = np.polynomial.hermite.hermgauss(points)
+    nodes, weights = _gauss_hermite(points)
     x = nodes[:, None]
     y = nodes[None, :]
     w = weights[:, None] * weights[None, :]

@@ -105,6 +105,25 @@ class TestProductTable:
     def test_identity_fails_at_other_normalizations(self):
         assert hermite.certify_product_formula(2, rho=2) > 0.5
 
+    def test_max_difference_keeps_a_late_nan(self):
+        lhs = {(1, 1): 1.0, (0, 0): 2.0, (2, 2): math.nan}
+        keys = list(set(lhs))
+        assert keys.index((2, 2)) > 0  # iterated after a finite difference
+        assert math.isnan(hermite._poly_max_abs_diff(lhs, {}))
+        assert math.isnan(hermite._poly_max_abs_diff({}, lhs))
+        assert hermite._poly_max_abs_diff({(1, 1): 1.0, (0, 0): -2.0}, {}) == 2.0
+
+    def test_certification_keeps_a_late_nan(self, monkeypatch):
+        table, late = hermite.hermite_product, (1, 0, 0, 1)
+
+        def poisoned(*orders):
+            weights = table(*orders)
+            return {key: w * math.nan for key, w in weights.items()} if orders == late else weights
+
+        assert list(hermite.order_tuples(2)).index(late) > 0  # after the exact (0, 0, 0, 0)
+        monkeypatch.setattr(hermite, "hermite_product", poisoned)
+        assert math.isnan(hermite.certify_product_formula(2, rho=1))
+
 
 class TestNegativeControl:
     """``hermite_product_report``'s perturbation is added to one coefficient

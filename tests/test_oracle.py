@@ -217,3 +217,15 @@ class TestQuadratureCrossCheck:
                 exact = monomial_expectation(MomentQuery((a,), (b,)))
                 approx = quadrature_monomial_expectation(a, b)
                 assert abs(approx - exact) <= 1e-8 * max(1.0, abs(exact))
+
+    def test_cached_rule_keeps_the_bits(self):
+        first = [quadrature_monomial_expectation(a, b) for a in range(4) for b in range(4)]
+        again = [quadrature_monomial_expectation(a, b) for a in range(4) for b in range(4)]
+        assert [(z.real.hex(), z.imag.hex()) for z in again] == [(z.real.hex(), z.imag.hex()) for z in first]
+        nodes, weights = oracle._gauss_hermite(48)
+        assert oracle._gauss_hermite(48)[0] is nodes
+        solved = np.polynomial.hermite.hermgauss(48)
+        assert nodes.tobytes() == solved[0].tobytes() and weights.tobytes() == solved[1].tobytes()
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0

@@ -464,6 +464,84 @@ class TestPolynomialBatteries:
             assert join(left, right.conjugate()) == value
 
 
+def self_joins(x):
+    """The two joins of a polynomial with its mirror and their coefficient
+    parts: the isometry's x with its conjugate, and the square
+    x * conj(x) with itself."""
+    y = x.conjugate()
+    square = x * y
+    return [(x, y, (x.re, x.im, y.re, y.im)), (square, square, (square.re, square.im) * 2)]
+
+
+def mirror_kernels():
+    """Every (p, q) with p + q <= 6 on 1-3 cells and p + q <= 4 on 4 cells,
+    dense, masked and basis (their expansions drop zero coefficients, so
+    their plans have kept-key layouts), and (4,4) on 4 cells."""
+    rng = np.random.default_rng(24)
+    out = [
+        kernel_of(kind, p, q, n, rng)
+        for n, top in ((1, 6), (2, 6), (3, 6), (4, 4))
+        for p in range(top + 1)
+        for q in range(top + 1 - p)
+        for kind in ("dense", "masked", "basis")
+    ]
+    return out + [kernels.random_kernel(4, 4, 4, rng)]
+
+
+class TestMirroredJoins:
+    """A polynomial joined with its mirror is planned over the pairs i <= j
+    only, with doubled weights off the diagonal, and sums to the same bits
+    as the full join."""
+
+    def test_mirrored_sums_keep_their_bits(self, cache):
+        layouts = set()
+        for f in mirror_kernels():
+            x = chaos.expand(f)
+            layouts.add(x.layout[0])
+            for left, right, parts in self_joins(x)[: 1 if f.order == (4, 4) else 2]:
+                full = oracle._join(left, right)
+                mirrored = oracle._join(left, right, mirrored=True)
+                pairs, diagonal = full[0].shape[1], np.count_nonzero(full[0][0] == full[0][1])
+                assert 2 * mirrored[0].shape[1] == pairs + diagonal
+                assert np.all(mirrored[0][0] <= mirrored[0][1])
+                expected = oracle.join_sum(full, *parts, imag=False)
+                assert oracle.join_sum(mirrored, *parts, imag=False).hex() == expected.hex()
+        assert layouts == {"expand", "kept"}
+
+    def test_programs_plan_mirrored_joins(self, cache):
+        rng = np.random.default_rng(25)
+        for p, q, n in ((0, 0, 1), (3, 3, 2), (2, 1, 3)):
+            f = kernels.random_kernel(p, q, n, rng)
+            assert chaos._isometry_program(f)[0].hex() == composed_isometry(f)[0].hex()
+            assert [m.hex() for m in chaos._squares_program((f,))] == [m.hex() for m in composed_squares((f,))]
+        mirrored = [key for key in cache if key[0] == "mirrored-pair"]
+        assert {key[2][0] for key in mirrored} == {"conj", "mul"}  # the isometry's and the squares'
+        cache.clear()
+        chaos.covariance_squares(f, kernels.random_kernel(2, 1, 3, rng))  # two squares: a plain join
+        assert {key[0] for key in cache if "pair" in key[0]} == {"pair"}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_stay_non_finite(self, cache, bad):
+        rng = np.random.default_rng(26)
+        for p, q, n in ((1, 1, 2), (2, 1, 3), (2, 2, 2), (3, 0, 1)):
+            coeffs = kernels.random_kernel(p, q, n, rng).coeffs.copy()
+            coeffs.flat[1 % coeffs.size] = bad
+            f = Kernel(p, q, n, coeffs)
+            with np.errstate(all="ignore"):
+                for left, right, parts in self_joins(chaos.expand(f)):
+                    full = oracle.join_sum(oracle._join(left, right), *parts, imag=False)
+                    mirrored = oracle.join_sum(oracle._join(left, right, mirrored=True), *parts, imag=False)
+                    assert not math.isfinite(full) and not math.isfinite(mirrored)
+                assert not chaos.isometry_check(f).passed
+                assert not chaos.hypercontractivity_check(f).passed
+
+    def test_largest_high_order_isometry_join_is_halved(self, cache):
+        x = chaos._shape(6, 4, 4)
+        full = oracle._join(x, chaos._conjugated(x))[0].shape[1]
+        mirrored = oracle.join_plan(x, chaos._conjugated(x), mirrored=True)[0].shape[1]
+        assert (len(x.z), full, mirrored) == (19_490, 496_400, 257_945)
+
+
 class TestJoinBudget:
     """The Wick join counts its pairs before forming them."""
 
