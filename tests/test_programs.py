@@ -498,6 +498,7 @@ class TestMirroredJoins:
         for f in mirror_kernels():
             x = chaos.expand(f)
             layouts.add(x.layout[0])
+            # The square of (4,4) on 4 cells would join 6.06M pairs: its isometry only.
             for left, right, parts in self_joins(x)[: 1 if f.order == (4, 4) else 2]:
                 full = oracle._join(left, right)
                 mirrored = oracle._join(left, right, mirrored=True)
